@@ -69,9 +69,7 @@ from .conjugate import (
     fenchel_young_check,
     function_table,
     gamma_p_membership,
-    indicator,
     pair_in,
-    paired_close,
     swap_r,
     universe_of,
 )

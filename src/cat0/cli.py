@@ -50,7 +50,7 @@ from .monotone import (
 )
 from .geometry import quasilinearization
 from .spaces import (
-    EUCLIDEAN,
+    HYPERBOLIC,
     PROBE_SEED,
     BoundVector,
     GeometryError,
@@ -97,8 +97,12 @@ def _lambda_grid(args) -> Tuple[Scalar, ...]:
 
 
 def _probes_for(space, points, seed: int):
-    """Probe set for behavioral dual equality in spaces without a canonical form."""
-    if space.kind == EUCLIDEAN:
+    """Probe set for behavioral dual equality on the hyperboloid.
+
+    The other spaces compare exact duals by key, and float ones through
+    the library's default probes, anchored at the duals' own points.
+    """
+    if space.kind != HYPERBOLIC:
         return None
     return default_probes(space, tuple(points)[:8], seed=seed)
 
@@ -354,7 +358,8 @@ def _add_common(sp, needs_instance=True, universe=False, grid=False):
         sp.add_argument("instance", nargs="?", help="instance JSON path, or - for stdin")
     sp.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
     sp.add_argument(
-        "--seed", type=int, default=PROBE_SEED, help="seed for default probe sampling"
+        "--seed", type=int, default=PROBE_SEED,
+        help="seed of the probe sample that compares duals on the hyperboloid",
     )
     sp.add_argument(
         "--format", dest="fmt", choices=("json", "csv"), default="json",

@@ -29,11 +29,13 @@ entry (skipped combinations are counted and reported).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
-from .dual import DualVector, dual_add, dual_scale, duals_match, pair
+from .dual import DualVector, dual_add, dual_scale, duals_match, is_exact, pair
 from .spaces import (
+    HYPERBOLIC,
     BoundVector,
     GeometryError,
     Point,
@@ -52,9 +54,7 @@ __all__ = [
     "universe_of",
     "coupling_pi",
     "swap_r",
-    "paired_close",
     "pair_in",
-    "indicator",
     "fenchel_conjugate_p",
     "fenchel_young_check",
     "avg_lowerbound_check",
@@ -107,35 +107,101 @@ def _pairs_of(u: Union[CandidateUniverse, Sequence[PairedPoint]]) -> Tuple[Paire
     return tuple(u)
 
 
+def _pair_key(q: PairedPoint) -> Optional[tuple]:
+    """(point, dual key) of an exact pair; None on the hyperboloid or with a float."""
+    if q.x.space.kind == HYPERBOLIC or not is_exact(q.x.payload):
+        return None
+    key = q.xd.key
+    return None if key is None else (q.x, key)
+
+
+def _identity(q: PairedPoint):
+    """What tells pairs apart: the exact pair key, else the pair's structure."""
+    return _pair_key(q) or q
+
+
+class _PairSet:
+    """Behavioral membership in a fixed sequence of pairs.
+
+    Exact pairs are found by their key in one dict lookup. A pair
+    holding a float, or on the hyperboloid, is compared by a scan:
+    points within tol and duals_match with the given probes. An exact
+    query scans only the members that have no key. Either way the
+    first matching member in sequence order is the one found.
+    """
+
+    def __init__(
+        self,
+        members: Sequence[PairedPoint],
+        tol: float = 1e-9,
+        probes: Optional[Sequence[BoundVector]] = None,
+    ):
+        self._members = tuple(members)
+        self._tol = tol
+        self._probes = probes
+        self._keyed: Dict[tuple, int] = {}
+        self._unkeyed = []
+        for i, m in enumerate(self._members):
+            key = _pair_key(m)
+            if key is None:
+                self._unkeyed.append(i)
+            else:
+                self._keyed.setdefault(key, i)
+
+    def find(self, q: PairedPoint) -> Optional[PairedPoint]:
+        """The first member equal to q, or None."""
+        n = len(self._members)
+        key = _pair_key(q)
+        first = n if key is None else self._keyed.get(key, n)
+        for i in self._unkeyed if key is not None else range(n):
+            if i >= first:
+                break
+            m = self._members[i]
+            if (
+                m.x.space == q.x.space
+                and distance(m.x, q.x) <= self._tol
+                and duals_match(q.xd, m.xd, probes=self._probes, tol=self._tol)
+            ):
+                return m
+        return self._members[first] if first < n else None
+
+    def __contains__(self, q: PairedPoint) -> bool:
+        return self.find(q) is not None
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """An extended-real function given by finitely many listed pairs.
 
     p is the basepoint the table's couplings and conjugates refer to.
-    Pairs not listed take the value +inf. Listed pairs must be distinct.
+    Pairs not listed take the value +inf. Listed pairs must be distinct:
+    behaviorally on exact inputs (however the dual is written, see
+    DualVector.key), structurally where a pair holds a float or lies on
+    the hyperboloid. Values are read the same way.
     """
 
     p: Point
     entries: Tuple[Tuple[PairedPoint, ExtReal], ...]
-    _index: Dict[PairedPoint, ExtReal] = field(
+    _index: Dict[object, ExtReal] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
     def __post_init__(self):
         index = {}
         for q, v in self.entries:
-            if q in index:
+            ident = _identity(q)
+            if ident in index:
                 raise GeometryError(f"duplicate table entry for {q}")
-            index[q] = v
+            index[ident] = v
         object.__setattr__(self, "_index", index)
 
-    @property
+    @cached_property
     def domain(self) -> Tuple[PairedPoint, ...]:
         """The listed pairs, in order."""
         return tuple(q for q, _ in self.entries)
 
     def value(self, q: PairedPoint) -> ExtReal:
-        return self._index.get(q, POS_INF)
+        return self._index.get(_identity(q), POS_INF)
 
     def is_proper(self) -> bool:
         """No -inf anywhere and at least one finite value."""
@@ -160,37 +226,14 @@ def swap_r(q: PairedPoint) -> Tuple[DualVector, Point]:
     return (q.xd, q.x)
 
 
-def paired_close(
-    q1: PairedPoint,
-    q2: PairedPoint,
-    tol: float = 1e-9,
-    probes: Optional[Sequence[BoundVector]] = None,
-) -> bool:
-    """Points within tol and duals behaviorally equal."""
-    if q1.x.space != q2.x.space:
-        return False
-    if distance(q1.x, q2.x) > tol:
-        return False
-    return duals_match(q1.xd, q2.xd, probes=probes, tol=tol)
-
-
 def pair_in(
     q: PairedPoint,
     pairs: Sequence[PairedPoint],
     tol: float = 1e-9,
     probes: Optional[Sequence[BoundVector]] = None,
 ) -> bool:
-    return any(paired_close(q, member, tol=tol, probes=probes) for member in pairs)
-
-
-def indicator(
-    members: Sequence[PairedPoint],
-    q: PairedPoint,
-    tol: float = 1e-9,
-    probes: Optional[Sequence[BoundVector]] = None,
-) -> ExtReal:
-    """0 on the set (behavioral membership), +inf off it."""
-    return ExtReal(0) if pair_in(q, members, tol=tol, probes=probes) else POS_INF
+    """Is q one of the pairs? Exact on exact inputs; tol and probes apply otherwise."""
+    return q in _PairSet(pairs, tol, probes)
 
 
 def fenchel_conjugate_p(
@@ -269,19 +312,6 @@ class GammaReport:
     skipped_combinations: int
 
 
-def _find_table_match(
-    x: Point,
-    xd: DualVector,
-    domain: Sequence[PairedPoint],
-    tol: float,
-    probes: Optional[Sequence[BoundVector]],
-) -> Optional[PairedPoint]:
-    for cand in domain:
-        if distance(cand.x, x) <= tol and duals_match(cand.xd, xd, probes=probes, tol=tol):
-            return cand
-    return None
-
-
 def gamma_p_membership(
     h: FunctionTable,
     p: Point,
@@ -295,8 +325,9 @@ def gamma_p_membership(
     Checks, in order: properness (no -inf, some finite value);
     convexity of h along geodesics in the first slot and formal convex
     combinations in the dual slot, but only at lambda-grid combinations
-    of listed pairs that land (within tol, behavioral dual equality) on
-    another listed pair - combinations that land nowhere are skipped and
+    of listed pairs that land on another listed pair (exactly on exact
+    inputs; otherwise within tol, with duals compared on the probes) -
+    combinations that land nowhere are skipped and
     counted; and the fixed-point identity h = (h + indicator{h <=
     pi_p})*_p o swap at every listed pair, with the conjugate taken
     relative to the given universe. Lower semicontinuity is not checked
@@ -309,13 +340,14 @@ def gamma_p_membership(
     convexity_witness: Optional[dict] = None
     skipped = 0
     finite_dom = [q for q in h.domain if h.value(q).is_finite]
+    listed = _PairSet(h.domain, tol, probes)
     for i in range(len(finite_dom)):
         for j in range(i + 1, len(finite_dom)):
             q1, q2 = finite_dom[i], finite_dom[j]
             for lam in lambda_grid:
                 cx = geodesic_point(q1.x, q2.x, lam)
                 cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
-                match = _find_table_match(cx, cd, h.domain, tol, probes)
+                match = listed.find(PairedPoint(cx, cd))
                 if match is None:
                     skipped += 1
                     continue

@@ -7,11 +7,16 @@ on a bound vector ab-> by
 
 Two structurally different combinations can act identically (flipping a
 term's orientation and its sign, or splitting a term at an intermediate
-point, never changes the action), so equality of duals is behavioral:
-exact in Euclidean space via the canonical vector sum_i coeff_i *
-(head_i - tail_i), probe-based elsewhere (compare actions on a finite
-probe set; the default probe set pairs the duals' own points with a
-deterministic seeded sample).
+point, never changes the action), so equality of duals is behavioral.
+On exact inputs (int/Fraction coefficients and coordinates) it is
+decided by an exact key of the action (DualVector.key): the canonical
+vector sum_i coeff_i (head_i - tail_i) in Euclidean space, the
+per-branch slopes of the dual's potential on the tree. Only the
+hyperboloid and inputs holding a float fall back to tolerances: the
+canonical vector within tol in Euclidean space, and elsewhere a
+comparison of actions on a finite probe set (the default probe set
+pairs the duals' own points with a deterministic seeded sample), so a
+probe seed affects only those.
 
 The Lipschitz-seminorm quantities are desk-scale lower bounds: the dual
 norm is approximated by maximizing |<x_dual, ab-> - <x_dual, cd->| /
@@ -26,12 +31,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .extreal import Scalar
 from .geometry import quasilinearization
 from .spaces import (
     EUCLIDEAN,
+    HYPERBOLIC,
     PROBE_SEED,
     BoundVector,
     GeometryError,
@@ -98,6 +106,55 @@ class DualVector:
                 if pt not in seen:
                     seen.append(pt)
         return tuple(seen)
+
+    @cached_property
+    def key(self) -> Optional[tuple]:
+        """Exact key of the action: two duals share it exactly when they act alike.
+
+        Euclidean: the canonical vector (see canonical_hilbert). Tree:
+        (default slope, ((branch, slope), ...)) of the dual's potential,
+        listing the branches whose slope differs from the default (see
+        _tree_slopes). The zero action keys as () on every space, so the
+        zero dual, which carries no space, shares it. None where no
+        exact key exists: on the hyperboloid and for any float
+        coefficient or coordinate. Computed on first use, then kept.
+        """
+        space = self.space
+        if space is None:
+            return ()
+        if space.kind == HYPERBOLIC or not all(
+            is_exact((c,) + bv.tail.payload + bv.head.payload) for c, bv in self.terms
+        ):
+            return None
+        key = canonical_hilbert(self) if space.kind == EUCLIDEAN else _tree_slopes(self.terms)
+        return key if any(key) else ()
+
+
+def is_exact(values: Iterable[Scalar]) -> bool:
+    """Are all the values ints or Fractions?"""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _tree_slopes(terms) -> tuple:
+    """(default slope, ((branch, slope), ...)) of a tree dual's potential.
+
+    The action is <xd, ab-> = F(b) - F(a) with F(z) = 1/2 sum_i c_i
+    (d(t_i, z)^2 - d(h_i, z)^2). At z = (k, s), a tail (branch, u)
+    gives d^2 = u^2 + s^2 - 2 sigma u s, sigma = +1 on its own branch
+    and -1 elsewhere (likewise tau for a head at v). So F is affine in
+    s on every branch, takes one value at the root, and has slope
+    -sum_i c_i (sigma_k u_i - tau_k v_i) on branch k. Branches no
+    endpoint touches share the default slope sum_i c_i (u_i - v_i).
+    Equal slopes on every branch are equal actions, and conversely
+    (pair both duals with root -> (k, 1)).
+    """
+    default = sum(c * (bv.tail.payload[1] - bv.head.payload[1]) for c, bv in terms)
+    slopes = {}
+    for c, bv in terms:
+        (kt, u), (kh, v) = bv.tail.payload, bv.head.payload
+        slopes[kt] = slopes.get(kt, default) - 2 * c * u
+        slopes[kh] = slopes.get(kh, default) + 2 * c * v
+    return default, tuple(sorted((k, s) for k, s in slopes.items() if s != default))
 
 
 def dual_vector(terms: Iterable[Tuple[Scalar, BoundVector]]) -> DualVector:
@@ -303,12 +360,17 @@ def duals_match(
     probes: Optional[Sequence[BoundVector]] = None,
     tol: float = 1e-9,
 ) -> bool:
-    """Behavioral equality: canonical vectors in Euclidean space, probes elsewhere."""
+    """Behavioral equality: exact keys where both duals have one.
+
+    Otherwise canonical vectors within tol in Euclidean space, and
+    actions within tol on the probes elsewhere (default_probes anchored
+    at both duals' points when none are given).
+    """
     if not _compatible(xd.space, yd.space):
         return False
+    if xd.key is not None and yd.key is not None:
+        return xd.key == yd.key
     space = xd.space or yd.space
-    if space is None:
-        return True  # both are the zero dual
     if space.kind == EUCLIDEAN:
         u = canonical_hilbert(xd, dim=space.dim)
         v = canonical_hilbert(yd, dim=space.dim)

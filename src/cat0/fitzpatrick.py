@@ -40,11 +40,12 @@ from .conjugate import (
     FunctionTable,
     GammaReport,
     PairedPoint,
+    _PairSet,
+    _identity,
     _pairs_of,
     coupling_pi,
     fenchel_conjugate_p,
     gamma_p_membership,
-    pair_in,
 )
 from .dual import dual_add, dual_scale, dual_term, pair
 from .extreal import ExtReal, NEG_INF, Scalar, ext
@@ -121,8 +122,11 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
     """Conjugate form: (coupling + graph indicator)*_p o swap, relative to g."""
     if not g.pairs:
         return NEG_INF
-    # repeated members cannot move a supremum, but would collide in the table
-    members = tuple(dict.fromkeys(g.pairs))
+    # members acting alike cannot move a supremum, but would collide in the table
+    first = {}
+    for gp in g.pairs:
+        first.setdefault(_identity(gp), gp)
+    members = tuple(first.values())
     table = FunctionTable(
         p, tuple((gp, ExtReal(coupling_pi(p, gp))) for gp in members)
     )
@@ -179,9 +183,9 @@ def level_set_report(
     maximality.
     """
     pairs = _pairs_of(universe)
-    for q in g.pairs:
-        if not pair_in(q, pairs, tol=tol):
-            raise GeometryError("universe does not contain the graph")
+    in_universe = _PairSet(pairs, tol)
+    if any(q not in in_universe for q in g.pairs):
+        raise GeometryError("universe does not contain the graph")
 
     below: List[int] = []
     equal: List[int] = []
@@ -198,14 +202,10 @@ def level_set_report(
         else:
             above.append(i)
 
-    graph_idx = {
-        i for i, q in enumerate(pairs) if pair_in(q, g.pairs, tol=tol)
-    }
-    polar_idx = set()
-    polar = monotone_polar(g, pairs)
-    for i, q in enumerate(pairs):
-        if any(member is q or member == q for member in polar):
-            polar_idx.add(i)
+    in_graph = _PairSet(g.pairs, tol)
+    graph_idx = {i for i, q in enumerate(pairs) if q in in_graph}
+    polar = set(monotone_polar(g, pairs))
+    polar_idx = {i for i, q in enumerate(pairs) if q in polar}
 
     mono = is_monotone(g).holds
     maxrel = is_maximal_relative(g, pairs, match_tol=tol).holds

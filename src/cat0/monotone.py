@@ -35,7 +35,7 @@ from .conjugate import (
     CandidateUniverse,
     DEFAULT_LAMBDA_GRID,
     PairedPoint,
-    pair_in,
+    _PairSet,
     _pairs_of,
 )
 from .dual import DualVector, pair
@@ -167,21 +167,23 @@ def is_maximal_relative(
 ) -> PropertyReport:
     """Monotone, and no universe pair outside g is related to all of g.
 
-    Requires the universe to contain the graph (behavioral membership,
-    using the given probe set for dual comparisons where the space has
-    no canonical form); a strictly monotone extension point in the
-    universe is returned as the witness. Maximality here is always
-    relative to the given finite universe.
+    Requires the universe to contain the graph (behavioral membership:
+    exact on exact inputs, otherwise within match_tol with the given
+    probe set for dual comparisons where the space has no canonical
+    form); a strictly monotone extension point in the universe is
+    returned as the witness. Maximality here is always relative to the
+    given finite universe.
     """
     upairs = _pairs_of(universe)
-    for q in g.pairs:
-        if not pair_in(q, upairs, tol=match_tol, probes=probes):
-            raise GeometryError("universe does not contain the graph")
+    in_universe = _PairSet(upairs, match_tol, probes)
+    if any(q not in in_universe for q in g.pairs):
+        raise GeometryError("universe does not contain the graph")
     mono = is_monotone(g, tol)
     if not mono.holds:
         return PropertyReport(holds=False, witness=mono.witness)
+    in_graph = _PairSet(g.pairs, match_tol, probes)
     for u in monotone_polar(g, upairs, tol):
-        if not pair_in(u, g.pairs, tol=match_tol, probes=probes):
+        if u not in in_graph:
             return PropertyReport(holds=False, witness={"extension": u})
     return PropertyReport(holds=True)
 

@@ -20,13 +20,12 @@ exactness; downstream sup/inf computations rely on this.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real as _NumbersReal
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .extreal import Scalar
 
@@ -348,9 +347,3 @@ def sample_points(
     """Deterministic sample of points (fixed default seed)."""
     rng = random.Random(seed)
     return tuple(random_point(space, rng, spread=spread, branches=branches) for _ in range(count))
-
-
-def distinct_pairs(points: Iterable[Point]) -> Tuple[Tuple[Point, Point], ...]:
-    """All unordered pairs of distinct points, in input order."""
-    pts = list(points)
-    return tuple((a, b) for a, b in itertools.combinations(pts, 2) if a != b)

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +15,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def cli_imports_these_sources():
+    """`python -m cat0` subprocesses import the sources under test, as pytest does."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture

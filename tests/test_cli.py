@@ -190,6 +190,22 @@ def test_polar_and_maximal_check(tmp_path):
     assert json.loads(res.stdout)["holds"] is True
 
 
+def test_maximal_check_tree_duals_on_unsampled_branches(tmp_path):
+    # the two duals differ only on branches 7 and 8; the library sees the
+    # second pair as an extension, and the CLI must agree
+    def member(branch):
+        return {"x": [1, "1/2"], "xd": {"terms": [{"coeff": 1, "a": [1, 0], "b": [branch, 1]}]}}
+
+    inst = {
+        "space": {"kind": "rtree"},
+        "graph": {"pairs": [member(7)]},
+        "universe": [member(7), member(8)],
+    }
+    res = run_cli(["maximal-check", write(tmp_path, "wide.json", inst)])
+    assert res.returncode == 1, res.stderr
+    assert json.loads(res.stdout)["holds"] is False
+
+
 def test_flatness_exit_codes(tmp_path):
     flat = {
         "space": {"kind": "euclidean", "dim": 2},

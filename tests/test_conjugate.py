@@ -20,11 +20,10 @@ from cat0 import (
     fenchel_young_check,
     function_table,
     gamma_p_membership,
-    indicator,
     make_point,
     pair,
     pair_in,
-    paired_close,
+    rtree,
     swap_r,
     universe_of,
     zero_dual,
@@ -278,19 +277,36 @@ def test_classical_oracle_edge_cases():
 def test_indicator_and_pair_membership():
     q0, q1, q2 = _pp((1, 0), (0, 1)), _pp((0, 1), (1, 0)), _pp((2, 2), (1, 1))
     members = [q0, q1]
-    assert indicator(members, q0) == ExtReal(0)
-    assert indicator(members, q2) == POS_INF
-    assert pair_in(q0, members) and not pair_in(q2, members)
+    assert pair_in(q0, members) and pair_in(q1, members)
+    assert not pair_in(q2, members)
+    assert not pair_in(q0, [])
 
 
-def test_paired_close_needs_both_slots():
+def test_pair_in_needs_both_slots():
     q0 = _pp((1, 0), (0, 1))
     near = PairedPoint(make_point(E2, (1, 0)), vector_dual(E2, (0, 1)))
     far_point = PairedPoint(make_point(E2, (1, 1)), q0.xd)
     other_dual = PairedPoint(q0.x, vector_dual(E2, (1, 1)))
-    assert paired_close(q0, near)
-    assert not paired_close(q0, far_point)
-    assert not paired_close(q0, other_dual)
+    assert pair_in(q0, [near])
+    assert not pair_in(q0, [far_point])
+    assert not pair_in(q0, [other_dual])
+
+
+@pytest.mark.parametrize(
+    "space, p, x, a, b",
+    [
+        (E2, (0, 0), (1, 1), (1, 0), (2, 1)),
+        (rtree(), (1, 0), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, 1)),
+    ],
+    ids=["euclidean", "rtree"],
+)
+def test_conjugate_reads_table_values_behaviorally(space, p, x, a, b):
+    # the universe may spell a table pair differently: 1 [a->b] is -1 [b->a]
+    o, x, a, b = (make_point(space, c) for c in (p, x, a, b))
+    h = FunctionTable(o, ((PairedPoint(x, dual_term(1, a, b)), ExtReal(0)),))
+    for spelled in (dual_term(1, a, b), dual_term(-1, b, a)):
+        got = fenchel_conjugate_p(h, o, [PairedPoint(x, spelled)], zero_dual(), o)
+        assert got == ExtReal(0)
 
 
 def test_zero_dual_entries_are_supported():

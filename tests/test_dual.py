@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cat0 import (
     GeometryError,
@@ -29,7 +30,7 @@ from cat0 import (
     zero_dual,
 )
 from cat0.spaces import BoundVector
-from conftest import euclid_points, small_fractions
+from conftest import euclid_points, rtree_points, small_fractions
 from helpers import hilbert_inner
 
 
@@ -266,3 +267,58 @@ def test_default_probes_deterministic_and_capped(any_space):
 def test_default_probes_rejects_foreign_anchor():
     with pytest.raises(SpaceMismatchError):
         default_probes(euclidean(2), anchors=[make_point(rtree(), (1, 0))])
+
+
+# ---------------------------------------------------------------------------
+# exact keys
+
+
+def _duals(points, max_terms: int = 3):
+    term = st.tuples(small_fractions(), points, points)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: dual_vector((c, BoundVector(t, h)) for c, t, h in ts)
+    )
+
+
+TREE_POINTS = rtree_points(branches=6, denom=4)
+
+
+@st.composite
+def _same_action(draw, xd):
+    """xd rewritten without changing its action: flipped, split, padded."""
+    terms = []
+    for c, bv in xd.terms:
+        how = draw(st.sampled_from(("keep", "flip", "split")))
+        if how == "flip":
+            terms.append((-c, BoundVector(bv.head, bv.tail)))
+        elif how == "split":
+            w = draw(TREE_POINTS)
+            terms += [(c, BoundVector(bv.tail, w)), (c, BoundVector(w, bv.head))]
+        else:
+            terms.append((c, bv))
+    if draw(st.booleans()):
+        c, a, b = draw(small_fractions()), draw(TREE_POINTS), draw(TREE_POINTS)
+        terms += [(c, BoundVector(a, b)), (c, BoundVector(b, a))]
+    return dual_vector(draw(st.permutations(terms)))
+
+
+@given(st.data())
+def test_tree_key_equal_exactly_when_actions_equal(data):
+    # both duals are affine on each branch with one value at the root, so
+    # root -> (k, 1) over the touched branches and one untouched branch
+    # decides whether they act alike
+    a = data.draw(_duals(TREE_POINTS))
+    b = data.draw(st.one_of(_duals(TREE_POINTS), _same_action(a)))
+    branches = {pt.payload[0] for xd in (a, b) for pt in xd.points}
+    tree = rtree()
+    root = make_point(tree, (1, 0))
+    vs = [BoundVector(root, make_point(tree, (k, 1))) for k in branches | {max(branches, default=1) + 1}]
+    assert (a.key == b.key) == all(pair(a, v) == pair(b, v) for v in vs)
+
+
+@given(_duals(euclid_points(dim=3)))
+def test_euclidean_key_is_the_canonical_vector(xd):
+    vec = canonical_hilbert(xd, dim=3)
+    assert xd.key == (vec if any(vec) else ())
+    if xd.terms:
+        assert dual_scale(0.5, xd).key is None
