@@ -70,7 +70,6 @@ from .conjugate import (
     function_table,
     gamma_p_membership,
     pair_in,
-    swap_r,
     universe_of,
 )
 from .monotone import (

@@ -18,7 +18,7 @@ from .conjugate import (
     gamma_p_membership,
 )
 from .dual import default_probes, pair
-from .extreal import Scalar
+from .extreal import Scalar, agree
 from .fitzpatrick import (
     fitzpatrick_inf,
     fitzpatrick_sup,
@@ -208,19 +208,17 @@ def cmd_fitz(args):
     q = parse_paired(space, query, "query", errs)
     errs.raise_if_any()
     tol = args.tol if args.tol is not None else 1e-9
-    a = fitzpatrick_sup(graph, p, q)
-    b = fitzpatrick_inf(graph, p, q)
-    c = fitzpatrick_via_conjugate(graph, p, q)
-    if a.is_finite and b.is_finite and c.is_finite:
-        vals = (a.value, b.value, c.value)
-        agree = max(vals) - min(vals) <= tol
-    else:
-        agree = a == b == c
+    forms = (
+        fitzpatrick_sup(graph, p, q),
+        fitzpatrick_inf(graph, p, q),
+        fitzpatrick_via_conjugate(graph, p, q),
+    )
+    ok = agree(forms, tol)
     return {
-        "value": a,
-        "form_agreement": agree,
+        "value": forms[0],
+        "form_agreement": ok,
         "universe_label": f"graph of {len(graph.pairs)} pairs",
-    }, agree
+    }, ok
 
 
 def cmd_monotone_check(args):

@@ -53,7 +53,6 @@ __all__ = [
     "function_table",
     "universe_of",
     "coupling_pi",
-    "swap_r",
     "pair_in",
     "fenchel_conjugate_p",
     "fenchel_young_check",
@@ -219,11 +218,6 @@ def function_table(
 def coupling_pi(p: Point, q: PairedPoint) -> Scalar:
     """pi_p(q) = <q.xd, p q.x ->."""
     return pair(q.xd, BoundVector(p, q.x))
-
-
-def swap_r(q: PairedPoint) -> Tuple[DualVector, Point]:
-    """The swap (x, x_dual) |-> (x_dual, x)."""
-    return (q.xd, q.x)
 
 
 def pair_in(

@@ -328,14 +328,12 @@ def pseudometric_D_approx(
 def default_probes(
     space: SpaceHandle,
     anchors: Sequence[Point] = (),
-    n_random: int = 12,
     seed: int = PROBE_SEED,
-    cap: int = 64,
 ) -> Tuple[BoundVector, ...]:
     """Probe bound vectors: anchor points plus a deterministic sample.
 
     Probes are all bound vectors between distinct points of the pool
-    (anchors first, then seeded random points), truncated at cap.
+    (anchors first, then 12 seeded random points), truncated at 64.
     """
     pool = []
     for pt in anchors:
@@ -343,12 +341,12 @@ def default_probes(
             raise SpaceMismatchError("anchor point from a different space")
         if pt not in pool:
             pool.append(pt)
-    for pt in sample_points(space, n_random, seed=seed):
+    for pt in sample_points(space, 12, seed=seed):
         if pt not in pool:
             pool.append(pt)
     probes = tuple(
         BoundVector(pq[0], pq[1]) for pq in itertools.combinations(pool, 2)
-    )[:cap]
+    )[:64]
     if not probes:
         raise GeometryError("probe pool has fewer than two distinct points")
     return probes

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -167,3 +167,10 @@ def inf(values: Iterable[Union[Scalar, ExtReal]]) -> ExtReal:
         if best is None or e < best:
             best = e
     return POS_INF if best is None else best
+
+
+def agree(values: Sequence[ExtReal], tol: Scalar) -> bool:
+    """Spread within tol when every value is finite, exact equality otherwise."""
+    if all(v.is_finite for v in values):
+        return max(v.value for v in values) - min(v.value for v in values) <= tol
+    return all(v == values[0] for v in values)

@@ -80,13 +80,6 @@ class OperatorGraph:
             if q.x.space != self.space:
                 raise GeometryError("graph pair from a different space")
 
-    def domain_points(self) -> Tuple[Point, ...]:
-        seen = []
-        for q in self.pairs:
-            if q.x not in seen:
-                seen.append(q.x)
-        return tuple(seen)
-
     def range_duals(self) -> Tuple[DualVector, ...]:
         seen = []
         for q in self.pairs:

@@ -24,7 +24,6 @@ from cat0 import (
     pair,
     pair_in,
     rtree,
-    swap_r,
     universe_of,
     zero_dual,
 )
@@ -83,19 +82,13 @@ def test_properness():
 
 
 # ---------------------------------------------------------------------------
-# coupling and the swap
+# the coupling
 
 
 def test_coupling_is_anchored_pairing():
     q = _pp((2, 1), (3, -1))
     assert coupling_pi(ORIGIN2, q) == pair(q.xd, BoundVector(ORIGIN2, q.x))
     assert coupling_pi(ORIGIN2, q) == 3 * 2 + (-1) * 1
-
-
-def test_swap_exchanges_slots():
-    q = _pp((2, 1), (3, -1))
-    xd, x = swap_r(q)
-    assert xd is q.xd and x is q.x
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cat0 import (
     fitzpatrick_sup,
     fitzpatrick_via_conjugate,
     hyperbolic,
+    is_maximal_relative,
     is_monotone,
     level_set_report,
     make_point,
@@ -184,6 +185,40 @@ def test_level_report_requires_containment():
     outside = PairedPoint(make_point(E2, (7, 7)), vector_dual(E2, (1, 1)))
     with pytest.raises(Exception):
         level_set_report(OperatorGraph(E2, (outside,)), ORIGIN2, universe)
+
+
+def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch):
+    import cat0.fitzpatrick
+    import cat0.monotone
+
+    universe = small_universe(side=2, vec_range=1)
+    graphs = []
+    for _ in range(4):
+        graphs.append(OperatorGraph(E2, greedy_monotone_subset(rng, universe, 4)))
+        graphs.append(maximal_relative_graph(rng, universe))
+        k = rng.randint(1, 5)
+        graphs.append(
+            OperatorGraph(E2, tuple(rng.choice(universe) for _ in range(k)))
+        )
+    expected = [
+        (is_monotone(g).holds, is_maximal_relative(g, universe).holds) for g in graphs
+    ]
+    assert {m for m, _ in expected} == {True, False}
+    assert {r for _, r in expected} == {True, False}
+
+    calls = {}
+    for name in ("monotone_polar", "is_monotone"):
+        def counted(*args, _real=getattr(cat0.monotone, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cat0.monotone, name, counted)
+        monkeypatch.setattr(cat0.fitzpatrick, name, counted)
+    for g, verdicts in zip(graphs, expected):
+        calls.update(monotone_polar=0, is_monotone=0)
+        report = level_set_report(g, ORIGIN2, universe)
+        assert (report.monotone, report.maximal_relative) == verdicts
+        assert calls == {"monotone_polar": 1, "is_monotone": 1}
 
 
 def test_distinct_maximal_graphs_have_distinct_transforms(rng):
