@@ -49,12 +49,15 @@ from .conjugate import (
 )
 from .dual import dual_add, dual_scale, dual_term, pair
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
+from .geometry import half_of
 from .monotone import (
+    RELATEDNESS_TOL,
     OperatorGraph,
     PropertyReport,
+    _monotone_report,
+    _polar_indices,
+    _Potentials,
     f_property_check,
-    is_monotone,
-    monotone_polar,
     relatedness_gap,
 )
 from .spaces import (
@@ -160,6 +163,25 @@ class SLevelReport:
     checks: dict
 
 
+def _transform_gaps(
+    pot: _Potentials, zp: int, gids: List[Tuple[int, int]], uids: List[Tuple[int, int]]
+) -> List[ExtReal]:
+    """fitzpatrick_sup minus coupling_pi at each indexed pair, read from pot.
+
+    In doubled potentials P a sup-form term at (q, y) is P_q(y.x) -
+    P_q(p) - P_y(y.x) + P_y(q.x) and the coupling is P_q(q.x) - P_q(p);
+    their difference is halved once, at the end.
+    """
+    if not gids:
+        return [NEG_INF] * len(uids)
+    gaps = []
+    for zq, dq in uids:
+        at_p = pot(dq, zp)
+        best = max(pot(dq, zy) - at_p - pot(dy, zy) + pot(dy, zq) for zy, dy in gids)
+        gaps.append(ExtReal(half_of(best - (pot(dq, zq) - at_p))))
+    return gaps
+
+
 def level_set_report(
     g: OperatorGraph,
     p: Point,
@@ -180,14 +202,14 @@ def level_set_report(
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
 
+    pot = _Potentials()
+    uids = pot.index(pairs)
+    gids = pot.index(g.pairs)
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
-    gaps: List[ExtReal] = []
-    for i, q in enumerate(pairs):
-        phi = fitzpatrick_sup(g, p, q)
-        gap = phi - coupling_pi(p, q)
-        gaps.append(gap)
+    gaps = _transform_gaps(pot, pot.point(p), gids, uids)
+    for i, gap in enumerate(gaps):
         if gap.is_finite and abs(gap.value) <= tol:
             equal.append(i)
         elif gap < 0:
@@ -197,10 +219,9 @@ def level_set_report(
 
     in_graph = _PairSet(g.pairs, tol)
     graph_idx = {i for i, q in enumerate(pairs) if q in in_graph}
-    polar = set(monotone_polar(g, pairs))
-    polar_idx = {i for i, q in enumerate(pairs) if q in polar}
+    polar_idx = set(_polar_indices(pot, gids, uids, RELATEDNESS_TOL))
 
-    mono = is_monotone(g).holds
+    mono = _monotone_report(pot, g.pairs, gids, RELATEDNESS_TOL).holds
     # is_maximal_relative's test, on the sets already in hand
     maxrel = mono and polar_idx <= graph_idx
     at_most = set(below) | set(equal)

@@ -29,11 +29,11 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .conjugate import FunctionTable, PairedPoint
 from .dual import DualVector, dual_vector
-from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext
+from .extreal import ExtReal, NEG_INF, POS_INF, Scalar
 from .monotone import OperatorGraph
 from .spaces import (
     EUCLIDEAN,

@@ -24,12 +24,26 @@ with <= everywhere is the lower property, >= the upper property; both
 at once characterize flat behavior, and each can fail in curved spaces.
 Flatness itself is sampled through chord-condition equality on supplied
 triples.
+
+Whole-set sweeps (is_monotone, monotone_polar, is_maximal_relative and
+the level-set report) never pair bound vectors one by one. Every
+pairing is a difference of potentials,
+
+    <x_dual, ab->  =  F(b) - F(a),
+    F(z)  =  1/2 sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2),
+
+for a dual sum_i c_i [t_i h_i->], so a sweep builds one potential table
+per call: each distinct point and dual of the call gets an index, and
+the doubled potential 2F_d(z) of a dual at a point is computed once, on
+first use (an int on integer inputs). A relatedness gap is then four
+table reads, halved once at the end, and equals relatedness_gap exactly
+on exact inputs (up to round-off on the hyperboloid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
     CandidateUniverse,
@@ -40,12 +54,14 @@ from .conjugate import (
 )
 from .dual import DualVector, pair
 from .extreal import Scalar
-from .geometry import check_cn_inequality
+from .geometry import check_cn_inequality, half_of
 from .spaces import (
     BoundVector,
     GeometryError,
     Point,
     SpaceHandle,
+    SpaceMismatchError,
+    dist_sq,
     geodesic_point,
 )
 
@@ -117,20 +133,110 @@ def monotonically_related(
     return relatedness_gap(q1, q2) >= -tol
 
 
+class _Potentials:
+    """The doubled potentials 2F_d(z) of one call's duals at its points.
+
+    index() numbers the points and duals of a pair sequence (structural
+    equality, so each is hashed once per pair, never per pairing); a
+    dual's potential at a point is computed on first use and then kept.
+    The first point indexed fixes the space: a point from another space
+    raises, as a pairing across spaces would (a zero dual alone never
+    calls dist_sq, so this check is not left to it).
+    """
+
+    def __init__(self):
+        self._space: Optional[SpaceHandle] = None
+        self._point_ids: Dict[Point, int] = {}
+        self._dual_ids: Dict[DualVector, int] = {}
+        self._points: List[Point] = []
+        self._terms: List[tuple] = []  # per dual index
+        self._values: List[Dict[int, Scalar]] = []  # per dual index: point index -> 2F
+
+    def point(self, x: Point) -> int:
+        i = self._point_ids.get(x)
+        if i is None:
+            if self._space is None:
+                self._space = x.space
+            elif x.space != self._space:
+                raise SpaceMismatchError(
+                    f"points live in different spaces: {self._space} vs {x.space}"
+                )
+            i = self._point_ids[x] = len(self._points)
+            self._points.append(x)
+        return i
+
+    def index(self, pairs: Sequence[PairedPoint]) -> List[Tuple[int, int]]:
+        """(point index, dual index) of each pair."""
+        ids = []
+        for q in pairs:
+            d = self._dual_ids.get(q.xd)
+            if d is None:
+                d = self._dual_ids[q.xd] = len(self._terms)
+                self._terms.append(q.xd.terms)
+                self._values.append({})
+            ids.append((self.point(q.x), d))
+        return ids
+
+    def __call__(self, d: int, z: int) -> Scalar:
+        """2F_d(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2)."""
+        values = self._values[d]
+        v = values.get(z)
+        if v is None:
+            x = self._points[z]
+            v = values[z] = sum(
+                c * (dist_sq(bv.tail, x) - dist_sq(bv.head, x)) for c, bv in self._terms[d]
+            )
+        return v
+
+    def gap2(self, a: Tuple[int, int], b: Tuple[int, int]) -> Scalar:
+        """Twice relatedness_gap of the indexed pairs a and b."""
+        (za, da), (zb, db) = a, b
+        return self(da, za) - self(da, zb) - self(db, za) + self(db, zb)
+
+
+# The sweeps compare doubled gaps with -2 tol: doubling is exact on
+# ints, Fractions and floats, so each verdict is the one the halved gap
+# would give, without building a Fraction per comparison.
+
+
+def _monotone_report(
+    pot: _Potentials, pairs: Sequence[PairedPoint], ids: List[Tuple[int, int]], tol: float
+) -> PropertyReport:
+    """is_monotone on pairs already indexed in pot."""
+    floor = -2 * tol
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            gap2 = pot.gap2(ids[i], ids[j])
+            if gap2 < floor:
+                return PropertyReport(
+                    holds=False,
+                    witness={"pair_a": pairs[i], "pair_b": pairs[j], "gap": half_of(gap2)},
+                )
+    return PropertyReport(holds=True)
+
+
+def _polar_indices(
+    pot: _Potentials,
+    member_ids: List[Tuple[int, int]],
+    ids: List[Tuple[int, int]],
+    tol: float,
+) -> List[int]:
+    """Positions in ids of the pairs related to every member."""
+    floor = -2 * tol
+    return [
+        i
+        for i, u in enumerate(ids)
+        if all(pot.gap2(u, m) >= floor for m in member_ids)
+    ]
+
+
 def is_monotone(
     g: Union[OperatorGraph, Sequence[PairedPoint]], tol: float = RELATEDNESS_TOL
 ) -> PropertyReport:
     """Pairwise relatedness of all graph pairs; witness on first failure."""
     pairs = g.pairs if isinstance(g, OperatorGraph) else tuple(g)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            gap = relatedness_gap(pairs[i], pairs[j])
-            if gap < -tol:
-                return PropertyReport(
-                    holds=False,
-                    witness={"pair_a": pairs[i], "pair_b": pairs[j], "gap": gap},
-                )
-    return PropertyReport(holds=True)
+    pot = _Potentials()
+    return _monotone_report(pot, pairs, pot.index(pairs), tol)
 
 
 def monotone_polar(
@@ -144,11 +250,10 @@ def monotone_polar(
     growing m can only shrink the polar.
     """
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
-    return tuple(
-        u
-        for u in _pairs_of(universe)
-        if all(monotonically_related(u, q, tol) for q in members)
-    )
+    upairs = _pairs_of(universe)
+    pot = _Potentials()
+    polar = _polar_indices(pot, pot.index(members), pot.index(upairs), tol)
+    return tuple(upairs[i] for i in polar)
 
 
 def is_maximal_relative(
@@ -171,13 +276,15 @@ def is_maximal_relative(
     in_universe = _PairSet(upairs, match_tol, probes)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
-    mono = is_monotone(g, tol)
+    pot = _Potentials()
+    gids = pot.index(g.pairs)
+    mono = _monotone_report(pot, g.pairs, gids, tol)
     if not mono.holds:
-        return PropertyReport(holds=False, witness=mono.witness)
+        return mono
     in_graph = _PairSet(g.pairs, match_tol, probes)
-    for u in monotone_polar(g, upairs, tol):
-        if u not in in_graph:
-            return PropertyReport(holds=False, witness={"extension": u})
+    for i in _polar_indices(pot, gids, pot.index(upairs), tol):
+        if upairs[i] not in in_graph:
+            return PropertyReport(holds=False, witness={"extension": upairs[i]})
     return PropertyReport(holds=True)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Real as _NumbersReal
 from typing import Sequence, Tuple
 

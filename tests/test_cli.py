@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 CMD = [sys.executable, "-m", "cat0"]
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run_cli(args, stdin_text=None):
@@ -286,6 +288,17 @@ def test_reference_examples_csv():
     assert res.returncode == 0
     header = res.stdout.splitlines()[0]
     assert header == "name,computed,expected,tolerance,status"
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [([], "paper_examples.json"), (["--format", "csv"], "paper_examples.csv")],
+)
+def test_reference_examples_match_the_recorded_bytes(args, golden):
+    res = subprocess.run(CMD + ["paper-examples"] + args, capture_output=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    with open(os.path.join(DATA, golden), "rb") as f:
+        assert res.stdout == f.read()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cat0 import (
     NEG_INF,
@@ -16,6 +18,7 @@ from cat0 import (
     coupling_pi,
     dual_scale,
     dual_term,
+    dual_vector,
     euclidean,
     ext,
     fenchel_conjugate_p,
@@ -28,7 +31,10 @@ from cat0 import (
     is_monotone,
     level_set_report,
     make_point,
+    monotone_polar,
+    monotonically_related,
     pair,
+    pair_in,
     relatedness_gap,
     roundtrip_check,
     rtree,
@@ -39,6 +45,7 @@ from cat0 import (
 )
 from cat0.monotone import RELATEDNESS_TOL
 from cat0.spaces import BoundVector
+from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
     canonical_hilbert_of,
@@ -206,8 +213,10 @@ def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch
     assert {m for m, _ in expected} == {True, False}
     assert {r for _, r in expected} == {True, False}
 
+    # one potential table, one polar sweep and one monotonicity sweep per report
+    names = ("_Potentials", "_polar_indices", "_monotone_report")
     calls = {}
-    for name in ("monotone_polar", "is_monotone"):
+    for name in names:
         def counted(*args, _real=getattr(cat0.monotone, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -215,10 +224,88 @@ def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch
         monkeypatch.setattr(cat0.monotone, name, counted)
         monkeypatch.setattr(cat0.fitzpatrick, name, counted)
     for g, verdicts in zip(graphs, expected):
-        calls.update(monotone_polar=0, is_monotone=0)
+        calls.update(dict.fromkeys(names, 0))
         report = level_set_report(g, ORIGIN2, universe)
         assert (report.monotone, report.maximal_relative) == verdicts
-        assert calls == {"monotone_polar": 1, "is_monotone": 1}
+        assert calls == dict.fromkeys(names, 1)
+
+
+# the set-level sweeps read pairings from a potential table; the
+# single-query functions pair bound vectors directly
+
+
+def _hyperboloid_point(u, v):
+    return make_point(hyperbolic(2), (u, v, math.sqrt(1 + u * u + v * v)))
+
+
+POINTS = {
+    "euclidean": st.tuples(small_fractions(4, 3), small_fractions(4, 3)).map(
+        lambda c: make_point(E2, c)
+    ),
+    "rtree": rtree_points(branches=4, denom=4),
+    "hyperbolic": st.tuples(
+        st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False)
+    ).map(lambda c: _hyperboloid_point(*c)),
+}
+COEFFS = {
+    "euclidean": small_fractions(),
+    "rtree": small_fractions(),
+    "hyperbolic": st.floats(-2, 2, allow_nan=False),
+}
+
+
+@st.composite
+def _instance(draw, kind):
+    """(graph, basepoint, universe) over a few shared points; the graph is drawn from the universe."""
+    pts = draw(st.lists(POINTS[kind], min_size=1, max_size=5))
+    pick = st.sampled_from(pts)
+    duals = st.lists(st.tuples(COEFFS[kind], pick, pick), max_size=2).map(
+        lambda ts: dual_vector((c, BoundVector(t, h)) for c, t, h in ts)
+    )
+    universe = draw(st.lists(st.builds(PairedPoint, pick, duals), min_size=1, max_size=8))
+    members = draw(st.lists(st.sampled_from(universe), max_size=4))
+    return OperatorGraph(pts[0].space, tuple(members)), draw(pick), universe
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])
+@given(data=st.data())
+def test_set_sweeps_equal_the_single_query_functions(kind, data):
+    g, p, universe = data.draw(_instance(kind))
+
+    def same(a, b):
+        a, b = ext(a), ext(b)
+        if kind != "hyperbolic" or not (a.is_finite and b.is_finite):
+            return a == b
+        return abs(a.value - b.value) <= 1e-12 * (1 + abs(b.value))
+
+    report = level_set_report(g, p, universe)
+    direct = [fitzpatrick_sup(g, p, q) - coupling_pi(p, q) for q in universe]
+    assert all(same(a, b) for a, b in zip(report.gaps, direct))
+    assert report.equal == tuple(
+        i for i, gap in enumerate(direct) if gap.is_finite and abs(gap.value) <= 1e-9
+    )
+    assert report.below == tuple(
+        i for i, gap in enumerate(direct) if gap < 0 and i not in report.equal
+    )
+
+    pairs = g.pairs
+    unrelated = [
+        (a, b)
+        for i, a in enumerate(pairs)
+        for b in pairs[i + 1:]
+        if not monotonically_related(a, b)
+    ]
+    mono = is_monotone(g)
+    assert mono.holds == report.monotone == (not unrelated)
+    if unrelated:
+        a, b = unrelated[0]
+        assert (mono.witness["pair_a"], mono.witness["pair_b"]) == (a, b)
+        assert same(mono.witness["gap"], relatedness_gap(a, b))
+
+    polar = tuple(u for u in universe if all(monotonically_related(u, q) for q in pairs))
+    assert monotone_polar(g, universe) == polar
+    maximal = not unrelated and all(pair_in(u, pairs) for u in polar)
+    assert report.maximal_relative == is_maximal_relative(g, universe).holds == maximal
 
 
 def test_distinct_maximal_graphs_have_distinct_transforms(rng):

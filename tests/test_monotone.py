@@ -6,6 +6,7 @@ import pytest
 from cat0 import (
     GeometryError,
     OperatorGraph,
+    SpaceMismatchError,
     PairedPoint,
     distance,
     dist_sq,
@@ -17,6 +18,7 @@ from cat0 import (
     hyperbolic,
     is_maximal_relative,
     is_monotone,
+    level_set_report,
     make_point,
     monotone_polar,
     monotonically_related,
@@ -28,6 +30,7 @@ from cat0 import (
 )
 from helpers import (
     ORIGIN2,
+    greedy_monotone_subset,
     grid_points,
     maximal_relative_graph,
     polar_complete,
@@ -144,6 +147,38 @@ def test_monotone_iff_inside_own_polar(rng):
     )
     bad_polar = monotone_polar(bad, bad)
     assert not all(pair_in(q, bad_polar) for q in bad)
+
+
+def test_sweeps_reject_points_from_another_space():
+    # zero duals never reach dist_sq, so only the sweep's own check can see this
+    a = PairedPoint(make_point(E2, (0, 0)), zero_dual())
+    b = PairedPoint(make_point(rtree(), (1, 0)), zero_dual())
+    with pytest.raises(SpaceMismatchError):
+        monotone_polar([a], [b])
+    with pytest.raises(SpaceMismatchError):
+        is_monotone([a, b])
+
+
+def test_level_report_computes_each_potential_once(monkeypatch):
+    import cat0.geometry
+    import cat0.monotone
+
+    universe = small_universe(side=3)  # 9 grid points x 9 duals, 8 of them one-term
+    g = OperatorGraph(E2, greedy_monotone_subset(random.Random(1), universe, 4))
+    calls = [0]
+    real = cat0.monotone.dist_sq
+
+    def counted(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    for module in (cat0.monotone, cat0.geometry):
+        monkeypatch.setattr(module, "dist_sq", counted)
+    report = level_set_report(g, ORIGIN2, universe)
+    assert report.monotone
+    # each one-term dual's potential at each grid point (the basepoint is
+    # one of them) costs two squared distances, once per report
+    assert 0 < calls[0] <= 8 * 9 * 2
 
 
 # ---------------------------------------------------------------------------
