@@ -24,6 +24,17 @@ semicontinuity, part of the textbook definition, has no finite-data
 content and is deliberately not checked; convexity is sampled along a
 lambda grid and only where the combined pair lands on another table
 entry (skipped combinations are counted and reported).
+
+Combinations are matched point first: each landing point is computed
+once per call, and on an exact table (every pair with an exact key,
+see DualVector.key) with an exact grid a combination landing off the
+listed points is skipped without building its dual, while lam = 0 or 1
+lands on its own endpoint pair and passes. Tables holding a float, on
+the hyperboloid or with a float grid compare every combination within
+tol. The fixed-point identity, like roundtrip_check's transforms, reads
+its pairings from one table of potentials per call (cat0.dual._Potentials);
+the single-query functions here (coupling_pi, fenchel_conjugate_p) pair
+bound vectors directly.
 """
 
 from __future__ import annotations
@@ -33,13 +44,23 @@ from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
-from .dual import DualVector, dual_add, dual_scale, duals_match, is_exact, pair
+from .dual import (
+    DualVector,
+    _Potentials,
+    dual_add,
+    dual_scale,
+    duals_match,
+    is_exact,
+    pair,
+)
+from .geometry import half_of
 from .spaces import (
     HYPERBOLIC,
     BoundVector,
     GeometryError,
     Point,
     SpaceMismatchError,
+    _check_unit_interval,
     distance,
     geodesic_point,
 )
@@ -306,6 +327,104 @@ class GammaReport:
     skipped_combinations: int
 
 
+def _convexity_scan(
+    h: FunctionTable,
+    lambda_grid: Sequence[Scalar],
+    tol: float,
+    probes: Optional[Sequence[BoundVector]],
+) -> Tuple[Optional[dict], int]:
+    """(first convexity witness or None, skipped combinations) of h.
+
+    Each landing point (1-lam) x1 (+) lam x2 is computed once per call.
+    On an exact table (every listed pair keyed) with an exact grid a
+    combination can only match at a listed point, so one landing
+    elsewhere is skipped without building its dual. There lam = 0 or 1
+    also matches its own endpoint pair (the landing point is that
+    endpoint, keys are linear and the table has no two pairs alike), so
+    its value is its bound and, with tol >= 0, it passes unevaluated.
+    """
+    finite = [(q, v) for q, v in h.entries if v.is_finite]
+    if len(finite) < 2:
+        return None, 0
+    for lam in lambda_grid:
+        _check_unit_interval(lam)
+    listed = _PairSet(h.domain, tol, probes)
+    exact = not listed._unkeyed and is_exact(lambda_grid)
+    endpoints_pass = exact and tol >= 0
+    listed_points = {q.x for q in h.domain}
+    point_ids: Dict[Point, int] = {}
+    zs = [point_ids.setdefault(q.x, len(point_ids)) for q, _ in finite]
+    landing: Dict[tuple, Optional[Point]] = {}
+    witness: Optional[dict] = None
+    skipped = 0
+    for i, (q1, v1) in enumerate(finite):
+        for j in range(i + 1, len(finite)):
+            q2, v2 = finite[j]
+            for k, lam in enumerate(lambda_grid):
+                if endpoints_pass and (lam == 0 or lam == 1):
+                    continue
+                at = (zs[i], zs[j], k)
+                if at not in landing:
+                    cx = geodesic_point(q1.x, q2.x, lam)
+                    landing[at] = None if exact and cx not in listed_points else cx
+                cx = landing[at]
+                if cx is None:
+                    skipped += 1
+                    continue
+                cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
+                match = listed.find(PairedPoint(cx, cd))
+                if match is None:
+                    skipped += 1
+                    continue
+                val = h.value(match)
+                bound = scale(1 - lam, v1) + scale(lam, v2)
+                if witness is None and not val <= bound + tol:
+                    witness = {
+                        "pair_a": q1,
+                        "pair_b": q2,
+                        "lam": lam,
+                        "value": val,
+                        "bound": bound,
+                    }
+    return witness, skipped
+
+
+def _fixed_point_defect(
+    h: FunctionTable, p: Point, pairs: Sequence[PairedPoint], tol: float
+) -> float:
+    """max |h - (h + indicator{h <= pi_p})*_p o swap| over the listed pairs.
+
+    Reads every pairing from one potential table: a coupling is two
+    reads, a conjugate term four, halved once. Each universe pair's
+    capped value is looked up once.
+    """
+    pot = _Potentials()
+    zp = pot.point(p)
+    capped = []  # (point index, dual index, doubled value) where h <= pi_p + tol
+    for u in pairs:
+        v = h.value(u)
+        if v.is_finite:
+            zu, du = pot.point(u.x), pot.dual(u.xd)
+            if v <= half_of(pot(du, zu) - pot(du, zp)) + tol:
+                capped.append((zu, du, 2 * v.value))
+    worst = 0.0
+    for (q, v), (zq, dq) in zip(h.entries, pot.index(h.domain)):
+        terms = [
+            pot(dq, zu) - pot(dq, zp) + pot(du, zq) - pot(du, zp) - v2
+            for zu, du, v2 in capped
+        ]
+        back = ExtReal(half_of(max(terms))) if terms else NEG_INF
+        if v.is_finite and back.is_finite:
+            defect = abs(float(v.value - back.value))
+        elif v == back:
+            defect = 0.0
+        else:
+            defect = float("inf")
+        if defect > worst:
+            worst = defect
+    return worst
+
+
 def gamma_p_membership(
     h: FunctionTable,
     p: Point,
@@ -319,66 +438,28 @@ def gamma_p_membership(
     Checks, in order: properness (no -inf, some finite value);
     convexity of h along geodesics in the first slot and formal convex
     combinations in the dual slot, but only at lambda-grid combinations
-    of listed pairs that land on another listed pair (exactly on exact
-    inputs; otherwise within tol, with duals compared on the probes) -
-    combinations that land nowhere are skipped and
-    counted; and the fixed-point identity h = (h + indicator{h <=
-    pi_p})*_p o swap at every listed pair, with the conjugate taken
-    relative to the given universe. Lower semicontinuity is not checked
-    (finite data carries no information about it).
+    of finite listed pairs that land on another listed pair -
+    combinations that land nowhere are skipped and counted; and the
+    fixed-point identity h = (h + indicator{h <= pi_p})*_p o swap at
+    every listed pair, with the conjugate taken relative to the given
+    universe. Lower semicontinuity is not checked (finite data carries
+    no information about it).
+
+    Combinations are matched point first. On an exact table (rational
+    Euclidean or tree pairs, exact grid) a combination must land on a
+    listed point, where its dual is compared by key, and lam = 0 or 1
+    matches its own endpoint pair; elsewhere (the hyperboloid, a float
+    entry or a float grid) every combination is looked up within tol,
+    with duals compared on the probes. The fixed point reads its
+    couplings and conjugate terms from one potential table (see
+    cat0.dual._Potentials).
     """
     pairs = _pairs_of(universe)
     proper = h.is_proper()
-
-    convexity_holds = True
-    convexity_witness: Optional[dict] = None
-    skipped = 0
-    finite_dom = [q for q in h.domain if h.value(q).is_finite]
-    listed = _PairSet(h.domain, tol, probes)
-    for i in range(len(finite_dom)):
-        for j in range(i + 1, len(finite_dom)):
-            q1, q2 = finite_dom[i], finite_dom[j]
-            for lam in lambda_grid:
-                cx = geodesic_point(q1.x, q2.x, lam)
-                cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
-                match = listed.find(PairedPoint(cx, cd))
-                if match is None:
-                    skipped += 1
-                    continue
-                bound = scale(1 - lam, h.value(q1)) + scale(lam, h.value(q2))
-                val = h.value(match)
-                if not val <= bound + tol:
-                    convexity_holds = False
-                    if convexity_witness is None:
-                        convexity_witness = {
-                            "pair_a": q1,
-                            "pair_b": q2,
-                            "lam": lam,
-                            "value": val,
-                            "bound": bound,
-                        }
-
-    worst = 0.0
-    fixed_point_holds = True
+    convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol, probes)
+    convexity_holds = convexity_witness is None
     if proper:
-        # h + indicator of the region where h sits below the coupling
-        capped = FunctionTable(
-            h.p,
-            tuple(
-                (q, v if v <= coupling_pi(p, q) + tol else POS_INF)
-                for q, v in h.entries
-            ),
-        )
-        for q, v in h.entries:
-            back = fenchel_conjugate_p(capped, p, pairs, q.xd, q.x)
-            if v.is_finite and back.is_finite:
-                defect = abs(float(v.value - back.value))
-            elif v == back:
-                defect = 0.0
-            else:
-                defect = float("inf")
-            if defect > worst:
-                worst = defect
+        worst = _fixed_point_defect(h, p, pairs, tol)
         fixed_point_holds = worst <= tol
     else:
         fixed_point_holds = False

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
 from .geometry import quasilinearization
@@ -46,6 +46,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceMismatchError,
+    dist_sq,
     distance,
     make_point,
     sample_points,
@@ -155,6 +156,79 @@ def _tree_slopes(terms) -> tuple:
         slopes[kt] = slopes.get(kt, default) - 2 * c * u
         slopes[kh] = slopes.get(kh, default) + 2 * c * v
     return default, tuple(sorted((k, s) for k, s in slopes.items() if s != default))
+
+
+class _Potentials:
+    """The doubled potentials 2F_d(z) of one call's duals at its points.
+
+    Every pairing is a difference of potentials,
+
+        <x_dual, ab->  =  F(b) - F(a),
+        F(z)  =  1/2 sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2),
+
+    for a dual sum_i c_i [t_i h_i->], so a whole-set computation builds
+    one table per call and reads its pairings from it: a relatedness
+    gap is four reads, a coupling two, a transform or conjugate term
+    four, each halved once at the end. The result equals the direct
+    pairing exactly on exact inputs, and up to round-off on float ones.
+
+    point() and dual() number the call's points and duals (structural
+    equality, so each is hashed once per pair, never per pairing); a
+    dual's potential at a point is computed on first use (an int on
+    integer inputs) and then kept. The first point numbered fixes the
+    space: a point from another space raises, as a pairing across
+    spaces would (a zero dual alone never calls dist_sq, so this check
+    is not left to it).
+    """
+
+    def __init__(self):
+        self._space: Optional[SpaceHandle] = None
+        self._point_ids: Dict[Point, int] = {}
+        self._dual_ids: Dict[DualVector, int] = {}
+        self._points: List[Point] = []
+        self._terms: List[tuple] = []  # per dual index
+        self._values: List[Dict[int, Scalar]] = []  # per dual index: point index -> 2F
+
+    def point(self, x: Point) -> int:
+        i = self._point_ids.get(x)
+        if i is None:
+            if self._space is None:
+                self._space = x.space
+            elif x.space != self._space:
+                raise SpaceMismatchError(
+                    f"points live in different spaces: {self._space} vs {x.space}"
+                )
+            i = self._point_ids[x] = len(self._points)
+            self._points.append(x)
+        return i
+
+    def dual(self, xd: DualVector) -> int:
+        d = self._dual_ids.get(xd)
+        if d is None:
+            d = self._dual_ids[xd] = len(self._terms)
+            self._terms.append(xd.terms)
+            self._values.append({})
+        return d
+
+    def index(self, pairs: Sequence) -> List[Tuple[int, int]]:
+        """(point index, dual index) of each (point, dual) pair."""
+        return [(self.point(q.x), self.dual(q.xd)) for q in pairs]
+
+    def __call__(self, d: int, z: int) -> Scalar:
+        """2F_d(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2)."""
+        values = self._values[d]
+        v = values.get(z)
+        if v is None:
+            x = self._points[z]
+            v = values[z] = sum(
+                c * (dist_sq(bv.tail, x) - dist_sq(bv.head, x)) for c, bv in self._terms[d]
+            )
+        return v
+
+    def gap2(self, a: Tuple[int, int], b: Tuple[int, int]) -> Scalar:
+        """Twice relatedness_gap of the indexed pairs a and b."""
+        (za, da), (zb, db) = a, b
+        return self(da, za) - self(da, zb) - self(db, za) + self(db, zb)
 
 
 def dual_vector(terms: Iterable[Tuple[Scalar, BoundVector]]) -> DualVector:

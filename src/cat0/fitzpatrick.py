@@ -47,7 +47,7 @@ from .conjugate import (
     fenchel_conjugate_p,
     gamma_p_membership,
 )
-from .dual import dual_add, dual_scale, dual_term, pair
+from .dual import _Potentials, dual_add, dual_scale, dual_term, pair
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
 from .geometry import half_of
 from .monotone import (
@@ -56,7 +56,6 @@ from .monotone import (
     PropertyReport,
     _monotone_report,
     _polar_indices,
-    _Potentials,
     f_property_check,
     relatedness_gap,
 )
@@ -163,23 +162,32 @@ class SLevelReport:
     checks: dict
 
 
+def _transform2(
+    pot: _Potentials, zp: int, gids: List[Tuple[int, int]], zq: int, dq: int
+) -> Scalar:
+    """Twice fitzpatrick_sup at the indexed pair (zq, dq), read from pot.
+
+    In doubled potentials P a sup-form term at (q, y) is P_q(y.x) -
+    P_q(p) - P_y(y.x) + P_y(q.x). gids must not be empty.
+    """
+    at_p = pot(dq, zp)
+    return max(pot(dq, zy) - at_p - pot(dy, zy) + pot(dy, zq) for zy, dy in gids)
+
+
 def _transform_gaps(
     pot: _Potentials, zp: int, gids: List[Tuple[int, int]], uids: List[Tuple[int, int]]
 ) -> List[ExtReal]:
     """fitzpatrick_sup minus coupling_pi at each indexed pair, read from pot.
 
-    In doubled potentials P a sup-form term at (q, y) is P_q(y.x) -
-    P_q(p) - P_y(y.x) + P_y(q.x) and the coupling is P_q(q.x) - P_q(p);
-    their difference is halved once, at the end.
+    The coupling is P_q(q.x) - P_q(p) in doubled potentials; the
+    difference is halved once, at the end.
     """
     if not gids:
         return [NEG_INF] * len(uids)
-    gaps = []
-    for zq, dq in uids:
-        at_p = pot(dq, zp)
-        best = max(pot(dq, zy) - at_p - pot(dy, zy) + pot(dy, zq) for zy, dy in gids)
-        gaps.append(ExtReal(half_of(best - (pot(dq, zq) - at_p))))
-    return gaps
+    return [
+        ExtReal(half_of(_transform2(pot, zp, gids, zq, dq) - (pot(dq, zq) - pot(dq, zp))))
+        for zq, dq in uids
+    ]
 
 
 def level_set_report(
@@ -283,8 +291,12 @@ def roundtrip_check(
     if not membership.holds:
         raise RepresentationPreconditionError(membership)
     g = s_map(h, p, tol)
-    for q, v in h.entries:
-        phi = fitzpatrick_sup(g, p, q)
+    # fitzpatrick_sup at every entry, read from one potential table
+    pot = _Potentials()
+    zp = pot.point(p)
+    gids = pot.index(g.pairs)
+    for (q, v), (zq, dq) in zip(h.entries, pot.index(h.domain)):
+        phi = ExtReal(half_of(_transform2(pot, zp, gids, zq, dq))) if gids else NEG_INF
         if not agree((phi, v), tol):
             return PropertyReport(
                 holds=False, witness={"pair": q, "table": v, "transform": phi}

@@ -26,24 +26,17 @@ Flatness itself is sampled through chord-condition equality on supplied
 triples.
 
 Whole-set sweeps (is_monotone, monotone_polar, is_maximal_relative and
-the level-set report) never pair bound vectors one by one. Every
-pairing is a difference of potentials,
-
-    <x_dual, ab->  =  F(b) - F(a),
-    F(z)  =  1/2 sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2),
-
-for a dual sum_i c_i [t_i h_i->], so a sweep builds one potential table
-per call: each distinct point and dual of the call gets an index, and
-the doubled potential 2F_d(z) of a dual at a point is computed once, on
-first use (an int on integer inputs). A relatedness gap is then four
-table reads, halved once at the end, and equals relatedness_gap exactly
-on exact inputs (up to round-off on the hyperboloid).
+the level-set report) never pair bound vectors one by one: each call
+reads its pairings from one table of doubled potentials (see
+cat0.dual._Potentials), so a relatedness gap is four table reads,
+halved once at the end, and equals relatedness_gap exactly on exact
+inputs (up to round-off on the hyperboloid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
     CandidateUniverse,
@@ -52,7 +45,7 @@ from .conjugate import (
     _PairSet,
     _pairs_of,
 )
-from .dual import DualVector, pair
+from .dual import DualVector, _Potentials, pair
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
@@ -60,8 +53,6 @@ from .spaces import (
     GeometryError,
     Point,
     SpaceHandle,
-    SpaceMismatchError,
-    dist_sq,
     geodesic_point,
 )
 
@@ -131,67 +122,6 @@ def monotonically_related(
 ) -> bool:
     """Is the relatedness pairing >= -tol? Symmetric in its arguments."""
     return relatedness_gap(q1, q2) >= -tol
-
-
-class _Potentials:
-    """The doubled potentials 2F_d(z) of one call's duals at its points.
-
-    index() numbers the points and duals of a pair sequence (structural
-    equality, so each is hashed once per pair, never per pairing); a
-    dual's potential at a point is computed on first use and then kept.
-    The first point indexed fixes the space: a point from another space
-    raises, as a pairing across spaces would (a zero dual alone never
-    calls dist_sq, so this check is not left to it).
-    """
-
-    def __init__(self):
-        self._space: Optional[SpaceHandle] = None
-        self._point_ids: Dict[Point, int] = {}
-        self._dual_ids: Dict[DualVector, int] = {}
-        self._points: List[Point] = []
-        self._terms: List[tuple] = []  # per dual index
-        self._values: List[Dict[int, Scalar]] = []  # per dual index: point index -> 2F
-
-    def point(self, x: Point) -> int:
-        i = self._point_ids.get(x)
-        if i is None:
-            if self._space is None:
-                self._space = x.space
-            elif x.space != self._space:
-                raise SpaceMismatchError(
-                    f"points live in different spaces: {self._space} vs {x.space}"
-                )
-            i = self._point_ids[x] = len(self._points)
-            self._points.append(x)
-        return i
-
-    def index(self, pairs: Sequence[PairedPoint]) -> List[Tuple[int, int]]:
-        """(point index, dual index) of each pair."""
-        ids = []
-        for q in pairs:
-            d = self._dual_ids.get(q.xd)
-            if d is None:
-                d = self._dual_ids[q.xd] = len(self._terms)
-                self._terms.append(q.xd.terms)
-                self._values.append({})
-            ids.append((self.point(q.x), d))
-        return ids
-
-    def __call__(self, d: int, z: int) -> Scalar:
-        """2F_d(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2)."""
-        values = self._values[d]
-        v = values.get(z)
-        if v is None:
-            x = self._points[z]
-            v = values[z] = sum(
-                c * (dist_sq(bv.tail, x) - dist_sq(bv.head, x)) for c, bv in self._terms[d]
-            )
-        return v
-
-    def gap2(self, a: Tuple[int, int], b: Tuple[int, int]) -> Scalar:
-        """Twice relatedness_gap of the indexed pairs a and b."""
-        (za, da), (zb, db) = a, b
-        return self(da, za) - self(da, zb) - self(db, za) + self(db, zb)
 
 
 # The sweeps compare doubled gaps with -2 tol: doubling is exact on

@@ -1,35 +1,51 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cat0 import (
+    DEFAULT_LAMBDA_GRID,
     NEG_INF,
     POS_INF,
     CandidateUniverse,
     ExtReal,
     FunctionTable,
+    GammaReport,
+    GeometryError,
     ImproperTableError,
+    OperatorGraph,
     PairedPoint,
     avg_lowerbound_check,
     classical_conjugate_oracle,
     coupling_pi,
+    dual_add,
+    dual_scale,
     dual_term,
+    dual_vector,
     euclidean,
     fenchel_conjugate_p,
     fenchel_young_check,
+    fitzpatrick_sup,
     function_table,
     gamma_p_membership,
+    geodesic_point,
+    hyperbolic,
     make_point,
     pair,
     pair_in,
     rtree,
+    scale,
     universe_of,
     zero_dual,
 )
 from cat0.spaces import BoundVector
+from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
+    greedy_monotone_subset,
     maximal_relative_graph,
     random_proper_table,
     small_universe,
@@ -225,6 +241,245 @@ def test_membership_counts_unrepresentable_combinations(rng):
     h = _table([(qa, 0), (qb, 0)])
     report = gamma_p_membership(h, ORIGIN2, [qa, qb])
     assert report.skipped_combinations > 0
+
+
+def _reference_gamma(h, p, universe, grid, tol=1e-9):
+    """gamma_p_membership spelled out with the public single-query functions."""
+    proper = h.is_proper()
+    finite = [(q, v) for q, v in h.entries if v.is_finite]
+    witness, skipped = None, 0
+    for i, (q1, v1) in enumerate(finite):
+        for q2, v2 in finite[i + 1:]:
+            for lam in grid:
+                combo = PairedPoint(
+                    geodesic_point(q1.x, q2.x, lam),
+                    dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd)),
+                )
+                match = next((m for m in h.domain if pair_in(combo, [m], tol)), None)
+                if match is None:
+                    skipped += 1
+                    continue
+                bound = scale(1 - lam, v1) + scale(lam, v2)
+                if witness is None and not h.value(match) <= bound + tol:
+                    witness = {
+                        "pair_a": q1, "pair_b": q2, "lam": lam,
+                        "value": h.value(match), "bound": bound,
+                    }
+    worst = math.inf
+    if proper:
+        capped = FunctionTable(
+            h.p,
+            tuple((q, v if v <= coupling_pi(p, q) + tol else POS_INF) for q, v in h.entries),
+        )
+        worst = 0.0
+        for q, v in h.entries:
+            back = fenchel_conjugate_p(capped, p, universe, q.xd, q.x)
+            if v.is_finite and back.is_finite:
+                worst = max(worst, abs(float(v.value - back.value)))
+            elif v != back:
+                worst = math.inf
+    fixed = proper and worst <= tol
+    return GammaReport(
+        holds=proper and witness is None and fixed,
+        worst_defect=worst,
+        convexity_witness=witness,
+        proper=proper,
+        convexity_holds=witness is None,
+        fixed_point_holds=fixed,
+        skipped_combinations=skipped,
+    )
+
+
+def _hyperboloid_point(u, v):
+    return make_point(hyperbolic(2), (u, v, math.sqrt(1 + u * u + v * v)))
+
+
+HALVES = st.sampled_from((0, Fraction(1, 2), 1))
+# points on a half-step lattice, so that many combinations land on listed points
+TABLE_POINTS = {
+    "euclidean": st.tuples(HALVES, HALVES).map(lambda c: make_point(euclidean(2), c)),
+    "rtree": rtree_points(branches=3, denom=2),
+    "rtree_float": rtree_points(branches=3, denom=2),
+    "hyperbolic": st.tuples(st.sampled_from((-0.5, 0.0, 0.5)), st.sampled_from((0.0, 0.5))).map(
+        lambda c: _hyperboloid_point(*c)
+    ),
+}
+TABLE_COEFFS = {
+    "euclidean": small_fractions(2, 2),
+    "rtree": small_fractions(2, 2),
+    "rtree_float": small_fractions(2, 2),
+    "hyperbolic": st.sampled_from((-1.0, 0.5, 1.0)),
+}
+GRIDS = {
+    "default": DEFAULT_LAMBDA_GRID,
+    "interior": (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)),
+    "float": (0.0, 0.25, 0.5, 1.0),
+}
+
+
+@st.composite
+def _gamma_instance(draw, kind):
+    """(table, basepoint, universe): a transform table or random values, some +inf.
+
+    Pairs share one or two duals and the points often hold a midpoint of
+    two others, so that combinations of pairs with one dual land on
+    listed pairs.
+    """
+    pts = draw(st.lists(TABLE_POINTS[kind], min_size=2, max_size=4, unique=True))
+    if kind == "rtree_float":
+        # one float coordinate leaves the pairs at that point without an exact key
+        pts.append(make_point(rtree(), (2, 0.3)))
+    if draw(st.booleans()):
+        mid = geodesic_point(pts[0], pts[1], Fraction(1, 2))
+        pts += [mid] if mid not in pts else []
+    pick = st.sampled_from(pts)
+    one_term = st.tuples(TABLE_COEFFS[kind], pick, pick).map(
+        lambda t: dual_vector(((t[0], BoundVector(t[1], t[2])),))
+    )
+    dual_set = draw(st.lists(st.one_of(st.just(zero_dual()), one_term), min_size=1, max_size=2))
+    duals = st.sampled_from(dual_set)
+    product = []
+    for q in (PairedPoint(x, xd) for x in pts for xd in dual_set):
+        if not pair_in(q, product):
+            product.append(q)
+    pairs = draw(st.lists(st.sampled_from(product), min_size=2, max_size=6, unique=True))
+    p = draw(pick)
+    if draw(st.booleans()):
+        g = OperatorGraph(pts[0].space, greedy_monotone_subset(random.Random(0), pairs, len(pairs)))
+        values = [fitzpatrick_sup(g, p, q) for q in pairs]
+    else:
+        finite = TABLE_COEFFS[kind].map(ExtReal)
+        value = st.one_of(finite, finite, finite, st.just(POS_INF))
+        values = draw(st.lists(value, min_size=len(pairs), max_size=len(pairs)))
+    h = FunctionTable(p, tuple(zip(pairs, values)))
+    extra = draw(st.lists(st.builds(PairedPoint, pick, duals), max_size=2))
+    universe = draw(st.permutations(pairs))[: draw(st.integers(0, len(pairs)))] + extra
+    return h, p, universe
+
+
+def _assert_same_report(got, want, kind):
+    # potentials and direct pairings round differently on float inputs
+    if kind in ("rtree_float", "hyperbolic") and math.isfinite(want.worst_defect):
+        assert abs(got.worst_defect - want.worst_defect) <= 1e-12 * (1 + want.worst_defect)
+        got = GammaReport(**{**got.__dict__, "worst_defect": want.worst_defect})
+    assert got == want
+
+
+@pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+@pytest.mark.parametrize("kind", ["euclidean", "rtree"])
+@given(data=st.data())
+def test_membership_equals_the_single_query_reference(kind, grid, data):
+    h, p, universe = data.draw(_gamma_instance(kind))
+    want = _reference_gamma(h, p, universe, GRIDS[grid])
+    _assert_same_report(gamma_p_membership(h, p, universe, lambda_grid=GRIDS[grid]), want, kind)
+
+
+@pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+@pytest.mark.parametrize("kind", ["rtree_float", "hyperbolic"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_membership_equals_the_reference_on_the_tolerance_path(kind, grid, data):
+    # pairs without an exact key: matched within tol, duals compared on probes
+    h, p, universe = data.draw(_gamma_instance(kind))
+    want = _reference_gamma(h, p, universe, GRIDS[grid])
+    _assert_same_report(gamma_p_membership(h, p, universe, lambda_grid=GRIDS[grid]), want, kind)
+
+
+WITNESS_TABLES = {
+    "euclidean": (E2, ((0, 0), (Fraction(1, 2), 0), (1, 0))),
+    # the midpoint of 0.1 and 0.7 is 0.39999999999999997: within tol of
+    # the listed 0.4, but not equal to it
+    "rtree_float": (rtree(), ((2, 0.1), (2, 0.4), (2, 0.7))),
+}
+
+
+@pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+@pytest.mark.parametrize("table", list(WITNESS_TABLES))
+def test_membership_reports_the_reference_convexity_witness(table, grid):
+    # h is 0, 5, 0 at three points of one geodesic with one dual: the
+    # middle entry sits above the chord, where (1/2, 1/2) combinations land
+    space, coords = WITNESS_TABLES[table]
+    qs = [PairedPoint(make_point(space, c), zero_dual()) for c in coords]
+    p = qs[0].x
+    h = FunctionTable(p, tuple(zip(qs, (ExtReal(0), ExtReal(5), ExtReal(0)))))
+    grid = GRIDS[grid] + (Fraction(1, 2),)
+    report = gamma_p_membership(h, p, h.domain, lambda_grid=grid)
+    assert not report.convexity_holds
+    assert report.convexity_witness["pair_a"] == qs[0]
+    assert report.convexity_witness["value"] == ExtReal(5)
+    for tol in (1e-9, 0, -1e-12):
+        got = gamma_p_membership(h, p, h.domain, lambda_grid=grid, tol=tol)
+        assert got == _reference_gamma(h, p, h.domain, grid, tol)
+
+
+@pytest.mark.parametrize("lam", [True, Fraction(3, 2)])
+def test_membership_rejects_invalid_grid_values(lam):
+    # lambda = 0 and 1 are shortcut on exact tables; a bad grid value still raises
+    h = _table([(_pp((0, 0), (1, 0)), 0), (_pp((1, 0), (1, 0)), 1)])
+    with pytest.raises(GeometryError):
+        gamma_p_membership(h, ORIGIN2, h.domain, lambda_grid=(0, lam, 1))
+
+
+def _benchmark_shaped_tables():
+    """The two table shapes of the round-trip workload.
+
+    A 12-pair Euclidean table (the {0,1}^2 grid at an integer origin
+    times the zero dual and two unit duals) and a 6-pair flat tree table
+    (the root and two points of branch 1 times the zero dual and one
+    term), each the transform of a graph maximal relative to its pairs.
+    """
+    o = (7, -3)
+    grid = [make_point(E2, (o[0] + a, o[1] + b)) for a in range(2) for b in range(2)]
+    origin = grid[0]
+    duals = [zero_dual()] + [
+        dual_term(1, origin, make_point(E2, (o[0] + v0, o[1] + v1))) for v0, v1 in ((1, 0), (1, -1))
+    ]
+    T = rtree()
+    root = make_point(T, (1, 0))
+    tree_pts = [root, make_point(T, (1, Fraction(3, 8))), make_point(T, (1, Fraction(5, 8)))]
+    tree_duals = [zero_dual(), dual_term(2, make_point(T, (3, Fraction(1, 4))), tree_pts[1])]
+    tables = []
+    for pts, ds, p in ((grid, duals, origin), (tree_pts, tree_duals, root)):
+        universe = tuple(PairedPoint(x, xd) for x in pts for xd in ds)
+        g = OperatorGraph(p.space, greedy_monotone_subset(random.Random(5), universe, len(universe)))
+        tables.append((transform_table(g, p, universe), p, universe))
+    return tables
+
+
+def test_membership_counts_its_operations(monkeypatch):
+    import cat0.conjugate
+    import cat0.dual
+    import cat0.geometry
+
+    calls = {"dist_sq": 0, "geodesic_point": 0}
+    real_dist_sq, real_geodesic = cat0.dual.dist_sq, cat0.conjugate.geodesic_point
+
+    def dist_sq(x, y):
+        calls["dist_sq"] += 1
+        return real_dist_sq(x, y)
+
+    def geodesic(x, y, lam):
+        calls["geodesic_point"] += 1
+        return real_geodesic(x, y, lam)
+
+    for module in (cat0.dual, cat0.geometry):
+        monkeypatch.setattr(module, "dist_sq", dist_sq)
+    monkeypatch.setattr(cat0.conjugate, "geodesic_point", geodesic)
+    (euclid, euclid_p, euclid_u), (tree, tree_p, tree_u) = _benchmark_shaped_tables()
+    # per table: each one-term dual's potential at each point, two squared
+    # distances each (the basepoint is a table point); one landing point
+    # per interior lambda and (point, point) pair in table order, the
+    # pairs of one point included; the lambda = 0 and 1 combinations
+    # match their own endpoints
+    for h, p, universe, dist, landing, skipped in (
+        (euclid, euclid_p, euclid_u, 2 * 4 * 2, 10 * 3, 198),
+        (tree, tree_p, tree_u, 1 * 3 * 2, 6 * 3, 45),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        report = gamma_p_membership(h, p, universe)
+        assert report.holds and report.skipped_combinations == skipped
+        assert 0 < calls["dist_sq"] <= dist
+        assert calls["geodesic_point"] <= landing
 
 
 # ---------------------------------------------------------------------------

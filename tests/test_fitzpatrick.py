@@ -384,6 +384,50 @@ def test_roundtrip_rejects_non_member_tables():
     assert not err.value.report.holds
 
 
+def test_roundtrip_reads_each_transform_as_fitzpatrick_sup(rng, monkeypatch):
+    import cat0.fitzpatrick
+
+    compared = []
+    real_agree = cat0.fitzpatrick.agree
+
+    def recording(values, tol):
+        compared.append(tuple(values))
+        return real_agree(values, tol)
+
+    monkeypatch.setattr(cat0.fitzpatrick, "agree", recording)
+    T = rtree()
+    tree_pts = [make_point(T, c) for c in ((1, 0), (1, Fraction(1, 2)), (2, Fraction(1, 3)))]
+    tree_duals = [zero_dual(), dual_term(Fraction(3, 2), tree_pts[2], tree_pts[1])]
+    tree_universe = tuple(PairedPoint(x, xd) for x in tree_pts for xd in tree_duals)
+    euclid_universe = small_universe(side=2, vec_range=1)
+    cases = [(maximal_relative_graph(rng, euclid_universe), ORIGIN2, euclid_universe)]
+    for p in tree_pts:
+        g = OperatorGraph(T, greedy_monotone_subset(rng, tree_universe, len(tree_universe)))
+        cases.append((g, p, tree_universe))
+    for g, p, universe in cases:
+        h = transform_table(g, p, universe)
+        compared.clear()
+        assert roundtrip_check(h, p, universe).holds
+        recovered = s_map(h, p)
+        assert compared == [(fitzpatrick_sup(recovered, p, q), v) for q, v in h.entries]
+
+
+def test_roundtrip_witness_names_the_first_entry_off_the_transform():
+    qa = PairedPoint(make_point(E2, (1, 1)), vector_dual(E2, (0, -1)))
+    qb = PairedPoint(make_point(E2, (0, 0)), vector_dual(E2, (0, -1)))
+    qc = PairedPoint(make_point(E2, (1, 0)), zero_dual())
+    h = FunctionTable(ORIGIN2, ((qa, ExtReal(-1)), (qb, ExtReal(0)), (qc, ExtReal(0))))
+    # relative to the universe {qb} the table is a member, but the
+    # transform of its equality-band graph sits above it at qa
+    rep = roundtrip_check(h, ORIGIN2, [qb])
+    assert rep.witness == {"pair": qa, "table": ExtReal(-1), "transform": ExtReal(0)}
+    assert rep.witness["transform"] == fitzpatrick_sup(s_map(h), ORIGIN2, qa)
+    # relative to its own domain it is not a member
+    with pytest.raises(RepresentationPreconditionError) as err:
+        roundtrip_check(h)
+    assert not err.value.report.fixed_point_holds
+
+
 # ---------------------------------------------------------------------------
 # convexity of the transform
 

@@ -160,19 +160,20 @@ def test_sweeps_reject_points_from_another_space():
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):
+    import cat0.dual
     import cat0.geometry
-    import cat0.monotone
 
     universe = small_universe(side=3)  # 9 grid points x 9 duals, 8 of them one-term
     g = OperatorGraph(E2, greedy_monotone_subset(random.Random(1), universe, 4))
     calls = [0]
-    real = cat0.monotone.dist_sq
+    real = cat0.dual.dist_sq
 
     def counted(x, y):
         calls[0] += 1
         return real(x, y)
 
-    for module in (cat0.monotone, cat0.geometry):
+    # the potential table lives in cat0.dual; direct pairings go through cat0.geometry
+    for module in (cat0.dual, cat0.geometry):
         monkeypatch.setattr(module, "dist_sq", counted)
     report = level_set_report(g, ORIGIN2, universe)
     assert report.monotone
