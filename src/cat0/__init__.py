@@ -42,9 +42,7 @@ from .dual import (
     DualVector,
     canonical_hilbert,
     chain_split_check,
-    default_probes,
     dual_add,
-    dual_equal_on,
     dual_norm_approx,
     dual_scale,
     dual_term,

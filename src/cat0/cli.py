@@ -17,7 +17,7 @@ from .conjugate import (
     fenchel_conjugate_p,
     gamma_p_membership,
 )
-from .dual import default_probes, pair
+from .dual import pair
 from .extreal import Scalar, agree
 from .fitzpatrick import (
     fitzpatrick_inf,
@@ -50,8 +50,6 @@ from .monotone import (
 )
 from .geometry import quasilinearization
 from .spaces import (
-    HYPERBOLIC,
-    PROBE_SEED,
     BoundVector,
     GeometryError,
     distance,
@@ -94,17 +92,6 @@ def _lambda_grid(args) -> Tuple[Scalar, ...]:
     if getattr(args, "lambda_grid", None):
         return parse_grid(args.lambda_grid)
     return DEFAULT_LAMBDA_GRID
-
-
-def _probes_for(space, points, seed: int):
-    """Probe set for behavioral dual equality on the hyperboloid.
-
-    The other spaces compare exact duals by key, and float ones through
-    the library's default probes, anchored at the duals' own points.
-    """
-    if space.kind != HYPERBOLIC:
-        return None
-    return default_probes(space, tuple(points)[:8], seed=seed)
 
 
 def _load_universe_pairs(args, space, inline, errs):
@@ -257,8 +244,7 @@ def cmd_maximal_check(args):
     if universe is None:
         raise InputError(["maximal-check needs a universe (inline or --universe)"])
     tol = args.tol if args.tol is not None else 1e-9
-    probes = _probes_for(space, [q.x for q in universe], args.seed)
-    rep = is_maximal_relative(graph, universe, match_tol=tol, probes=probes)
+    rep = is_maximal_relative(graph, universe, match_tol=tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
@@ -314,10 +300,7 @@ def cmd_gamma_check(args):
     if universe is None:
         universe = table.domain
     tol = args.tol if args.tol is not None else 1e-9
-    probes = _probes_for(space, [q.x for q in universe], args.seed)
-    rep = gamma_p_membership(
-        table, table.p, universe, lambda_grid=_lambda_grid(args), tol=tol, probes=probes
-    )
+    rep = gamma_p_membership(table, table.p, universe, lambda_grid=_lambda_grid(args), tol=tol)
     return {
         "holds": rep.holds,
         "proper": rep.proper,
@@ -355,10 +338,6 @@ def _add_common(sp, needs_instance=True, universe=False, grid=False):
     if needs_instance:
         sp.add_argument("instance", nargs="?", help="instance JSON path, or - for stdin")
     sp.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
-    sp.add_argument(
-        "--seed", type=int, default=PROBE_SEED,
-        help="seed of the probe sample that compares duals on the hyperboloid",
-    )
     sp.add_argument(
         "--format", dest="fmt", choices=("json", "csv"), default="json",
         help="output format",

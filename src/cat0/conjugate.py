@@ -31,10 +31,10 @@ see DualVector.key) with an exact grid a combination landing off the
 listed points is skipped without building its dual, while lam = 0 or 1
 lands on its own endpoint pair and passes. Tables holding a float, on
 the hyperboloid or with a float grid compare every combination within
-tol. The fixed-point identity, like roundtrip_check's transforms, reads
-its pairings from one table of potentials per call (cat0.dual._Potentials);
-the single-query functions here (coupling_pi, fenchel_conjugate_p) pair
-bound vectors directly.
+tol, its dual by action (see cat0.dual). The fixed-point identity, like
+roundtrip_check's transforms, reads its pairings from one table of
+potentials per call (cat0.dual._Potentials); the single-query functions
+here (coupling_pi, fenchel_conjugate_p) pair bound vectors directly.
 """
 
 from __future__ import annotations
@@ -145,20 +145,14 @@ class _PairSet:
 
     Exact pairs are found by their key in one dict lookup. A pair
     holding a float, or on the hyperboloid, is compared by a scan:
-    points within tol and duals_match with the given probes. An exact
+    points and dual actions within tol (see duals_match). An exact
     query scans only the members that have no key. Either way the
     first matching member in sequence order is the one found.
     """
 
-    def __init__(
-        self,
-        members: Sequence[PairedPoint],
-        tol: float = 1e-9,
-        probes: Optional[Sequence[BoundVector]] = None,
-    ):
+    def __init__(self, members: Sequence[PairedPoint], tol: float = 1e-9):
         self._members = tuple(members)
         self._tol = tol
-        self._probes = probes
         self._keyed: Dict[tuple, int] = {}
         self._unkeyed = []
         for i, m in enumerate(self._members):
@@ -180,7 +174,7 @@ class _PairSet:
             if (
                 m.x.space == q.x.space
                 and distance(m.x, q.x) <= self._tol
-                and duals_match(q.xd, m.xd, probes=self._probes, tol=self._tol)
+                and duals_match(q.xd, m.xd, self._tol)
             ):
                 return m
         return self._members[first] if first < n else None
@@ -241,14 +235,9 @@ def coupling_pi(p: Point, q: PairedPoint) -> Scalar:
     return pair(q.xd, BoundVector(p, q.x))
 
 
-def pair_in(
-    q: PairedPoint,
-    pairs: Sequence[PairedPoint],
-    tol: float = 1e-9,
-    probes: Optional[Sequence[BoundVector]] = None,
-) -> bool:
-    """Is q one of the pairs? Exact on exact inputs; tol and probes apply otherwise."""
-    return q in _PairSet(pairs, tol, probes)
+def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: float = 1e-9) -> bool:
+    """Is q one of the pairs? Exact on exact inputs, within tol otherwise."""
+    return q in _PairSet(pairs, tol)
 
 
 def fenchel_conjugate_p(
@@ -328,10 +317,7 @@ class GammaReport:
 
 
 def _convexity_scan(
-    h: FunctionTable,
-    lambda_grid: Sequence[Scalar],
-    tol: float,
-    probes: Optional[Sequence[BoundVector]],
+    h: FunctionTable, lambda_grid: Sequence[Scalar], tol: float
 ) -> Tuple[Optional[dict], int]:
     """(first convexity witness or None, skipped combinations) of h.
 
@@ -348,7 +334,7 @@ def _convexity_scan(
         return None, 0
     for lam in lambda_grid:
         _check_unit_interval(lam)
-    listed = _PairSet(h.domain, tol, probes)
+    listed = _PairSet(h.domain, tol)
     exact = not listed._unkeyed and is_exact(lambda_grid)
     endpoints_pass = exact and tol >= 0
     listed_points = {q.x for q in h.domain}
@@ -431,7 +417,6 @@ def gamma_p_membership(
     universe: Union[CandidateUniverse, Sequence[PairedPoint]],
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
     tol: float = 1e-9,
-    probes: Optional[Sequence[BoundVector]] = None,
 ) -> GammaReport:
     """Desk-scale membership in the representable-function class.
 
@@ -450,13 +435,13 @@ def gamma_p_membership(
     listed point, where its dual is compared by key, and lam = 0 or 1
     matches its own endpoint pair; elsewhere (the hyperboloid, a float
     entry or a float grid) every combination is looked up within tol,
-    with duals compared on the probes. The fixed point reads its
-    couplings and conjugate terms from one potential table (see
+    its dual compared by action (see duals_match). The fixed point reads
+    its couplings and conjugate terms from one potential table (see
     cat0.dual._Potentials).
     """
     pairs = _pairs_of(universe)
     proper = h.is_proper()
-    convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol, probes)
+    convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol)
     convexity_holds = convexity_witness is None
     if proper:
         worst = _fixed_point_defect(h, p, pairs, tol)

@@ -3,20 +3,46 @@
 A dual vector is a formal linear combination of bound vectors; it acts
 on a bound vector ab-> by
 
-    <x_dual, ab->  =  sum_i  coeff_i * <tail_i head_i, ab->.
+    <x_dual, ab->  =  sum_i coeff_i <tail_i head_i, ab->  =  F(b) - F(a),
+    F(z)  =  1/2 sum_x w_x d(x, z)^2,
 
-Two structurally different combinations can act identically (flipping a
-term's orientation and its sign, or splitting a term at an intermediate
-point, never changes the action), so equality of duals is behavioral.
-On exact inputs (int/Fraction coefficients and coordinates) it is
-decided by an exact key of the action (DualVector.key): the canonical
-vector sum_i coeff_i (head_i - tail_i) in Euclidean space, the
-per-branch slopes of the dual's potential on the tree. Only the
-hyperboloid and inputs holding a float fall back to tolerances: the
-canonical vector within tol in Euclidean space, and elsewhere a
-comparison of actions on a finite probe set (the default probe set
-pairs the duals' own points with a deterministic seeded sample), so a
-probe seed affects only those.
+where w_x, the net weight at x, is the sum of the coefficients of the
+terms with tail x minus those of the terms with head x. Structurally
+different combinations can act identically (flipping a term's
+orientation and its sign, or splitting a term at an intermediate point,
+never changes the action), so equality of duals is equality of actions,
+as in the quotient X* of Ahmadi Kakavandi & Amini (2010). It is decided
+by what determines F up to a constant:
+
+* Euclidean: the canonical vector sum_i coeff_i (head_i - tail_i);
+* tree: the slopes of F on each branch (see _tree_slopes);
+* H^1: the sheet is a line with arc length asinh(x_0), and F is
+  affine in it with slope sum_i coeff_i (asinh h_i0 - asinh t_i0);
+* H^n, n >= 2: the net weights themselves.
+
+On exact inputs (int/Fraction coefficients and coordinates) in
+Euclidean space and on the tree the first two are an exact key of the
+action (DualVector.key). The hyperboloid and inputs holding a float are
+compared within tol instead: two duals match when their difference acts
+as zero within tol, that is every coordinate of its action (canonical
+vector, branch slopes, the H^1 slope) or every net weight, with points
+within tol of each other merged, is at most tol in size. No verdict
+depends on sampled points.
+
+Why the weights decide on H^n, n >= 2. Equal actions mean that
+sum_x w_x d(x, .)^2 is constant. Along a ray gamma toward a future null
+vector xi, d(x, gamma(s)) = s + log(-<x, xi>) + O(e^(-2s)); the weights
+sum to zero, so the s^2 terms cancel and the s terms leave
+sum_x w_x log(-<x, xi>) = 0 for every future null xi. Restrict xi to a
+3-dimensional Lorentzian slice through the time axis, chosen so that
+the projected points stay pairwise non-proportional, and parametrize
+its cone by (s, t) -> (s^2 - t^2, 2st, s^2 + t^2). Each -<x, xi> becomes
+a positive definite binary quadratic form Q_x(s, t) with its own pair of
+conjugate complex roots. Continue sum_x w_x log Q_x(s, 1) to complex s:
+it vanishes identically, yet its monodromy around a root of Q_x is
+2 pi i w_x, so every w_x = 0. On H^1 the claim fails (there d(x, .)^2
+spans only the quadratics in arc length), which is why H^1 is compared
+by its slope.
 
 The Lipschitz-seminorm quantities are desk-scale lower bounds: the dual
 norm is approximated by maximizing |<x_dual, ab-> - <x_dual, cd->| /
@@ -28,7 +54,6 @@ candidate set and never exceed the true suprema.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +65,6 @@ from .geometry import quasilinearization
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
-    PROBE_SEED,
     BoundVector,
     GeometryError,
     Point,
@@ -49,7 +73,6 @@ from .spaces import (
     dist_sq,
     distance,
     make_point,
-    sample_points,
 )
 
 __all__ = [
@@ -61,13 +84,11 @@ __all__ = [
     "dual_add",
     "dual_scale",
     "chain_split_check",
-    "dual_equal_on",
     "duals_match",
     "canonical_hilbert",
     "j_map",
     "dual_norm_approx",
     "pseudometric_D_approx",
-    "default_probes",
 ]
 
 
@@ -288,15 +309,6 @@ def chain_split_check(
     return abs(whole - split) <= tol
 
 
-def dual_equal_on(
-    xd: DualVector, yd: DualVector, probes: Sequence[BoundVector], tol: float = 1e-9
-) -> bool:
-    """Behavioral equality on a finite probe set of bound vectors."""
-    if not probes:
-        raise GeometryError("dual_equal_on needs at least one probe")
-    return all(abs(pair(xd, bv) - pair(yd, bv)) <= tol for bv in probes)
-
-
 def canonical_hilbert(xd: DualVector, dim: Optional[int] = None) -> Tuple[Scalar, ...]:
     """The Euclidean vector sum_i coeff_i (head_i - tail_i).
 
@@ -399,55 +411,47 @@ def pseudometric_D_approx(
     return best
 
 
-def default_probes(
-    space: SpaceHandle,
-    anchors: Sequence[Point] = (),
-    seed: int = PROBE_SEED,
-) -> Tuple[BoundVector, ...]:
-    """Probe bound vectors: anchor points plus a deterministic sample.
+def _action(xd: DualVector, tol: float) -> tuple:
+    """Numbers that determine xd's action: it acts as zero when all vanish.
 
-    Probes are all bound vectors between distinct points of the pool
-    (anchors first, then 12 seeded random points), truncated at 64.
+    The canonical vector in Euclidean space, the default and branch
+    slopes on the tree, the slope in arc length on H^1, and on H^n,
+    n >= 2, the net weights of the endpoints, each point merged into
+    the first earlier one within tol (see the module docstring).
     """
-    pool = []
-    for pt in anchors:
-        if pt.space != space:
-            raise SpaceMismatchError("anchor point from a different space")
-        if pt not in pool:
-            pool.append(pt)
-    for pt in sample_points(space, 12, seed=seed):
-        if pt not in pool:
-            pool.append(pt)
-    probes = tuple(
-        BoundVector(pq[0], pq[1]) for pq in itertools.combinations(pool, 2)
-    )[:64]
-    if not probes:
-        raise GeometryError("probe pool has fewer than two distinct points")
-    return probes
+    space = xd.space
+    if space is None:
+        return ()
+    if space.kind == EUCLIDEAN:
+        return canonical_hilbert(xd)
+    if space.kind != HYPERBOLIC:
+        default, slopes = _tree_slopes(xd.terms)
+        return (default, *(s for _, s in slopes))
+    if space.dim == 1:
+        return (sum(c * (math.asinh(bv.head.payload[0]) - math.asinh(bv.tail.payload[0]))
+                    for c, bv in xd.terms),)
+    points: List[Point] = []
+    weights: List[Scalar] = []
+    for c, bv in xd.terms:
+        for x, w in ((bv.tail, c), (bv.head, -c)):
+            i = next((j for j, y in enumerate(points) if distance(x, y) <= tol), None)
+            if i is None:
+                points.append(x)
+                weights.append(w)
+            else:
+                weights[i] += w
+    return tuple(weights)
 
 
-def duals_match(
-    xd: DualVector,
-    yd: DualVector,
-    probes: Optional[Sequence[BoundVector]] = None,
-    tol: float = 1e-9,
-) -> bool:
-    """Behavioral equality: exact keys where both duals have one.
+def duals_match(xd: DualVector, yd: DualVector, tol: float = 1e-9) -> bool:
+    """Do xd and yd act alike? Exact keys decide where both duals have one.
 
-    Otherwise canonical vectors within tol in Euclidean space, and
-    actions within tol on the probes elsewhere (default_probes anchored
-    at both duals' points when none are given).
+    Otherwise xd - yd must act as zero within tol: every number of its
+    action (canonical vector, branch slopes, the H^1 slope, or merged
+    net weights on H^n, n >= 2) is at most tol in size.
     """
     if not _compatible(xd.space, yd.space):
         return False
     if xd.key is not None and yd.key is not None:
         return xd.key == yd.key
-    space = xd.space or yd.space
-    if space.kind == EUCLIDEAN:
-        u = canonical_hilbert(xd, dim=space.dim)
-        v = canonical_hilbert(yd, dim=space.dim)
-        return all(abs(a - b) <= tol for a, b in zip(u, v))
-    if probes is None:
-        anchors = tuple(xd.points) + tuple(yd.points)
-        probes = default_probes(space, anchors)
-    return dual_equal_on(xd, yd, probes, tol)
+    return all(abs(v) <= tol for v in _action(dual_add(xd, dual_scale(-1, yd)), tol))

@@ -191,19 +191,17 @@ def is_maximal_relative(
     universe: Union[CandidateUniverse, Sequence[PairedPoint]],
     tol: float = RELATEDNESS_TOL,
     match_tol: float = 1e-9,
-    probes=None,
 ) -> PropertyReport:
     """Monotone, and no universe pair outside g is related to all of g.
 
-    Requires the universe to contain the graph (behavioral membership:
-    exact on exact inputs, otherwise within match_tol with the given
-    probe set for dual comparisons where the space has no canonical
-    form); a strictly monotone extension point in the universe is
-    returned as the witness. Maximality here is always relative to the
-    given finite universe.
+    Requires the universe to contain the graph (membership by action:
+    exact on exact inputs, otherwise points and dual actions within
+    match_tol, see duals_match); a strictly monotone extension point in
+    the universe is returned as the witness. Maximality here is always
+    relative to the given finite universe.
     """
     upairs = _pairs_of(universe)
-    in_universe = _PairSet(upairs, match_tol, probes)
+    in_universe = _PairSet(upairs, match_tol)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
     pot = _Potentials()
@@ -211,7 +209,7 @@ def is_maximal_relative(
     mono = _monotone_report(pot, g.pairs, gids, tol)
     if not mono.holds:
         return mono
-    in_graph = _PairSet(g.pairs, match_tol, probes)
+    in_graph = _PairSet(g.pairs, match_tol)
     for i in _polar_indices(pot, gids, pot.index(upairs), tol):
         if upairs[i] not in in_graph:
             return PropertyReport(holds=False, witness={"extension": upairs[i]})

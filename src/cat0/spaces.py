@@ -37,7 +37,7 @@ _KINDS = (EUCLIDEAN, RTREE, HYPERBOLIC)
 # to exactly 1; anything lower is treated as invalid input.
 ACOSH_SLACK = 1e-12
 
-PROBE_SEED = 0x5EED
+SAMPLE_SEED = 0x5EED
 
 
 class GeometryError(ValueError):
@@ -326,7 +326,7 @@ def random_point(
     spread: float = 2.0,
     branches: int = 4,
 ) -> Point:
-    """A random point, used for probe sets and sampled checks."""
+    """A random point, used for sampled checks."""
     if space.kind == EUCLIDEAN:
         return Point(space, tuple(rng.uniform(-spread, spread) for _ in range(space.dim)))
     if space.kind == RTREE:
@@ -339,7 +339,7 @@ def random_point(
 def sample_points(
     space: SpaceHandle,
     count: int,
-    seed: int = PROBE_SEED,
+    seed: int = SAMPLE_SEED,
     spread: float = 2.0,
     branches: int = 4,
 ) -> Tuple[Point, ...]:

@@ -1,9 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from cat0 import gamma_p_membership, geodesic_point, is_maximal_relative, make_point
+from cat0.jsonio import Errors, parse_graph, parse_pairs, parse_space, parse_table
 
 CMD = [sys.executable, "-m", "cat0"]
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -206,6 +211,65 @@ def test_maximal_check_tree_duals_on_unsampled_branches(tmp_path):
     res = run_cli(["maximal-check", write(tmp_path, "wide.json", inst)])
     assert res.returncode == 1, res.stderr
     assert json.loads(res.stdout)["holds"] is False
+
+
+def _sheet(x, y):
+    return [x, y, math.sqrt(1 + x * x + y * y)]
+
+
+H2_A, H2_B, H2_C = _sheet(0.0, 0.0), _sheet(1.0, 0.0), _sheet(0.0, 1.0)
+
+
+def _dual(coeff, a, b):
+    return {"terms": [{"coeff": coeff, "a": a, "b": b}]}
+
+
+@pytest.mark.parametrize("extension, holds", [
+    (_dual(3.0, H2_A, H2_B), True),
+    (_dual(1.0, H2_A, H2_C), False),
+])
+def test_maximal_check_hyperbolic_agrees_with_the_library(tmp_path, extension, holds):
+    # the universe writes the graph's pair as a flipped term; it must
+    # still be found in the graph, as the library finds it
+    space = {"kind": "hyperbolic", "dim": 2}
+    graph = {"space": space, "pairs": [{"x": H2_B, "xd": _dual(1.0, H2_A, H2_B)}]}
+    universe = [{"x": H2_B, "xd": _dual(-1.0, H2_B, H2_A)}, {"x": H2_A, "xd": extension}]
+    errs = Errors()
+    g = parse_graph(graph, "graph", errs)
+    rep = is_maximal_relative(g, parse_pairs(g.space, universe, "universe", errs))
+    errs.raise_if_any()
+    assert rep.holds is holds
+    inst = {"space": space, "graph": graph, "universe": universe}
+    res = run_cli(["maximal-check", write(tmp_path, "hyp.json", inst)])
+    assert res.returncode == (0 if rep.holds else 1), res.stderr
+    assert json.loads(res.stdout)["holds"] is rep.holds
+
+
+def test_gamma_check_hyperbolic_agrees_with_the_library(tmp_path):
+    # the midpoint entry writes its dual flipped: the lam = 1/2 combination
+    # of the end entries lands on it by action; the universe flips every term
+    space = {"kind": "hyperbolic", "dim": 2}
+    h2 = parse_space(space, "space", Errors())
+    mid = list(geodesic_point(make_point(h2, H2_A), make_point(h2, H2_B), Fraction(1, 2)).payload)
+    ab, ba = _dual(1.0, H2_A, H2_B), _dual(-1.0, H2_B, H2_A)
+    table = {"p": H2_A, "entries": [
+        {"x": H2_A, "xd": ab, "value": 0},
+        {"x": mid, "xd": ba, "value": -0.5},
+        {"x": H2_B, "xd": ab, "value": 0},
+    ]}
+    universe = [{"x": H2_A, "xd": ba}, {"x": mid, "xd": ab}, {"x": H2_B, "xd": ba}]
+    errs = Errors()
+    h = parse_table(h2, table, "table", errs)
+    rep = gamma_p_membership(h, h.p, parse_pairs(h2, universe, "universe", errs),
+                             lambda_grid=(0, Fraction(1, 2), 1))
+    errs.raise_if_any()
+    assert rep.convexity_holds and rep.skipped_combinations == 2
+    inst = {"space": space, "table": table, "universe": universe}
+    res = run_cli(["gamma-check", write(tmp_path, "hyp.json", inst), "--lambda-grid", "0,1/2,1"])
+    assert res.returncode == (0 if rep.holds else 1), res.stderr
+    out = json.loads(res.stdout)
+    assert out["holds"] is rep.holds and out["convexity_holds"] is rep.convexity_holds
+    assert out["skipped_combinations"] == rep.skipped_combinations
 
 
 def test_flatness_exit_codes(tmp_path):

@@ -379,7 +379,7 @@ def test_membership_equals_the_single_query_reference(kind, grid, data):
 @settings(max_examples=15)
 @given(data=st.data())
 def test_membership_equals_the_reference_on_the_tolerance_path(kind, grid, data):
-    # pairs without an exact key: matched within tol, duals compared on probes
+    # pairs without an exact key: matched within tol, duals compared by action
     h, p, universe = data.draw(_gamma_instance(kind))
     want = _reference_gamma(h, p, universe, GRIDS[grid])
     _assert_same_report(gamma_p_membership(h, p, universe, lambda_grid=GRIDS[grid]), want, kind)

@@ -11,16 +11,15 @@ from cat0 import (
     SpaceMismatchError,
     canonical_hilbert,
     chain_split_check,
-    default_probes,
     distance,
     dual_add,
-    dual_equal_on,
     dual_norm_approx,
     dual_scale,
     dual_term,
     dual_vector,
     duals_match,
     euclidean,
+    hyperbolic,
     j_map,
     make_point,
     pair,
@@ -31,7 +30,7 @@ from cat0 import (
 )
 from cat0.spaces import BoundVector
 from conftest import euclid_points, rtree_points, small_fractions
-from helpers import hilbert_inner
+from helpers import bound_vectors_between, hilbert_inner
 
 
 def _bv(space, a, b):
@@ -234,9 +233,8 @@ def test_split_term_acts_identically(any_space):
     a, b, w = pts[0], pts[1], pts[2]
     whole = dual_term(1, a, b)
     split = dual_add(dual_term(1, a, w), dual_term(1, w, b))
-    probes = default_probes(any_space, anchors=pts[3:6])
-    assert dual_equal_on(whole, split, probes, tol=1e-7)
-    assert duals_match(whole, split, probes=probes, tol=1e-7)
+    assert duals_match(whole, split, tol=1e-7)
+    assert not duals_match(whole, dual_term(1, a, w), tol=1e-7)
 
 
 def test_duals_match_euclidean_uses_canonical_form():
@@ -250,23 +248,51 @@ def test_duals_match_euclidean_uses_canonical_form():
     assert duals_match(zero_dual(), dual_term(1, a, a))
 
 
-def test_dual_equal_on_requires_probes():
-    with pytest.raises(GeometryError):
-        dual_equal_on(zero_dual(), zero_dual(), [])
+def _on_curve(space, s):
+    """The point at arc length s on the sheet's curve (sinh s, 0, ..., cosh s)."""
+    return make_point(space, (math.sinh(s),) + (0.0,) * (space.dim - 1) + (math.cosh(s),))
 
 
-def test_default_probes_deterministic_and_capped(any_space):
-    p1 = default_probes(any_space)
-    p2 = default_probes(any_space)
-    assert p1 == p2
-    assert 0 < len(p1) <= 64
-    anchored = default_probes(any_space, anchors=sample_points(any_space, 2, seed=925))
-    assert anchored[0].tail in sample_points(any_space, 2, seed=925)
+def test_hyperbolic_line_duals_match_by_arc_length():
+    # on H^1 the action is affine in arc length: equal spans act alike,
+    # although the net weights sit on four different points
+    h1 = hyperbolic(1)
+    ab = dual_term(1.0, _on_curve(h1, 0.0), _on_curve(h1, 1.0))
+    cd = dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.0))
+    assert duals_match(ab, cd)
+    assert not duals_match(ab, dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.5)))
 
 
-def test_default_probes_rejects_foreign_anchor():
-    with pytest.raises(SpaceMismatchError):
-        default_probes(euclidean(2), anchors=[make_point(rtree(), (1, 0))])
+def test_hyperbolic_plane_duals_differ_by_where_they_sit():
+    # the same two duals on one geodesic of H^2 act differently
+    h2 = hyperbolic(2)
+    ab = dual_term(1.0, _on_curve(h2, 0.0), _on_curve(h2, 1.0))
+    cd = dual_term(1.0, _on_curve(h2, 2.0), _on_curve(h2, 3.0))
+    assert not duals_match(ab, cd)
+    v = BoundVector(_on_curve(h2, 0.0), make_point(h2, (0.0, 1.0, math.sqrt(2.0))))
+    assert abs(pair(ab, v) - pair(cd, v)) > 0.1
+
+
+def test_near_coincident_hyperbolic_endpoints_merge_within_tol():
+    h2 = hyperbolic(2)
+    tol = 1e-6
+    a, b = _on_curve(h2, 0.5), _on_curve(h2, 1.5)
+    assert duals_match(dual_term(3.0, a, _on_curve(h2, 0.5 + tol / 2)), zero_dual(), tol)
+    assert not duals_match(dual_term(3.0, a, _on_curve(h2, 0.5 + 10 * tol)), zero_dual(), tol)
+    # a tail moved by tol / 2 merges with the original, by 10 tol it does not
+    ab = dual_term(1.0, a, b)
+    assert duals_match(ab, dual_term(1.0, _on_curve(h2, 0.5 + tol / 2), b), tol)
+    assert not duals_match(ab, dual_term(1.0, _on_curve(h2, 0.5 + 10 * tol), b), tol)
+
+
+def test_float_tree_duals_differing_only_on_far_branches():
+    # root -> (7, 1) and root -> (8, 1) agree on every branch but 7 and 8
+    tree = rtree()
+    root = make_point(tree, (1, 0.0))
+    seven = dual_term(1.0, root, make_point(tree, (7, 1.0)))
+    eight = dual_term(1.0, root, make_point(tree, (8, 1.0)))
+    assert seven.key is None and not duals_match(seven, eight)
+    assert duals_match(seven, dual_term(-1.0, make_point(tree, (7, 1.0)), root))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +310,7 @@ TREE_POINTS = rtree_points(branches=6, denom=4)
 
 
 @st.composite
-def _same_action(draw, xd):
+def _same_action(draw, xd, points=TREE_POINTS):
     """xd rewritten without changing its action: flipped, split, padded."""
     terms = []
     for c, bv in xd.terms:
@@ -292,12 +318,12 @@ def _same_action(draw, xd):
         if how == "flip":
             terms.append((-c, BoundVector(bv.head, bv.tail)))
         elif how == "split":
-            w = draw(TREE_POINTS)
+            w = draw(points)
             terms += [(c, BoundVector(bv.tail, w)), (c, BoundVector(w, bv.head))]
         else:
             terms.append((c, bv))
     if draw(st.booleans()):
-        c, a, b = draw(small_fractions()), draw(TREE_POINTS), draw(TREE_POINTS)
+        c, a, b = draw(small_fractions()), draw(points), draw(points)
         terms += [(c, BoundVector(a, b)), (c, BoundVector(b, a))]
     return dual_vector(draw(st.permutations(terms)))
 
@@ -309,7 +335,7 @@ def test_tree_key_equal_exactly_when_actions_equal(data):
     # decides whether they act alike
     a = data.draw(_duals(TREE_POINTS))
     b = data.draw(st.one_of(_duals(TREE_POINTS), _same_action(a)))
-    branches = {pt.payload[0] for xd in (a, b) for pt in xd.points}
+    branches = {pt.payload[0] for xd in (a, b) for _, bv in xd.terms for pt in (bv.tail, bv.head)}
     tree = rtree()
     root = make_point(tree, (1, 0))
     vs = [BoundVector(root, make_point(tree, (k, 1))) for k in branches | {max(branches, default=1) + 1}]
@@ -322,3 +348,38 @@ def test_euclidean_key_is_the_canonical_vector(xd):
     assert xd.key == (vec if any(vec) else ())
     if xd.terms:
         assert dual_scale(0.5, xd).key is None
+
+
+FLOAT_SPACES = {
+    "hyperbolic": (
+        st.sampled_from(sample_points(hyperbolic(2), 6, seed=926)),
+        sample_points(hyperbolic(2), 6, seed=927),
+    ),
+    "rtree_float": (
+        TREE_POINTS.map(lambda pt: make_point(pt.space, (pt.payload[0], float(pt.payload[1])))),
+        tuple(make_point(rtree(), (k, 0.75)) for k in range(1, 9)),
+    ),
+}
+
+
+def _float_duals(points):
+    term = st.tuples(small_fractions().map(float), points, points)
+    return st.lists(term, max_size=3).map(
+        lambda ts: dual_vector((c, BoundVector(t, h)) for c, t, h in ts)
+    )
+
+
+@pytest.mark.parametrize("kind", list(FLOAT_SPACES))
+@given(data=st.data())
+def test_float_duals_match_exactly_when_actions_agree(kind, data):
+    # reference: the actions agree on every bound vector among both duals'
+    # points and a fixed sample (branches past the drawn ones on the tree)
+    points, sample = FLOAT_SPACES[kind]
+    a = data.draw(_float_duals(points))
+    b = data.draw(_same_action(a, points) if data.draw(st.booleans()) else _float_duals(points))
+    pts = set(sample)
+    for xd in (a, b):
+        pts.update(pt for _, bv in xd.terms for pt in (bv.tail, bv.head))
+    vs = bound_vectors_between(list(pts))
+    agree = all(abs(pair(a, v) - pair(b, v)) <= 1e-7 for v in vs)
+    assert duals_match(a, b) == agree
