@@ -54,21 +54,18 @@ from .dual import (
     zero_dual,
 )
 from .conjugate import (
-    CandidateUniverse,
     DEFAULT_LAMBDA_GRID,
     FunctionTable,
     GammaReport,
     ImproperTableError,
     PairedPoint,
     avg_lowerbound_check,
-    classical_conjugate_oracle,
     coupling_pi,
     fenchel_conjugate_p,
     fenchel_young_check,
     function_table,
     gamma_p_membership,
     pair_in,
-    universe_of,
 )
 from .monotone import (
     FPropertyReport,

@@ -4,13 +4,19 @@ Instances are JSON files (or ``-`` for stdin) in the formats documented
 in cat0.jsonio; output is deterministic JSON (default) or CSV. Exit
 codes: 0 on success, 1 when a checked property reports false, 2 on
 usage or input errors.
+
+Each subcommand is one row of COMMANDS: its name, its help text, the
+flags it reads and the instance fields it parses, in order. One runner
+reads the instance, parses its space and fields, reports every schema
+error at once and hands the parsed values to the command's body.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
@@ -56,14 +62,10 @@ from .spaces import (
     geodesic_point,
 )
 
-DEFAULT_T_GRID: Tuple[Scalar, ...] = DEFAULT_LAMBDA_GRID
 
-
-def _read_instance(path: Optional[str], required: bool = True):
+def _read_instance(path: Optional[str]):
     if path is None:
-        if required:
-            raise InputError(["an instance path (or - for stdin) is required"])
-        return None
+        raise InputError(["an instance path (or - for stdin) is required"])
     if path == "-":
         text = sys.stdin.read()
         return load_json_text(text, "<stdin>")
@@ -75,27 +77,14 @@ def _read_instance(path: Optional[str], required: bool = True):
     return load_json_text(text, path)
 
 
-def _as_object(obj):
-    if not isinstance(obj, dict):
-        raise InputError(["instance must be a JSON object"])
-    return obj
-
-
-def _space_and_errors(obj):
-    errs = Errors()
-    space = parse_space(obj.get("space"), "space", errs)
-    errs.raise_if_any()
-    return space, Errors()
-
-
 def _lambda_grid(args) -> Tuple[Scalar, ...]:
-    if getattr(args, "lambda_grid", None):
+    if args.lambda_grid:
         return parse_grid(args.lambda_grid)
     return DEFAULT_LAMBDA_GRID
 
 
 def _load_universe_pairs(args, space, inline, errs):
-    if getattr(args, "universe", None):
+    if args.universe:
         obj = _read_instance(args.universe)
         if isinstance(obj, dict) and "space" in obj:
             uspace = parse_space(obj["space"], "universe.space", errs)
@@ -110,97 +99,163 @@ def _load_universe_pairs(args, space, inline, errs):
 
 
 # --------------------------------------------------------------------------
-# commands
+# field parsers: (space, value, where, errs) -> parsed value or None
 
 
-def cmd_quasi(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    x = parse_point(space, obj.get("x"), "x", errs)
-    y = parse_point(space, obj.get("y"), "y", errs)
-    u = parse_point(space, obj.get("u"), "u", errs)
-    v = parse_point(space, obj.get("v"), "v", errs)
+def _space(space, v, where, errs):
+    """The instance's space itself, for a body that needs it."""
+    return space
+
+
+def _scalar(space, v, where, errs):
+    return parse_scalar(v, where, errs)
+
+
+def _graph(space, v, where, errs):
+    return parse_graph(v, where, errs, default_space=space)
+
+
+def _query(space, v, where, errs):
+    if not isinstance(v, dict):
+        errs.add(where, "must be an object with x and xd")
+        errs.raise_if_any()
+    return parse_paired(space, v, where, errs)
+
+
+def _triples(space, v, where, errs):
+    if not isinstance(v, (list, tuple)):
+        errs.add(where, "must be an array of [x, y, z] point triples")
+        return None
+    triples = []
+    for i, t in enumerate(v):
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
+            errs.add(f"{where}[{i}]", "must be a [x, y, z] triple")
+            continue
+        pts = [parse_point(space, c, f"{where}[{i}][{j}]", errs) for j, c in enumerate(t)]
+        if all(p is not None for p in pts):
+            triples.append(tuple(pts))
+    return triples
+
+
+def _t_grid(space, v, where, errs):
+    if v is DEFAULT_LAMBDA_GRID:  # the key is absent
+        return v
+    if not isinstance(v, (list, tuple)):
+        errs.add(where, "must be an array of parameters")
+        return None
+    parsed = [parse_scalar(g, f"{where}[{i}]", errs) for i, g in enumerate(v)]
+    return tuple(parsed) if all(g is not None for g in parsed) else None
+
+
+# --------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    flags: Tuple[Tuple[str, dict], ...]
+    # (key, parser[, default]) in parse order; None: no instance is read
+    fields: Optional[Tuple[tuple, ...]]
+    body: Callable
+
+
+COMMANDS: List[Command] = []
+
+_TOL = ("--tol", {"type": float, "default": 1e-9, "help": "comparison tolerance (default 1e-9)"})
+_SPACE_TOL = ("--tol", {
+    "type": float, "default": None,
+    "help": "comparison tolerance (default 1e-7 on the hyperboloid, else 1e-9)",
+})
+_UNIVERSE = ("--universe", {"default": None, "help": "path to a candidate-universe file"})
+_GRID = ("--lambda-grid", {
+    "dest": "lambda_grid", "default": None,
+    "help": "comma-separated geodesic parameters, e.g. 0,1/4,1/2,3/4,1",
+})
+_INSTANCE = object()  # field default: the whole instance
+
+
+def command(name: str, help: str, fields=None, flags=()):
+    def register(body):
+        COMMANDS.append(Command(name, help, flags, fields, body))
+        return body
+    return register
+
+
+def _run(cmd: Command, args) -> Tuple[dict, bool]:
+    """Parse the command's instance fields, raise every schema error once, run it."""
+    if cmd.fields is None:
+        return cmd.body(args)
+    obj = _read_instance(args.instance)
+    if not isinstance(obj, dict):
+        raise InputError(["instance must be a JSON object"])
+    errs = Errors()
+    # a command whose first field is a graph takes the graph's space when
+    # the instance has no valid one, and stops if the graph has none either
+    from_graph = cmd.fields[0][1] is _graph
+    space = None
+    if "space" in obj or not from_graph:
+        space = parse_space(obj.get("space"), "space", errs)
+    if not from_graph:
+        errs.raise_if_any()
+    values = []
+    for key, parse, *default in cmd.fields:
+        v = obj.get(key, *default)
+        values.append(parse(space, obj if v is _INSTANCE else v, key, errs))
+        if space is None:
+            if values[0] is None:
+                errs.raise_if_any()
+            space = values[0].space
+    if _UNIVERSE in cmd.flags:
+        values.append(_load_universe_pairs(args, space, obj.get("universe"), errs))
     errs.raise_if_any()
-    value = quasilinearization(BoundVector(x, y), BoundVector(u, v))
-    return {"value": value}, True
+    return cmd.body(args, *values)
 
 
-def cmd_distance(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    x = parse_point(space, obj.get("x"), "x", errs)
-    y = parse_point(space, obj.get("y"), "y", errs)
-    errs.raise_if_any()
+@command("quasi", "pairing of the bound vectors x->y and u->v",
+         (("x", parse_point), ("y", parse_point), ("u", parse_point), ("v", parse_point)))
+def _quasi(args, x, y, u, v):
+    return {"value": quasilinearization(BoundVector(x, y), BoundVector(u, v))}, True
+
+
+@command("distance", "geodesic distance between two points",
+         (("x", parse_point), ("y", parse_point)))
+def _distance(args, x, y):
     return {"value": distance(x, y)}, True
 
 
-def cmd_geodesic(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    x = parse_point(space, obj.get("x"), "x", errs)
-    y = parse_point(space, obj.get("y"), "y", errs)
-    t = parse_scalar(obj.get("t"), "t", errs)
-    errs.raise_if_any()
+@command("geodesic", "point at parameter t on the geodesic x->y",
+         (("x", parse_point), ("y", parse_point), ("t", _scalar)))
+def _geodesic(args, x, y, t):
     return {"point": geodesic_point(x, y, t)}, True
 
 
-def cmd_pair(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    xd = parse_dual(space, obj.get("xd"), "xd", errs)
-    x = parse_point(space, obj.get("x"), "x", errs)
-    y = parse_point(space, obj.get("y"), "y", errs)
-    errs.raise_if_any()
+@command("pair", "action of a dual vector on the bound vector x->y",
+         (("xd", parse_dual), ("x", parse_point), ("y", parse_point)))
+def _pair(args, xd, x, y):
     return {"value": pair(xd, BoundVector(x, y))}, True
 
 
-def cmd_conjugate(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    table = parse_table(space, obj.get("table"), "table", errs)
-    query = obj.get("query")
-    if not isinstance(query, dict):
-        errs.add("query", "must be an object with xd and x")
-        errs.raise_if_any()
-    xd = parse_dual(space, query.get("xd"), "query.xd", errs)
-    x = parse_point(space, query.get("x"), "query.x", errs)
-    universe = _load_universe_pairs(args, space, obj.get("universe"), errs)
-    errs.raise_if_any()
+@command("conjugate", "basepoint conjugate of a function table",
+         (("table", parse_table), ("query", _query)), (_UNIVERSE,))
+def _conjugate(args, table, query, universe):
     if universe is None:
         universe = table.domain
-    p = table.p
-    value = fenchel_conjugate_p(table, p, universe, xd, x)
     return {
-        "value": value,
+        "value": fenchel_conjugate_p(table, table.p, universe, query.xd, query.x),
         "universe_label": f"relative universe of {len(universe)} pairs",
     }, True
 
 
-def cmd_fitz(args):
-    obj = _as_object(_read_instance(args.instance))
-    errs = Errors()
-    space = None
-    if "space" in obj:
-        space = parse_space(obj.get("space"), "space", errs)
-    graph = parse_graph(obj.get("graph"), "graph", errs, default_space=space)
-    if graph is not None and space is None:
-        space = graph.space
-    if space is None:
-        errs.raise_if_any()
-    p = parse_point(space, obj.get("p"), "p", errs)
-    query = obj.get("query")
-    if not isinstance(query, dict):
-        errs.add("query", "must be an object with x and xd")
-        errs.raise_if_any()
-    q = parse_paired(space, query, "query", errs)
-    errs.raise_if_any()
-    tol = args.tol if args.tol is not None else 1e-9
+@command("fitz", "transform of a graph at a query pair (three forms)",
+         (("graph", _graph), ("p", parse_point), ("query", _query)), (_TOL,))
+def _fitz(args, graph, p, q):
     forms = (
         fitzpatrick_sup(graph, p, q),
         fitzpatrick_inf(graph, p, q),
         fitzpatrick_via_conjugate(graph, p, q),
     )
-    ok = agree(forms, tol)
+    ok = agree(forms, args.tol)
     return {
         "value": forms[0],
         "form_agreement": ok,
@@ -208,81 +263,42 @@ def cmd_fitz(args):
     }, ok
 
 
-def cmd_monotone_check(args):
-    obj = _as_object(_read_instance(args.instance))
-    errs = Errors()
-    space = parse_space(obj.get("space"), "space", errs) if "space" in obj else None
-    graph = parse_graph(obj.get("graph", obj), "graph", errs, default_space=space)
-    errs.raise_if_any()
-    tol = args.tol if args.tol is not None else 1e-9
-    rep = is_monotone(graph, tol)
+@command("monotone-check", "pairwise relatedness of a graph",
+         (("graph", _graph, _INSTANCE),), (_TOL,))
+def _monotone_check(args, graph):
+    rep = is_monotone(graph, args.tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
-def cmd_polar(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    members = parse_pairs(space, obj.get("set", []), "set", errs)
-    universe = _load_universe_pairs(args, space, obj.get("universe"), errs)
-    errs.raise_if_any()
+@command("polar", "monotone polar of a set inside a universe",
+         (("set", parse_pairs, []),), (_TOL, _UNIVERSE))
+def _polar(args, members, universe):
     if universe is None:
         raise InputError(["polar needs a universe (inline or --universe)"])
-    tol = args.tol if args.tol is not None else 1e-9
-    polar = monotone_polar(members, universe, tol)
+    polar = monotone_polar(members, universe, args.tol)
     return {"pairs": list(polar), "count": len(polar)}, True
 
 
-def cmd_maximal_check(args):
-    obj = _as_object(_read_instance(args.instance))
-    errs = Errors()
-    space = parse_space(obj.get("space"), "space", errs) if "space" in obj else None
-    graph = parse_graph(obj.get("graph"), "graph", errs, default_space=space)
-    if graph is not None and space is None:
-        space = graph.space
-    universe = _load_universe_pairs(args, space, obj.get("universe"), errs)
-    errs.raise_if_any()
+@command("maximal-check", "maximality relative to a universe",
+         (("graph", _graph),), (_TOL, _UNIVERSE))
+def _maximal_check(args, graph, universe):
     if universe is None:
         raise InputError(["maximal-check needs a universe (inline or --universe)"])
-    tol = args.tol if args.tol is not None else 1e-9
-    rep = is_maximal_relative(graph, universe, match_tol=tol)
+    rep = is_maximal_relative(graph, universe, match_tol=args.tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
-def cmd_flatness(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    triples_obj = obj.get("triples")
-    triples = []
-    if not isinstance(triples_obj, (list, tuple)):
-        errs.add("triples", "must be an array of [x, y, z] point triples")
-    else:
-        for i, t in enumerate(triples_obj):
-            if not isinstance(t, (list, tuple)) or len(t) != 3:
-                errs.add(f"triples[{i}]", "must be a [x, y, z] triple")
-                continue
-            pts = [parse_point(space, c, f"triples[{i}][{j}]", errs) for j, c in enumerate(t)]
-            if all(p is not None for p in pts):
-                triples.append(tuple(pts))
-    t_grid = DEFAULT_T_GRID
-    if "t_grid" in obj:
-        grid_obj = obj["t_grid"]
-        if not isinstance(grid_obj, (list, tuple)):
-            errs.add("t_grid", "must be an array of parameters")
-        else:
-            parsed = [parse_scalar(g, f"t_grid[{i}]", errs) for i, g in enumerate(grid_obj)]
-            if all(g is not None for g in parsed):
-                t_grid = tuple(parsed)
-    errs.raise_if_any()
+@command("flatness", "chord-condition equality on point triples",
+         (("space", _space), ("triples", _triples), ("t_grid", _t_grid, DEFAULT_LAMBDA_GRID)),
+         (_SPACE_TOL,))
+def _flatness(args, space, triples, t_grid):
     rep = flatness_check(space, triples, t_grid, tol=args.tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
-def cmd_f_property(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    members = parse_pairs(space, obj.get("set", []), "set", errs)
-    p = parse_point(space, obj.get("p"), "p", errs)
-    errs.raise_if_any()
+@command("f-property", "one-sided coupling-convexity properties",
+         (("set", parse_pairs, []), ("p", parse_point)), (_SPACE_TOL, _GRID))
+def _f_property(args, members, p):
     rep = f_property_check(members, p, _lambda_grid(args), tol=args.tol)
     ok = rep.lower.holds and rep.upper.holds
     return {
@@ -291,16 +307,12 @@ def cmd_f_property(args):
     }, ok
 
 
-def cmd_gamma_check(args):
-    obj = _as_object(_read_instance(args.instance))
-    space, errs = _space_and_errors(obj)
-    table = parse_table(space, obj.get("table"), "table", errs)
-    universe = _load_universe_pairs(args, space, obj.get("universe"), errs)
-    errs.raise_if_any()
+@command("gamma-check", "representable-class membership of a table",
+         (("table", parse_table),), (_TOL, _UNIVERSE, _GRID))
+def _gamma_check(args, table, universe):
     if universe is None:
         universe = table.domain
-    tol = args.tol if args.tol is not None else 1e-9
-    rep = gamma_p_membership(table, table.p, universe, lambda_grid=_lambda_grid(args), tol=tol)
+    rep = gamma_p_membership(table, table.p, universe, lambda_grid=_lambda_grid(args), tol=args.tol)
     return {
         "holds": rep.holds,
         "proper": rep.proper,
@@ -312,7 +324,8 @@ def cmd_gamma_check(args):
     }, rep.holds
 
 
-def cmd_paper_examples(args):
+@command("paper-examples", "recompute the bundled reference examples against their known values")
+def _paper_examples(args):
     rows = worked_examples()
     all_passed = all(r.passed for r in rows)
     return {
@@ -334,23 +347,6 @@ def cmd_paper_examples(args):
 # wiring
 
 
-def _add_common(sp, needs_instance=True, universe=False, grid=False):
-    if needs_instance:
-        sp.add_argument("instance", nargs="?", help="instance JSON path, or - for stdin")
-    sp.add_argument("--tol", type=float, default=None, help="comparison tolerance override")
-    sp.add_argument(
-        "--format", dest="fmt", choices=("json", "csv"), default="json",
-        help="output format",
-    )
-    if universe:
-        sp.add_argument("--universe", default=None, help="path to a candidate-universe file")
-    if grid:
-        sp.add_argument(
-            "--lambda-grid", dest="lambda_grid", default=None,
-            help="comma-separated geodesic parameters, e.g. 0,1/4,1/2,3/4,1",
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cat0",
@@ -361,32 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("quasi", cmd_quasi, "pairing of the bound vectors x->y and u->v", {}),
-        ("distance", cmd_distance, "geodesic distance between two points", {}),
-        ("geodesic", cmd_geodesic, "point at parameter t on the geodesic x->y", {}),
-        ("pair", cmd_pair, "action of a dual vector on the bound vector x->y", {}),
-        ("conjugate", cmd_conjugate, "basepoint conjugate of a function table", {"universe": True}),
-        ("fitz", cmd_fitz, "transform of a graph at a query pair (three forms)", {}),
-        ("monotone-check", cmd_monotone_check, "pairwise relatedness of a graph", {}),
-        ("polar", cmd_polar, "monotone polar of a set inside a universe", {"universe": True}),
-        ("maximal-check", cmd_maximal_check, "maximality relative to a universe", {"universe": True}),
-        ("flatness", cmd_flatness, "chord-condition equality on point triples", {}),
-        ("f-property", cmd_f_property, "one-sided coupling-convexity properties", {"grid": True}),
-        ("gamma-check", cmd_gamma_check, "representable-class membership of a table", {"universe": True, "grid": True}),
-    ]
-    for name, func, help_text, extras in specs:
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp, **extras)
-        sp.set_defaults(func=func)
-
-    sp = sub.add_parser(
-        "paper-examples",
-        help="recompute the bundled reference examples against their known values",
-    )
-    _add_common(sp, needs_instance=False)
-    sp.set_defaults(func=cmd_paper_examples)
+    for cmd in COMMANDS:
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        if cmd.fields is not None:
+            sp.add_argument("instance", nargs="?", help="instance JSON path, or - for stdin")
+        for flag, options in cmd.flags:
+            sp.add_argument(flag, **options)
+        sp.add_argument(
+            "--format", dest="fmt", choices=("json", "csv"), default="json",
+            help="output format",
+        )
+        sp.set_defaults(func=functools.partial(_run, cmd))
     return parser
 
 
@@ -395,10 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         tree, ok = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
+    except (InputError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = encode_csv(tree) if args.fmt == "csv" else encode_json(tree)

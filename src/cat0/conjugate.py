@@ -67,19 +67,16 @@ from .spaces import (
 
 __all__ = [
     "PairedPoint",
-    "CandidateUniverse",
     "FunctionTable",
     "ImproperTableError",
     "GammaReport",
     "function_table",
-    "universe_of",
     "coupling_pi",
     "pair_in",
     "fenchel_conjugate_p",
     "fenchel_young_check",
     "avg_lowerbound_check",
     "gamma_p_membership",
-    "classical_conjugate_oracle",
     "DEFAULT_LAMBDA_GRID",
 ]
 
@@ -108,23 +105,6 @@ class PairedPoint:
     def __post_init__(self):
         if self.xd.space is not None and self.xd.space != self.x.space:
             raise SpaceMismatchError("paired point mixes spaces")
-
-
-@dataclass(frozen=True)
-class CandidateUniverse:
-    """The finite stand-in for X x X_dual that suprema range over."""
-
-    pairs: Tuple[PairedPoint, ...]
-
-
-def universe_of(pairs: Iterable[PairedPoint]) -> CandidateUniverse:
-    return CandidateUniverse(tuple(pairs))
-
-
-def _pairs_of(u: Union[CandidateUniverse, Sequence[PairedPoint]]) -> Tuple[PairedPoint, ...]:
-    if isinstance(u, CandidateUniverse):
-        return u.pairs
-    return tuple(u)
 
 
 def _pair_key(q: PairedPoint) -> Optional[tuple]:
@@ -243,7 +223,7 @@ def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: float = 1e-9) -> 
 def fenchel_conjugate_p(
     h: FunctionTable,
     p: Point,
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     xd: DualVector,
     x: Point,
 ) -> ExtReal:
@@ -255,7 +235,7 @@ def fenchel_conjugate_p(
     """
     best: Optional[Scalar] = None
     px = BoundVector(p, x)
-    for q in _pairs_of(universe):
+    for q in universe:
         hv = h.value(q)
         if hv.is_neg_inf:
             raise ImproperTableError("table takes the value -inf inside the universe")
@@ -290,13 +270,12 @@ def fenchel_young_check(
 def avg_lowerbound_check(
     h: FunctionTable,
     p: Point,
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     tol: float = 1e-9,
 ) -> bool:
     """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair."""
-    pairs = _pairs_of(universe)
-    for q in pairs:
-        conj = fenchel_conjugate_p(h, p, pairs, q.xd, q.x)
+    for q in universe:
+        conj = fenchel_conjugate_p(h, p, universe, q.xd, q.x)
         lhs = scale(Fraction(1, 2), h.value(q) + conj)
         if not lhs >= coupling_pi(p, q) - tol:
             return False
@@ -414,7 +393,7 @@ def _fixed_point_defect(
 def gamma_p_membership(
     h: FunctionTable,
     p: Point,
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
     tol: float = 1e-9,
 ) -> GammaReport:
@@ -439,12 +418,11 @@ def gamma_p_membership(
     its couplings and conjugate terms from one potential table (see
     cat0.dual._Potentials).
     """
-    pairs = _pairs_of(universe)
     proper = h.is_proper()
     convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol)
     convexity_holds = convexity_witness is None
     if proper:
-        worst = _fixed_point_defect(h, p, pairs, tol)
+        worst = _fixed_point_defect(h, p, universe, tol)
         fixed_point_holds = worst <= tol
     else:
         fixed_point_holds = False
@@ -459,32 +437,3 @@ def gamma_p_membership(
         fixed_point_holds=fixed_point_holds,
         skipped_combinations=skipped,
     )
-
-
-def classical_conjugate_oracle(
-    grid: Sequence[Tuple[Tuple[Sequence[Scalar], Sequence[Scalar]], Union[Scalar, ExtReal]]],
-    u: Sequence[Scalar],
-    x: Sequence[Scalar],
-) -> ExtReal:
-    """Brute-force flat-space conjugate sup {<<u|y>> + <<v|x>> - h(y, v)}.
-
-    Operates on plain coordinate vectors, independent of the geodesic
-    machinery; used as the oracle the basepoint-at-origin pipeline must
-    reproduce. grid rows are ((y, v), value); +inf rows drop out, -inf
-    raises.
-    """
-
-    def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-        return sum(ai * bi for ai, bi in zip(a, b))
-
-    best: Optional[Scalar] = None
-    for (y, v), raw in grid:
-        val = ext(raw)
-        if val.is_neg_inf:
-            raise ImproperTableError("grid takes the value -inf")
-        if val.is_pos_inf:
-            continue
-        term = dot(u, y) + dot(v, x) - val.value
-        if best is None or term > best:
-            best = term
-    return NEG_INF if best is None else ExtReal(best)

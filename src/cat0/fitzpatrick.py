@@ -32,17 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .conjugate import (
-    CandidateUniverse,
     DEFAULT_LAMBDA_GRID,
     FunctionTable,
     GammaReport,
     PairedPoint,
     _PairSet,
     _identity,
-    _pairs_of,
     coupling_pi,
     fenchel_conjugate_p,
     gamma_p_membership,
@@ -193,7 +191,7 @@ def _transform_gaps(
 def level_set_report(
     g: OperatorGraph,
     p: Point,
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     tol: float = 1e-9,
 ) -> SLevelReport:
     """Classify every universe pair and run the level-set cross checks.
@@ -205,13 +203,12 @@ def level_set_report(
     equality region == graph with nothing below forces relative
     maximality.
     """
-    pairs = _pairs_of(universe)
-    in_universe = _PairSet(pairs, tol)
+    in_universe = _PairSet(universe, tol)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
 
     pot = _Potentials()
-    uids = pot.index(pairs)
+    uids = pot.index(universe)
     gids = pot.index(g.pairs)
     below: List[int] = []
     equal: List[int] = []
@@ -226,7 +223,7 @@ def level_set_report(
             above.append(i)
 
     in_graph = _PairSet(g.pairs, tol)
-    graph_idx = {i for i, q in enumerate(pairs) if q in in_graph}
+    graph_idx = {i for i, q in enumerate(universe) if q in in_graph}
     polar_idx = set(_polar_indices(pot, gids, uids, RELATEDNESS_TOL))
 
     mono = _monotone_report(pot, g.pairs, gids, RELATEDNESS_TOL).holds
@@ -273,7 +270,7 @@ def s_map(h: FunctionTable, p: Optional[Point] = None, tol: float = 1e-9) -> Ope
 def roundtrip_check(
     h: FunctionTable,
     p: Optional[Point] = None,
-    universe: Optional[Union[CandidateUniverse, Sequence[PairedPoint]]] = None,
+    universe: Optional[Sequence[PairedPoint]] = None,
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
     tol: float = 1e-9,
 ) -> PropertyReport:
@@ -286,8 +283,9 @@ def roundtrip_check(
     """
     if p is None:
         p = h.p
-    pairs = _pairs_of(universe) if universe is not None else h.domain
-    membership = gamma_p_membership(h, p, pairs, lambda_grid=lambda_grid, tol=tol)
+    if universe is None:
+        universe = h.domain
+    membership = gamma_p_membership(h, p, universe, lambda_grid=lambda_grid, tol=tol)
     if not membership.holds:
         raise RepresentationPreconditionError(membership)
     g = s_map(h, p, tol)

@@ -39,11 +39,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
-    CandidateUniverse,
     DEFAULT_LAMBDA_GRID,
     PairedPoint,
     _PairSet,
-    _pairs_of,
 )
 from .dual import DualVector, _Potentials, pair
 from .extreal import Scalar
@@ -171,7 +169,7 @@ def is_monotone(
 
 def monotone_polar(
     m: Union[OperatorGraph, Sequence[PairedPoint]],
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     tol: float = RELATEDNESS_TOL,
 ) -> Tuple[PairedPoint, ...]:
     """Members of the universe related to every member of m.
@@ -180,15 +178,14 @@ def monotone_polar(
     growing m can only shrink the polar.
     """
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
-    upairs = _pairs_of(universe)
     pot = _Potentials()
-    polar = _polar_indices(pot, pot.index(members), pot.index(upairs), tol)
-    return tuple(upairs[i] for i in polar)
+    polar = _polar_indices(pot, pot.index(members), pot.index(universe), tol)
+    return tuple(universe[i] for i in polar)
 
 
 def is_maximal_relative(
     g: OperatorGraph,
-    universe: Union[CandidateUniverse, Sequence[PairedPoint]],
+    universe: Sequence[PairedPoint],
     tol: float = RELATEDNESS_TOL,
     match_tol: float = 1e-9,
 ) -> PropertyReport:
@@ -200,8 +197,7 @@ def is_maximal_relative(
     the universe is returned as the witness. Maximality here is always
     relative to the given finite universe.
     """
-    upairs = _pairs_of(universe)
-    in_universe = _PairSet(upairs, match_tol)
+    in_universe = _PairSet(universe, match_tol)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
     pot = _Potentials()
@@ -210,9 +206,9 @@ def is_maximal_relative(
     if not mono.holds:
         return mono
     in_graph = _PairSet(g.pairs, match_tol)
-    for i in _polar_indices(pot, gids, pot.index(upairs), tol):
-        if upairs[i] not in in_graph:
-            return PropertyReport(holds=False, witness={"extension": upairs[i]})
+    for i in _polar_indices(pot, gids, pot.index(universe), tol):
+        if universe[i] not in in_graph:
+            return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)
 
 

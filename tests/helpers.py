@@ -8,10 +8,11 @@ exact rational arithmetic.
 import itertools
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from cat0 import (
     DualVector,
+    ImproperTableError,
     OperatorGraph,
     PairedPoint,
     Point,
@@ -25,6 +26,7 @@ from cat0 import (
     pair_in,
     zero_dual,
 )
+from cat0.extreal import NEG_INF, ExtReal, Scalar, ext
 from cat0.spaces import BoundVector
 
 ORIGIN2 = make_point(euclidean(2), (0, 0))
@@ -177,3 +179,32 @@ def canonical_hilbert_of(xd: DualVector, dim: int = 2):
 
 def bound_vectors_between(points: Sequence[Point]) -> List[BoundVector]:
     return [BoundVector(a, b) for a, b in itertools.permutations(points, 2) if a != b]
+
+
+def classical_conjugate_oracle(
+    grid: Sequence[Tuple[Tuple[Sequence[Scalar], Sequence[Scalar]], Union[Scalar, ExtReal]]],
+    u: Sequence[Scalar],
+    x: Sequence[Scalar],
+) -> ExtReal:
+    """Brute-force flat-space conjugate sup {<<u|y>> + <<v|x>> - h(y, v)}.
+
+    Operates on plain coordinate vectors, independent of the geodesic
+    machinery; used as the oracle the basepoint-at-origin pipeline must
+    reproduce. grid rows are ((y, v), value); +inf rows drop out, -inf
+    raises.
+    """
+
+    def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+        return sum(ai * bi for ai, bi in zip(a, b))
+
+    best: Optional[Scalar] = None
+    for (y, v), raw in grid:
+        val = ext(raw)
+        if val.is_neg_inf:
+            raise ImproperTableError("grid takes the value -inf")
+        if val.is_pos_inf:
+            continue
+        term = dot(u, y) + dot(v, x) - val.value
+        if best is None or term > best:
+            best = term
+    return NEG_INF if best is None else ExtReal(best)

@@ -44,13 +44,13 @@ from cat0 import (
     s_map,
     sample_points,
     zero_dual,
-    classical_conjugate_oracle,
     classical_fitzpatrick_oracle,
 )
 from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
     canonical_hilbert_of,
+    classical_conjugate_oracle,
     greedy_monotone_subset,
     grid_duals,
     grid_points,

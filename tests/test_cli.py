@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cat0 import gamma_p_membership, geodesic_point, is_maximal_relative, make_point
+from cat0 import cli, gamma_p_membership, geodesic_point, is_maximal_relative, make_point
 from cat0.jsonio import Errors, parse_graph, parse_pairs, parse_space, parse_table
 
 CMD = [sys.executable, "-m", "cat0"]
@@ -347,6 +347,25 @@ def test_reference_examples_deterministic_and_green():
     assert all(r["status"] == "pass" for r in out["rows"])
 
 
+with open(os.path.join(DATA, "cli_cases.json"), encoding="utf-8") as _f:
+    RECORDED = json.load(_f)
+
+
+def _recorded_argv(tmp_path, case):
+    argv = [case["command"], write(tmp_path, "instance.json", case["instance"])] + case["flags"]
+    if case["universe"] is not None:
+        argv += ["--universe", write(tmp_path, "universe.json", case["universe"])]
+    return argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", RECORDED, ids=[c["command"] for c in RECORDED])
+def test_subcommand_prints_the_recorded_bytes(tmp_path, capsys, case, fmt):
+    # one valid instance per subcommand; exit code and stdout are pinned
+    code = cli.main(_recorded_argv(tmp_path, case) + ["--format", fmt])
+    assert [code, capsys.readouterr().out] == case[fmt]
+
+
 def test_reference_examples_csv():
     res = run_cli(["paper-examples", "--format", "csv"])
     assert res.returncode == 0
@@ -421,6 +440,27 @@ def test_schema_errors_capped(tmp_path):
     res = run_cli(["monotone-check", write(tmp_path, "m.json", inst)])
     assert res.returncode == 2
     assert "and 5 more" in res.stderr
+
+
+def test_maximal_check_without_any_space_is_an_input_error(tmp_path):
+    # no top-level space and none in the graph: the universe cannot be read
+    inst = {"graph": {"pairs": []}, "universe": [{"x": [0, 0], "xd": {"terms": []}}]}
+    res = run_cli(["maximal-check", write(tmp_path, "nospace.json", inst)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: graph: graph needs a space (inline or inherited)\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["quasi", "distance", "geodesic", "pair", "conjugate", "paper-examples"]
+)
+def test_tol_is_a_usage_error_where_it_is_not_read(tmp_path, capsys, command):
+    cases = [c for c in RECORDED if c["command"] == command]
+    argv = _recorded_argv(tmp_path, cases[0]) if cases else [command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_missing_required_instance_argument():

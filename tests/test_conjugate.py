@@ -10,7 +10,6 @@ from cat0 import (
     DEFAULT_LAMBDA_GRID,
     NEG_INF,
     POS_INF,
-    CandidateUniverse,
     ExtReal,
     FunctionTable,
     GammaReport,
@@ -19,7 +18,6 @@ from cat0 import (
     OperatorGraph,
     PairedPoint,
     avg_lowerbound_check,
-    classical_conjugate_oracle,
     coupling_pi,
     dual_add,
     dual_scale,
@@ -38,13 +36,13 @@ from cat0 import (
     pair_in,
     rtree,
     scale,
-    universe_of,
     zero_dual,
 )
 from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
+    classical_conjugate_oracle,
     greedy_monotone_subset,
     maximal_relative_graph,
     random_proper_table,
@@ -158,13 +156,6 @@ def test_conjugate_order_reversal(rng):
     ch = fenchel_conjugate_p(h, ORIGIN2, h.domain, query.xd, query.x)
     cg = fenchel_conjugate_p(g, ORIGIN2, g.domain, query.xd, query.x)
     assert ch >= cg
-
-
-def test_universe_container_roundtrip():
-    q0, q1 = _pp((1, 0), (0, 1)), _pp((0, 1), (1, 0))
-    u = universe_of([q0, q1])
-    assert isinstance(u, CandidateUniverse)
-    assert u.pairs == (q0, q1)
 
 
 # ---------------------------------------------------------------------------
