@@ -39,7 +39,7 @@ here (coupling_pi, fenchel_conjugate_p) pair bound vectors directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -106,18 +106,13 @@ class PairedPoint:
         if self.xd.space is not None and self.xd.space != self.x.space:
             raise SpaceMismatchError("paired point mixes spaces")
 
-
-def _pair_key(q: PairedPoint) -> Optional[tuple]:
-    """(point, dual key) of an exact pair; None on the hyperboloid or with a float."""
-    if q.x.space.kind == HYPERBOLIC or not is_exact(q.x.payload):
-        return None
-    key = q.xd.key
-    return None if key is None else (q.x, key)
-
-
-def _identity(q: PairedPoint):
-    """What tells pairs apart: the exact pair key, else the pair's structure."""
-    return _pair_key(q) or q
+    @cached_property
+    def _key(self) -> Optional[tuple]:
+        """(point, dual key) of an exact pair; None on the hyperboloid or with a float."""
+        if self.x.space.kind == HYPERBOLIC or not is_exact(self.x.payload):
+            return None
+        key = self.xd.key
+        return None if key is None else (self.x, key)
 
 
 class _PairSet:
@@ -126,8 +121,8 @@ class _PairSet:
     Exact pairs are found by their key in one dict lookup. A pair
     holding a float, or on the hyperboloid, is compared by a scan:
     points and dual actions within tol (see duals_match). An exact
-    query scans only the members that have no key. Either way the
-    first matching member in sequence order is the one found.
+    query scans only the members that have no key. Either way find
+    gives the position of the first matching member in sequence order.
     """
 
     def __init__(self, members: Sequence[PairedPoint], tol: float = 1e-9):
@@ -136,16 +131,16 @@ class _PairSet:
         self._keyed: Dict[tuple, int] = {}
         self._unkeyed = []
         for i, m in enumerate(self._members):
-            key = _pair_key(m)
+            key = m._key
             if key is None:
                 self._unkeyed.append(i)
             else:
                 self._keyed.setdefault(key, i)
 
-    def find(self, q: PairedPoint) -> Optional[PairedPoint]:
-        """The first member equal to q, or None."""
+    def find(self, q: PairedPoint) -> Optional[int]:
+        """The position of the first member equal to q, or None."""
         n = len(self._members)
-        key = _pair_key(q)
+        key = q._key
         first = n if key is None else self._keyed.get(key, n)
         for i in self._unkeyed if key is not None else range(n):
             if i >= first:
@@ -156,8 +151,8 @@ class _PairSet:
                 and distance(m.x, q.x) <= self._tol
                 and duals_match(q.xd, m.xd, self._tol)
             ):
-                return m
-        return self._members[first] if first < n else None
+                return i
+        return first if first < n else None
 
     def __contains__(self, q: PairedPoint) -> bool:
         return self.find(q) is not None
@@ -168,34 +163,34 @@ class FunctionTable:
     """An extended-real function given by finitely many listed pairs.
 
     p is the basepoint the table's couplings and conjugates refer to.
-    Pairs not listed take the value +inf. Listed pairs must be distinct:
-    behaviorally on exact inputs (however the dual is written, see
-    DualVector.key), structurally where a pair holds a float or lies on
-    the hyperboloid. Values are read the same way.
+    Pairs not listed take the value +inf. A pair is listed when it
+    equals a listed pair as _PairSet compares them: by key on exact
+    inputs, within tol by point and dual action otherwise, so a value
+    never depends on how the dual is written. No two listed pairs may
+    be equal.
     """
 
     p: Point
     entries: Tuple[Tuple[PairedPoint, ExtReal], ...]
-    _index: Dict[object, ExtReal] = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
 
     def __post_init__(self):
-        index = {}
-        for q, v in self.entries:
-            ident = _identity(q)
-            if ident in index:
-                raise GeometryError(f"duplicate table entry for {q}")
-            index[ident] = v
-        object.__setattr__(self, "_index", index)
+        for i, q in enumerate(self.domain):
+            j = self._listed.find(q)
+            if j != i:
+                raise GeometryError(f"entry {i} repeats entry {j}")
 
     @cached_property
     def domain(self) -> Tuple[PairedPoint, ...]:
         """The listed pairs, in order."""
         return tuple(q for q, _ in self.entries)
 
+    @cached_property
+    def _listed(self) -> _PairSet:
+        return _PairSet(self.domain)
+
     def value(self, q: PairedPoint) -> ExtReal:
-        return self._index.get(_identity(q), POS_INF)
+        i = self._listed.find(q)
+        return POS_INF if i is None else self.entries[i][1]
 
     def is_proper(self) -> bool:
         """No -inf anywhere and at least one finite value."""
@@ -233,10 +228,16 @@ def fenchel_conjugate_p(
     an improper input and raises ImproperTableError. With an empty (or
     entirely +inf) universe the sup is -inf.
     """
+    return _conjugate_sup(p, ((q, h.value(q)) for q in universe), xd, x)
+
+
+def _conjugate_sup(
+    p: Point, rows: Iterable[Tuple[PairedPoint, ExtReal]], xd: DualVector, x: Point
+) -> ExtReal:
+    """fenchel_conjugate_p's sup of <xd, p q.x-> + <q.xd, px-> - value over (pair, value) rows."""
     best: Optional[Scalar] = None
     px = BoundVector(p, x)
-    for q in universe:
-        hv = h.value(q)
+    for q, hv in rows:
         if hv.is_neg_inf:
             raise ImproperTableError("table takes the value -inf inside the universe")
         if hv.is_pos_inf:
@@ -341,7 +342,7 @@ def _convexity_scan(
                 if match is None:
                     skipped += 1
                     continue
-                val = h.value(match)
+                val = h.entries[match][1]
                 bound = scale(1 - lam, v1) + scale(lam, v2)
                 if witness is None and not val <= bound + tol:
                     witness = {

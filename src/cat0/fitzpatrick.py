@@ -40,9 +40,8 @@ from .conjugate import (
     GammaReport,
     PairedPoint,
     _PairSet,
-    _identity,
+    _conjugate_sup,
     coupling_pi,
-    fenchel_conjugate_p,
     gamma_p_membership,
 )
 from .dual import _Potentials, dual_add, dual_scale, dual_term, pair
@@ -118,18 +117,13 @@ def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
 
 
 def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
-    """Conjugate form: (coupling + graph indicator)*_p o swap, relative to g."""
-    if not g.pairs:
-        return NEG_INF
-    # members acting alike cannot move a supremum, but would collide in the table
-    first = {}
-    for gp in g.pairs:
-        first.setdefault(_identity(gp), gp)
-    members = tuple(first.values())
-    table = FunctionTable(
-        p, tuple((gp, ExtReal(coupling_pi(p, gp))) for gp in members)
-    )
-    return fenchel_conjugate_p(table, p, members, q.xd, q.x)
+    """Conjugate form: (coupling + graph indicator)*_p o swap, relative to g.
+
+    The sup runs over g's pairs valued at their couplings; pairs acting
+    alike give equal terms, so none is merged first.
+    """
+    rows = ((gp, ExtReal(coupling_pi(p, gp))) for gp in g.pairs)
+    return _conjugate_sup(p, rows, q.xd, q.x)
 
 
 def fitzpatrick_forms_agree(

@@ -228,7 +228,7 @@ def parse_graph(
     if space is None:
         errs.add(where, "graph needs a space (inline or inherited)")
         return None
-    pairs = parse_pairs(space, obj.get("pairs", []), f"{where}.pairs", errs)
+    pairs = parse_pairs(space, obj.get("pairs"), f"{where}.pairs", errs)
     if pairs is None:
         return None
     return OperatorGraph(space, pairs)

@@ -272,6 +272,47 @@ def test_gamma_check_hyperbolic_agrees_with_the_library(tmp_path):
     assert out["skipped_combinations"] == rep.skipped_combinations
 
 
+@pytest.mark.parametrize("command", ["conjugate", "gamma-check"])
+def test_h2_table_reads_the_same_however_the_universe_writes_it(tmp_path, command):
+    # the universe writes every table pair as listed, then flipped; a
+    # table value is read by the pair's action, so the output is the same
+    space = {"kind": "hyperbolic", "dim": 2}
+    ab, ba = _dual(1.0, H2_A, H2_B), _dual(-1.0, H2_B, H2_A)
+    mid = _sheet(0.5, 0.0)
+    table = {"p": H2_A, "entries": [
+        {"x": H2_A, "xd": ab, "value": 0},
+        {"x": mid, "xd": ab, "value": -0.5},
+        {"x": H2_B, "xd": ab, "value": 0},
+    ]}
+    # the query sits at the basepoint, so no term pairs the universe's duals
+    query = {"x": H2_A, "xd": _dual(1.0, H2_A, H2_C)}
+    outputs = []
+    for xd in (ab, ba):
+        universe = [{"x": e["x"], "xd": xd} for e in table["entries"]]
+        inst = {"space": space, "table": table, "query": query, "universe": universe}
+        res = run_cli([command, write(tmp_path, "h2.json", inst)])
+        assert res.returncode in (0, 1), res.stderr
+        outputs.append((res.returncode, res.stdout))
+    assert outputs[0] == outputs[1]
+    assert "inf" not in outputs[0][1]
+
+
+@pytest.mark.parametrize("space, first, second", [
+    # one pair written twice alike, and an H^2 pair written flipped
+    ({"kind": "euclidean", "dim": 2},
+     {"x": [1, 0], "xd": _dual(1, [0, 0], [0, 1])}, {"x": [1, 0], "xd": _dual(1, [0, 0], [0, 1])}),
+    ({"kind": "hyperbolic", "dim": 2},
+     {"x": H2_A, "xd": _dual(1.0, H2_A, H2_B)}, {"x": H2_A, "xd": _dual(-1.0, H2_B, H2_A)}),
+], ids=["euclidean", "hyperbolic"])
+def test_duplicate_table_entry_is_an_input_error(tmp_path, space, first, second):
+    table = {"p": first["x"], "entries": [{**first, "value": 0}, {**second, "value": 5}]}
+    inst = {"space": space, "table": table, "query": first}
+    res = run_cli(["conjugate", write(tmp_path, "dup.json", inst)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: table: entry 1 repeats entry 0\n"
+
+
 def test_flatness_exit_codes(tmp_path):
     flat = {
         "space": {"kind": "euclidean", "dim": 2},
@@ -449,6 +490,20 @@ def test_maximal_check_without_any_space_is_an_input_error(tmp_path):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == "error: graph: graph needs a space (inline or inherited)\n"
+
+
+@pytest.mark.parametrize("command, inst", [
+    # the whole instance is the graph, with pairs misspelt
+    ("monotone-check", {"space": {"kind": "euclidean", "dim": 1},
+                        "pairz": [{"x": [0], "xd": {"terms": []}}]}),
+    ("fitz", {"space": {"kind": "euclidean", "dim": 1}, "graph": {},
+              "p": [0], "query": {"x": [1], "xd": {"terms": []}}}),
+])
+def test_graph_without_pairs_is_an_input_error(tmp_path, command, inst):
+    res = run_cli([command, write(tmp_path, "nopairs.json", inst)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: graph.pairs: expected an array of pairs\n"
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,7 @@ def _table(rows):
 
 def test_table_duplicate_entries_rejected():
     q = _pp((0, 0), (1, 0))
-    with pytest.raises(Exception):
+    with pytest.raises(GeometryError, match="^entry 1 repeats entry 0$"):
         _table([(q, 1), (q, 2)])
 
 
@@ -473,6 +473,31 @@ def test_membership_counts_its_operations(monkeypatch):
         assert calls["geodesic_point"] <= landing
 
 
+def test_keyed_tables_read_values_without_comparing_pairs(monkeypatch):
+    # exact pairs are found by their key alone: no pair is compared by
+    # distance or by action when a table is built or read
+    import cat0.conjugate
+
+    calls = {"distance": 0, "duals_match": 0}
+
+    def counted(name):
+        real = getattr(cat0.conjugate, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    tables = _benchmark_shaped_tables()
+    for name in calls:
+        monkeypatch.setattr(cat0.conjugate, name, counted(name))
+    for h, p, universe in tables:
+        rebuilt = FunctionTable(p, h.entries)
+        assert [rebuilt.value(q) for q in universe] == [v for _, v in h.entries]
+    assert calls == {"distance": 0, "duals_match": 0}
+
+
 # ---------------------------------------------------------------------------
 # the flat-space oracle
 
@@ -531,21 +556,43 @@ def test_pair_in_needs_both_slots():
     assert not pair_in(q0, [other_dual])
 
 
-@pytest.mark.parametrize(
-    "space, p, x, a, b",
-    [
-        (E2, (0, 0), (1, 1), (1, 0), (2, 1)),
-        (rtree(), (1, 0), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, 1)),
-    ],
-    ids=["euclidean", "rtree"],
-)
-def test_conjugate_reads_table_values_behaviorally(space, p, x, a, b):
+# (space, p, x, a, b): a table pair (x, 1 [a->b]) and its basepoint p
+SPELLING_CASES = {
+    "euclidean": (E2, (0, 0), (1, 1), (1, 0), (2, 1)),
+    "rtree": (rtree(), (1, 0), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, 1)),
+    "rtree_float": (rtree(), (1, 0), (1, 0.5), (2, 0.5), (3, 1.0)),
+    "hyperbolic": (hyperbolic(2), *(
+        _hyperboloid_point(u, v).payload for u, v in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0))
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(SPELLING_CASES))
+def test_conjugate_reads_table_values_behaviorally(case):
     # the universe may spell a table pair differently: 1 [a->b] is -1 [b->a]
-    o, x, a, b = (make_point(space, c) for c in (p, x, a, b))
+    space, *coords = SPELLING_CASES[case]
+    o, x, a, b = (make_point(space, c) for c in coords)
     h = FunctionTable(o, ((PairedPoint(x, dual_term(1, a, b)), ExtReal(0)),))
     for spelled in (dual_term(1, a, b), dual_term(-1, b, a)):
-        got = fenchel_conjugate_p(h, o, [PairedPoint(x, spelled)], zero_dual(), o)
-        assert got == ExtReal(0)
+        q = PairedPoint(x, spelled)
+        assert h.value(q) == ExtReal(0)
+        assert fenchel_conjugate_p(h, o, [q], zero_dual(), o) == ExtReal(0)
+
+
+@pytest.mark.parametrize("rewrite", ["flipped", "split"])
+@pytest.mark.parametrize("case", ["rtree_float", "hyperbolic"])
+def test_one_pair_written_two_ways_is_a_duplicate_entry(case, rewrite):
+    # a table is a function of the pair, not of how its dual is written
+    space, *coords = SPELLING_CASES[case]
+    o, x, a, b = (make_point(space, c) for c in coords)
+    if rewrite == "flipped":
+        other = dual_term(-1, b, a)
+    else:
+        m = geodesic_point(a, b, Fraction(1, 2))
+        other = dual_add(dual_term(1, a, m), dual_term(1, m, b))
+    rows = ((PairedPoint(x, dual_term(1, a, b)), ExtReal(0)), (PairedPoint(x, other), ExtReal(5)))
+    with pytest.raises(GeometryError, match="^entry 1 repeats entry 0$"):
+        FunctionTable(o, rows)
 
 
 def test_zero_dual_entries_are_supported():

@@ -121,6 +121,18 @@ def test_parse_graph_inherits_space():
     assert g.space == E2 and len(g.pairs) == 1
 
 
+def test_parse_graph_requires_its_pairs():
+    # a misspelt or missing pairs key is an error, not an empty graph
+    for obj in ({"pairz": [{"x": [0, 0], "xd": {"terms": []}}]}, {}):
+        errs = _fresh()
+        assert parse_graph(obj, "graph", errs, default_space=E2) is None
+        with pytest.raises(InputError, match="graph.pairs: expected an array of pairs"):
+            errs.raise_if_any()
+    errs = _fresh()
+    assert parse_graph({"pairs": []}, "graph", errs, default_space=E2).pairs == ()
+    errs.raise_if_any()
+
+
 def test_parse_table_rows():
     errs = _fresh()
     h = parse_table(
