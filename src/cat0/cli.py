@@ -78,7 +78,7 @@ def _read_instance(path: Optional[str]):
 
 
 def _lambda_grid(args) -> Tuple[Scalar, ...]:
-    if args.lambda_grid:
+    if args.lambda_grid is not None:
         return parse_grid(args.lambda_grid)
     return DEFAULT_LAMBDA_GRID
 

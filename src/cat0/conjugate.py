@@ -31,10 +31,10 @@ see DualVector.key) with an exact grid a combination landing off the
 listed points is skipped without building its dual, while lam = 0 or 1
 lands on its own endpoint pair and passes. Tables holding a float, on
 the hyperboloid or with a float grid compare every combination within
-tol, its dual by action (see cat0.dual). The fixed-point identity, like
-roundtrip_check's transforms, reads its pairings from one table of
-potentials per call (cat0.dual._Potentials); the single-query functions
-here (coupling_pi, fenchel_conjugate_p) pair bound vectors directly.
+tol, its dual by action (see cat0.dual). The conjugate term is written
+once, in the potentials of cat0.dual._potential2 (_conjugate), for
+fenchel_conjugate_p and for the fixed-point identity, which reads one
+potential table per call.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
 from .dual import (
     DualVector,
     _Potentials,
+    _potential2,
     dual_add,
     dual_scale,
     duals_match,
@@ -228,24 +229,26 @@ def fenchel_conjugate_p(
     an improper input and raises ImproperTableError. With an empty (or
     entirely +inf) universe the sup is -inf.
     """
-    return _conjugate_sup(p, ((q, h.value(q)) for q in universe), xd, x)
+    values = [(q, h.value(q)) for q in universe]
+    if any(v.is_neg_inf for _, v in values):
+        raise ImproperTableError("table takes the value -inf inside the universe")
+    rows = ((q.x, q.xd.terms, 2 * v.value) for q, v in values if not v.is_pos_inf)
+    return _conjugate(_potential2, p, rows, (x, xd.terms))
 
 
-def _conjugate_sup(
-    p: Point, rows: Iterable[Tuple[PairedPoint, ExtReal]], xd: DualVector, x: Point
-) -> ExtReal:
-    """fenchel_conjugate_p's sup of <xd, p q.x-> + <q.xd, px-> - value over (pair, value) rows."""
-    best: Optional[Scalar] = None
-    px = BoundVector(p, x)
-    for q, hv in rows:
-        if hv.is_neg_inf:
-            raise ImproperTableError("table takes the value -inf inside the universe")
-        if hv.is_pos_inf:
-            continue
-        term = pair(xd, BoundVector(p, q.x)) + pair(q.xd, px) - hv.value
-        if best is None or term > best:
-            best = term
-    return NEG_INF if best is None else ExtReal(best)
+def _conjugate(P, zp, rows: Iterable[tuple], q: tuple) -> ExtReal:
+    """The sup of <q.xd, p u.x-> + <u.xd, p q.x-> - value over rows u; -inf over none.
+
+    Handles and the reader P as in cat0.dual._potential2; a row is a
+    handle with its value doubled. A term is P_q(u.x) - P_q(p) + P_u(q.x)
+    - P_u(p) - 2 value in doubled potentials; P_q(p) is read once.
+    """
+    z, d = q
+    at_p = P(d, zp)
+    best = max(
+        (P(d, zu) - at_p + P(du, z) - P(du, zp) - v2 for zu, du, v2 in rows), default=None
+    )
+    return NEG_INF if best is None else ExtReal(half_of(best))
 
 
 def fenchel_young_check(
@@ -277,6 +280,8 @@ def avg_lowerbound_check(
     """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair."""
     for q in universe:
         conj = fenchel_conjugate_p(h, p, universe, q.xd, q.x)
+        if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
+            raise ImproperTableError("table is +inf on every universe pair")
         lhs = scale(Fraction(1, 2), h.value(q) + conj)
         if not lhs >= coupling_pi(p, q) - tol:
             return False
@@ -374,12 +379,8 @@ def _fixed_point_defect(
             if v <= half_of(pot(du, zu) - pot(du, zp)) + tol:
                 capped.append((zu, du, 2 * v.value))
     worst = 0.0
-    for (q, v), (zq, dq) in zip(h.entries, pot.index(h.domain)):
-        terms = [
-            pot(dq, zu) - pot(dq, zp) + pot(du, zq) - pot(du, zp) - v2
-            for zu, du, v2 in capped
-        ]
-        back = ExtReal(half_of(max(terms))) if terms else NEG_INF
+    for (q, v), zdq in zip(h.entries, pot.index(h.domain)):
+        back = _conjugate(pot, zp, capped, zdq)
         if v.is_finite and back.is_finite:
             defect = abs(float(v.value - back.value))
         elif v == back:

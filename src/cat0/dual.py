@@ -7,7 +7,8 @@ on a bound vector ab-> by
     F(z)  =  1/2 sum_x w_x d(x, z)^2,
 
 where w_x, the net weight at x, is the sum of the coefficients of the
-terms with tail x minus those of the terms with head x. Structurally
+terms with tail x minus those of the terms with head x. Every action is
+computed from 2F as _potential2 gives it. Structurally
 different combinations can act identically (flipping a term's
 orientation and its sign, or splitting a term at an intermediate point,
 never changes the action), so equality of duals is equality of actions,
@@ -61,7 +62,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
-from .geometry import quasilinearization
+from .geometry import half_of
 from .spaces import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -179,19 +180,23 @@ def _tree_slopes(terms) -> tuple:
     return default, tuple(sorted((k, s) for k, s in slopes.items() if s != default))
 
 
+def _potential2(terms, z: Point) -> Scalar:
+    """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual sum_i c_i [t_i h_i->].
+
+    The one place a dual's action is computed from distances. Formulas
+    in doubled potentials take (point, dual) handles and a reader
+    P(dual, point) = 2F: _potential2 itself on (Point, terms) handles
+    for a single query, a _Potentials table on index handles for a sweep.
+    """
+    return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in terms)
+
+
 class _Potentials:
     """The doubled potentials 2F_d(z) of one call's duals at its points.
 
-    Every pairing is a difference of potentials,
-
-        <x_dual, ab->  =  F(b) - F(a),
-        F(z)  =  1/2 sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2),
-
-    for a dual sum_i c_i [t_i h_i->], so a whole-set computation builds
-    one table per call and reads its pairings from it: a relatedness
-    gap is four reads, a coupling two, a transform or conjugate term
-    four, each halved once at the end. The result equals the direct
-    pairing exactly on exact inputs, and up to round-off on float ones.
+    A whole-set computation builds one table per call and reads its
+    pairings from it, so each dual's potential at each point is computed
+    once (see _potential2).
 
     point() and dual() number the call's points and duals (structural
     equality, so each is hashed once per pair, never per pairing); a
@@ -236,20 +241,12 @@ class _Potentials:
         return [(self.point(q.x), self.dual(q.xd)) for q in pairs]
 
     def __call__(self, d: int, z: int) -> Scalar:
-        """2F_d(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2)."""
+        """2F_d(z), computed by _potential2 on first use."""
         values = self._values[d]
         v = values.get(z)
         if v is None:
-            x = self._points[z]
-            v = values[z] = sum(
-                c * (dist_sq(bv.tail, x) - dist_sq(bv.head, x)) for c, bv in self._terms[d]
-            )
+            v = values[z] = _potential2(self._terms[d], self._points[z])
         return v
-
-    def gap2(self, a: Tuple[int, int], b: Tuple[int, int]) -> Scalar:
-        """Twice relatedness_gap of the indexed pairs a and b."""
-        (za, da), (zb, db) = a, b
-        return self(da, za) - self(da, zb) - self(db, za) + self(db, zb)
 
 
 def dual_vector(terms: Iterable[Tuple[Scalar, BoundVector]]) -> DualVector:
@@ -270,15 +267,14 @@ def _compatible(space_a: Optional[SpaceHandle], space_b: Optional[SpaceHandle]) 
 
 
 def pair(xd: DualVector, on: BoundVector) -> Scalar:
-    """The action <xd, on> = sum_i coeff_i <term_i, on>."""
+    """The action <xd, on> = F(on.head) - F(on.tail) (see _potential2)."""
     if not _compatible(xd.space, on.space):
         raise SpaceMismatchError(
             f"dual over {xd.space} cannot act on a bound vector over {on.space}"
         )
-    total = 0
-    for coeff, bv in xd.terms:
-        total += coeff * quasilinearization(bv, on)
-    return total
+    if on.is_zero or not xd.terms:
+        return 0
+    return half_of(_potential2(xd.terms, on.head) - _potential2(xd.terms, on.tail))
 
 
 def dual_add(xd: DualVector, yd: DualVector) -> DualVector:
@@ -392,13 +388,11 @@ def pseudometric_D_approx(
     """
     if not pairs:
         raise GeometryError("pseudometric_D_approx needs at least one probe pair")
-    ab = BoundVector(a, b)
-    cd = BoundVector(c, d)
+    f1 = dual_term(t, a, b)
+    f2 = dual_term(s, c, d)
 
     def g(x: Point) -> Scalar:
-        return t * quasilinearization(ab, BoundVector(a, x)) - s * quasilinearization(
-            cd, BoundVector(c, x)
-        )
+        return pair(f1, BoundVector(a, x)) - pair(f2, BoundVector(c, x))
 
     best = None
     for u, v in pairs:

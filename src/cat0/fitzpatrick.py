@@ -10,8 +10,10 @@ transform is computed in three algebraically equal ways:
                   relative to the graph itself, at the swapped query.
 
 The three forms agree term by term through the chain-split identity;
-computing all of them is a cheap self-check and the agreement is part of
-the CLI output. On an empty graph all three give -inf.
+each keeps its own expression in the potentials of cat0.dual._potential2,
+so computing all of them is a cheap self-check and the agreement is part
+of the CLI output. On an empty graph all three give -inf. The sup-form
+term (_transform2) also serves level_set_report and roundtrip_check.
 
 On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
@@ -40,17 +42,18 @@ from .conjugate import (
     GammaReport,
     PairedPoint,
     _PairSet,
-    _conjugate_sup,
+    _conjugate,
     coupling_pi,
     gamma_p_membership,
 )
-from .dual import _Potentials, dual_add, dual_scale, dual_term, pair
+from .dual import _Potentials, _potential2, dual_add, dual_scale, dual_term, pair
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
 from .geometry import half_of
 from .monotone import (
     RELATEDNESS_TOL,
     OperatorGraph,
     PropertyReport,
+    _gaps2,
     _monotone_report,
     _polar_indices,
     f_property_check,
@@ -98,22 +101,33 @@ class RepresentationPreconditionError(GeometryError):
         self.report = report
 
 
+def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
+    """Twice fitzpatrick_sup at the handle q over the graph's handles ys.
+
+    Handles and the reader P as in cat0.dual._potential2. A sup-form
+    term at (q, y) is P_q(y.x) - P_q(p) - P_y(y.x) + P_y(q.x) in doubled
+    potentials; P_q(p) is read once. ys must not be empty.
+    """
+    zq, dq = q
+    at_p = P(dq, zp)
+    return max(P(dq, zy) - at_p - P(dy, zy) + P(dy, zq) for zy, dy in ys)
+
+
 def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Supremum form of the transform at the query pair."""
-    best: Optional[Scalar] = None
-    for gp in g.pairs:
-        term = pair(q.xd, BoundVector(p, gp.x)) - pair(gp.xd, BoundVector(q.x, gp.x))
-        if best is None or term > best:
-            best = term
-    return NEG_INF if best is None else ExtReal(best)
+    if not g.pairs:
+        return NEG_INF
+    ys = ((y.x, y.xd.terms) for y in g.pairs)
+    return ExtReal(half_of(_transform2(_potential2, p, ys, (q.x, q.xd.terms))))
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps."""
     if not g.pairs:
         return NEG_INF
-    worst = min(relatedness_gap(q, gp) for gp in g.pairs)
-    return ExtReal(coupling_pi(p, q) - worst)
+    ys = ((y.x, y.xd.terms) for y in g.pairs)
+    worst = min(_gaps2(_potential2, (q.x, q.xd.terms), ys))
+    return ExtReal(coupling_pi(p, q) - half_of(worst))
 
 
 def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
@@ -122,8 +136,8 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
     The sup runs over g's pairs valued at their couplings; pairs acting
     alike give equal terms, so none is merged first.
     """
-    rows = ((gp, ExtReal(coupling_pi(p, gp))) for gp in g.pairs)
-    return _conjugate_sup(p, rows, q.xd, q.x)
+    rows = ((y.x, y.xd.terms, 2 * coupling_pi(p, y)) for y in g.pairs)
+    return _conjugate(_potential2, p, rows, (q.x, q.xd.terms))
 
 
 def fitzpatrick_forms_agree(
@@ -154,34 +168,6 @@ class SLevelReport:
     checks: dict
 
 
-def _transform2(
-    pot: _Potentials, zp: int, gids: List[Tuple[int, int]], zq: int, dq: int
-) -> Scalar:
-    """Twice fitzpatrick_sup at the indexed pair (zq, dq), read from pot.
-
-    In doubled potentials P a sup-form term at (q, y) is P_q(y.x) -
-    P_q(p) - P_y(y.x) + P_y(q.x). gids must not be empty.
-    """
-    at_p = pot(dq, zp)
-    return max(pot(dq, zy) - at_p - pot(dy, zy) + pot(dy, zq) for zy, dy in gids)
-
-
-def _transform_gaps(
-    pot: _Potentials, zp: int, gids: List[Tuple[int, int]], uids: List[Tuple[int, int]]
-) -> List[ExtReal]:
-    """fitzpatrick_sup minus coupling_pi at each indexed pair, read from pot.
-
-    The coupling is P_q(q.x) - P_q(p) in doubled potentials; the
-    difference is halved once, at the end.
-    """
-    if not gids:
-        return [NEG_INF] * len(uids)
-    return [
-        ExtReal(half_of(_transform2(pot, zp, gids, zq, dq) - (pot(dq, zq) - pot(dq, zp))))
-        for zq, dq in uids
-    ]
-
-
 def level_set_report(
     g: OperatorGraph,
     p: Point,
@@ -207,7 +193,14 @@ def level_set_report(
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
-    gaps = _transform_gaps(pot, pot.point(p), gids, uids)
+    zp = pot.point(p)
+    # fitzpatrick_sup minus coupling_pi; the coupling is P_q(q.x) - P_q(p),
+    # and the difference is halved once
+    gaps = [
+        ExtReal(half_of(_transform2(pot, zp, gids, (zq, dq)) - (pot(dq, zq) - pot(dq, zp))))
+        if gids else NEG_INF
+        for zq, dq in uids
+    ]
     for i, gap in enumerate(gaps):
         if gap.is_finite and abs(gap.value) <= tol:
             equal.append(i)
@@ -287,8 +280,8 @@ def roundtrip_check(
     pot = _Potentials()
     zp = pot.point(p)
     gids = pot.index(g.pairs)
-    for (q, v), (zq, dq) in zip(h.entries, pot.index(h.domain)):
-        phi = ExtReal(half_of(_transform2(pot, zp, gids, zq, dq))) if gids else NEG_INF
+    for (q, v), u in zip(h.entries, pot.index(h.domain)):
+        phi = ExtReal(half_of(_transform2(pot, zp, gids, u))) if gids else NEG_INF
         if not agree((phi, v), tol):
             return PropertyReport(
                 holds=False, witness={"pair": q, "table": v, "transform": phi}

@@ -25,25 +25,23 @@ at once characterize flat behavior, and each can fail in curved spaces.
 Flatness itself is sampled through chord-condition equality on supplied
 triples.
 
-Whole-set sweeps (is_monotone, monotone_polar, is_maximal_relative and
-the level-set report) never pair bound vectors one by one: each call
-reads its pairings from one table of doubled potentials (see
-cat0.dual._Potentials), so a relatedness gap is four table reads,
-halved once at the end, and equals relatedness_gap exactly on exact
-inputs (up to round-off on the hyperboloid).
+The relatedness gap is written once, in doubled potentials (_gaps2,
+see cat0.dual._potential2): relatedness_gap reads it on its two pairs,
+the whole-set sweeps (is_monotone, monotone_polar, is_maximal_relative
+and the level-set report) from one potential table per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
     PairedPoint,
     _PairSet,
 )
-from .dual import DualVector, _Potentials, pair
+from .dual import DualVector, _Potentials, _potential2, pair
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
@@ -109,10 +107,22 @@ class FPropertyReport:
     upper: PropertyReport
 
 
+def _gaps2(P, a: tuple, bs: Iterable[tuple]) -> Iterator[Scalar]:
+    """Twice relatedness_gap(a, b) for each handle b in bs, in order.
+
+    Handles and the reader P as in cat0.dual._potential2. The doubled gap
+    is P_a(a.x) - P_a(b.x) - P_b(a.x) + P_b(b.x); P_a(a.x) is read once.
+    """
+    za, da = a
+    own = P(da, za)
+    for zb, db in bs:
+        yield own - P(da, zb) - P(db, za) + P(db, zb)
+
+
 def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
     """<q1.xd - q2.xd, q2.x q1.x ->; nonnegative when related."""
-    step = BoundVector(q2.x, q1.x)
-    return pair(q1.xd, step) - pair(q2.xd, step)
+    (gap2,) = _gaps2(_potential2, (q1.x, q1.xd.terms), [(q2.x, q2.xd.terms)])
+    return half_of(gap2)
 
 
 def monotonically_related(
@@ -133,8 +143,7 @@ def _monotone_report(
     """is_monotone on pairs already indexed in pot."""
     floor = -2 * tol
     for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            gap2 = pot.gap2(ids[i], ids[j])
+        for j, gap2 in enumerate(_gaps2(pot, ids[i], ids[i + 1:]), i + 1):
             if gap2 < floor:
                 return PropertyReport(
                     holds=False,
@@ -154,7 +163,7 @@ def _polar_indices(
     return [
         i
         for i, u in enumerate(ids)
-        if all(pot.gap2(u, m) >= floor for m in member_ids)
+        if all(gap2 >= floor for gap2 in _gaps2(pot, u, member_ids))
     ]
 
 

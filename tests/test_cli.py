@@ -346,6 +346,15 @@ def test_f_property_with_lambda_grid(tmp_path):
     assert out["lower"]["holds"] is True and out["upper"]["holds"] is True
 
 
+@pytest.mark.parametrize("command", ["f-property", "gamma-check"])
+def test_empty_lambda_grid_is_an_input_error(tmp_path, command):
+    case = next(c for c in RECORDED if c["command"] == command)
+    res = run_cli(_recorded_argv(tmp_path, case) + ["--lambda-grid", ""])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: grid: empty\n"
+
+
 def test_gamma_check_reports_fields(tmp_path):
     inst = {
         "space": {"kind": "euclidean", "dim": 1},

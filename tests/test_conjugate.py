@@ -183,6 +183,14 @@ def test_average_lower_bound(rng):
         assert avg_lowerbound_check(h, ORIGIN2, h.domain)
 
 
+def test_average_lower_bound_rejects_a_table_infinite_on_the_universe():
+    # the universe misses the table's domain: h is +inf at every universe
+    # pair, its conjugate is -inf, and h + h*_p is +inf + (-inf)
+    h = _table([(_pp((1, 0), (0, 1)), 0)])
+    with pytest.raises(ImproperTableError, match=r"\+inf on every universe pair"):
+        avg_lowerbound_check(h, ORIGIN2, [_pp((2, 0), (0, 1))])
+
+
 # ---------------------------------------------------------------------------
 # membership in the representable class
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -43,6 +44,7 @@ from cat0 import (
     worked_examples,
     zero_dual,
 )
+from cat0.geometry import quasilinearization
 from cat0.monotone import RELATEDNESS_TOL
 from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
@@ -230,8 +232,9 @@ def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch
         assert calls == dict.fromkeys(names, 1)
 
 
-# the set-level sweeps read pairings from a potential table; the
-# single-query functions pair bound vectors directly
+# the set-level sweeps read pairings from a potential table, the
+# single-query functions from the same potential function; both are
+# checked against references built from the four-distance formula alone
 
 
 def _hyperboloid_point(u, v):
@@ -267,16 +270,105 @@ def _instance(draw, kind):
     return OperatorGraph(pts[0].space, tuple(members)), draw(pick), universe
 
 
+def _same(kind, a, b):
+    """Equal on exact spaces; within 1e-12 (1 + |b|) on the hyperboloid."""
+    a, b = ext(a), ext(b)
+    if kind != "hyperbolic" or not (a.is_finite and b.is_finite):
+        return a == b
+    return abs(a.value - b.value) <= 1e-12 * (1 + abs(b.value))
+
+
+def _ref_pair(xd, ab):
+    return sum(c * quasilinearization(bv, ab) for c, bv in xd.terms)
+
+
+def _ref_sup(terms):
+    return max(terms, default=NEG_INF)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])
+@given(data=st.data())
+def test_single_queries_equal_the_four_distance_reference(kind, data):
+    g, p, universe = data.draw(_instance(kind))
+    same = functools.partial(_same, kind)
+
+    def ref_coupling(q):
+        return _ref_pair(q.xd, BoundVector(p, q.x))
+
+    def ref_gap(q1, q2):
+        step = BoundVector(q2.x, q1.x)
+        return _ref_pair(q1.xd, step) - _ref_pair(q2.xd, step)
+
+    def ref_conjugate(rows, q):
+        return _ref_sup(
+            ExtReal(_ref_pair(q.xd, BoundVector(p, u.x)) + _ref_pair(u.xd, BoundVector(p, q.x)) - v)
+            for u, v in rows
+        )
+
+    table = []
+    for u in universe:
+        if not pair_in(u, [w for w, _ in table]):
+            table.append((u, data.draw(COEFFS[kind])))
+    listed = table[: data.draw(st.integers(0, len(table)))]
+    h = FunctionTable(p, tuple((u, ExtReal(v)) for u, v in listed))
+    for q in universe:
+        for u in universe:
+            assert same(pair(q.xd, BoundVector(u.x, p)), _ref_pair(q.xd, BoundVector(u.x, p)))
+            assert same(relatedness_gap(q, u), ref_gap(q, u))
+        assert same(coupling_pi(p, q), ref_coupling(q))
+        sup = _ref_sup(
+            ExtReal(_ref_pair(q.xd, BoundVector(p, y.x)) - _ref_pair(y.xd, BoundVector(q.x, y.x)))
+            for y in g.pairs
+        )
+        assert same(fitzpatrick_sup(g, p, q), sup)
+        inf = ExtReal(ref_coupling(q) - min(ref_gap(q, y) for y in g.pairs)) if g.pairs else NEG_INF
+        assert same(fitzpatrick_inf(g, p, q), inf)
+        via = ref_conjugate([(y, ref_coupling(y)) for y in g.pairs], q)
+        assert same(fitzpatrick_via_conjugate(g, p, q), via)
+        conj = ref_conjugate([(u, h.value(u).value) for u in universe if h.value(u).is_finite], q)
+        assert same(fenchel_conjugate_p(h, p, universe, q.xd, q.x), conj)
+
+
+def test_single_queries_count_their_squared_distances(monkeypatch):
+    import cat0.dual
+    import cat0.geometry
+    import cat0.spaces
+
+    one_term = [q for q in small_universe(side=3) if len(q.xd.terms) == 1]
+    g = OperatorGraph(E2, greedy_monotone_subset(random.Random(3), one_term, 9))
+    q = one_term[40]
+    h = FunctionTable(ORIGIN2, tuple((y, ExtReal(coupling_pi(ORIGIN2, y))) for y in g.pairs))
+    calls = [0]
+    real = cat0.spaces.dist_sq
+
+    def counted(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    for module in (cat0.spaces, cat0.dual, cat0.geometry):
+        monkeypatch.setattr(module, "dist_sq", counted)
+    # every potential read of a one-term dual is two squared distances;
+    # the query's potential at p is read once per call. Per graph pair y:
+    # sup reads P_q(y), P_y(y), P_y(q); inf the same three, plus P_q(q)
+    # once and the query's coupling; the conjugate form one coupling and
+    # three conjugate-term reads; fenchel_conjugate_p three. The
+    # four-distance pairing made 64, 60, 108 and 72.
+    for query, reads in (
+        (lambda: fitzpatrick_sup(g, ORIGIN2, q), 1 + 3 * 9),
+        (lambda: fitzpatrick_inf(g, ORIGIN2, q), 2 + 1 + 3 * 9),
+        (lambda: fitzpatrick_via_conjugate(g, ORIGIN2, q), 2 * 9 + 1 + 3 * 9),
+        (lambda: fenchel_conjugate_p(h, ORIGIN2, g.pairs, q.xd, q.x), 1 + 3 * 9),
+    ):
+        calls[0] = 0
+        query()
+        assert 0 < calls[0] <= 2 * reads
+
+
 @pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])
 @given(data=st.data())
 def test_set_sweeps_equal_the_single_query_functions(kind, data):
     g, p, universe = data.draw(_instance(kind))
-
-    def same(a, b):
-        a, b = ext(a), ext(b)
-        if kind != "hyperbolic" or not (a.is_finite and b.is_finite):
-            return a == b
-        return abs(a.value - b.value) <= 1e-12 * (1 + abs(b.value))
+    same = functools.partial(_same, kind)
 
     report = level_set_report(g, p, universe)
     direct = [fitzpatrick_sup(g, p, q) - coupling_pi(p, q) for q in universe]

@@ -172,7 +172,7 @@ def test_level_report_computes_each_potential_once(monkeypatch):
         calls[0] += 1
         return real(x, y)
 
-    # the potential table lives in cat0.dual; direct pairings go through cat0.geometry
+    # every pairing reads dist_sq in cat0.dual; a four-distance pairing would read it in cat0.geometry
     for module in (cat0.dual, cat0.geometry):
         monkeypatch.setattr(module, "dist_sq", counted)
     report = level_set_report(g, ORIGIN2, universe)
