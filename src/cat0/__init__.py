@@ -41,7 +41,6 @@ from .geometry import (
 from .dual import (
     DualVector,
     canonical_hilbert,
-    chain_split_check,
     dual_add,
     dual_norm_approx,
     dual_scale,

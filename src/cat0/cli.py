@@ -162,10 +162,9 @@ class Command(NamedTuple):
 
 COMMANDS: List[Command] = []
 
-_TOL = ("--tol", {"type": float, "default": 1e-9, "help": "comparison tolerance (default 1e-9)"})
-_SPACE_TOL = ("--tol", {
+_TOL = ("--tol", {
     "type": float, "default": None,
-    "help": "comparison tolerance (default 1e-7 on the hyperboloid, else 1e-9)",
+    "help": "bound on every comparison the subcommand makes (default: the space's tolerance)",
 })
 _UNIVERSE = ("--universe", {"default": None, "help": "path to a candidate-universe file"})
 _GRID = ("--lambda-grid", {
@@ -255,7 +254,7 @@ def _fitz(args, graph, p, q):
         fitzpatrick_inf(graph, p, q),
         fitzpatrick_via_conjugate(graph, p, q),
     )
-    ok = agree(forms, args.tol)
+    ok = agree(forms, p.space.default_tol if args.tol is None else args.tol)
     return {
         "value": forms[0],
         "form_agreement": ok,
@@ -284,20 +283,20 @@ def _polar(args, members, universe):
 def _maximal_check(args, graph, universe):
     if universe is None:
         raise InputError(["maximal-check needs a universe (inline or --universe)"])
-    rep = is_maximal_relative(graph, universe, match_tol=args.tol)
+    rep = is_maximal_relative(graph, universe, args.tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
 @command("flatness", "chord-condition equality on point triples",
          (("space", _space), ("triples", _triples), ("t_grid", _t_grid, DEFAULT_LAMBDA_GRID)),
-         (_SPACE_TOL,))
+         (_TOL,))
 def _flatness(args, space, triples, t_grid):
     rep = flatness_check(space, triples, t_grid, tol=args.tol)
     return {"holds": rep.holds, "witness": rep.witness}, rep.holds
 
 
 @command("f-property", "one-sided coupling-convexity properties",
-         (("set", parse_pairs, []), ("p", parse_point)), (_SPACE_TOL, _GRID))
+         (("set", parse_pairs, []), ("p", parse_point)), (_TOL, _GRID))
 def _f_property(args, members, p):
     rep = f_property_check(members, p, _lambda_grid(args), tol=args.tol)
     ok = rep.lower.holds and rep.upper.holds

@@ -33,8 +33,8 @@ lands on its own endpoint pair and passes. Tables holding a float, on
 the hyperboloid or with a float grid compare every combination within
 tol, its dual by action (see cat0.dual). The conjugate term is written
 once, in the potentials of cat0.dual._potential2 (_conjugate), for
-fenchel_conjugate_p and for the fixed-point identity, which reads one
-potential table per call.
+fenchel_conjugate_p, avg_lowerbound_check and the fixed-point identity;
+the last two read one potential table per call.
 """
 
 from __future__ import annotations
@@ -121,12 +121,13 @@ class _PairSet:
 
     Exact pairs are found by their key in one dict lookup. A pair
     holding a float, or on the hyperboloid, is compared by a scan:
-    points and dual actions within tol (see duals_match). An exact
-    query scans only the members that have no key. Either way find
-    gives the position of the first matching member in sequence order.
+    points and dual actions within tol (default: the default_tol of the
+    query's space; see duals_match). An exact query scans only the
+    members that have no key. Either way find gives the position of the
+    first matching member in sequence order.
     """
 
-    def __init__(self, members: Sequence[PairedPoint], tol: float = 1e-9):
+    def __init__(self, members: Sequence[PairedPoint], tol: Optional[float] = None):
         self._members = tuple(members)
         self._tol = tol
         self._keyed: Dict[tuple, int] = {}
@@ -143,14 +144,15 @@ class _PairSet:
         n = len(self._members)
         key = q._key
         first = n if key is None else self._keyed.get(key, n)
+        tol = q.x.space.default_tol if self._tol is None else self._tol
         for i in self._unkeyed if key is not None else range(n):
             if i >= first:
                 break
             m = self._members[i]
             if (
                 m.x.space == q.x.space
-                and distance(m.x, q.x) <= self._tol
-                and duals_match(q.xd, m.xd, self._tol)
+                and distance(m.x, q.x) <= tol
+                and duals_match(q.xd, m.xd, tol)
             ):
                 return i
         return first if first < n else None
@@ -166,9 +168,9 @@ class FunctionTable:
     p is the basepoint the table's couplings and conjugates refer to.
     Pairs not listed take the value +inf. A pair is listed when it
     equals a listed pair as _PairSet compares them: by key on exact
-    inputs, within tol by point and dual action otherwise, so a value
-    never depends on how the dual is written. No two listed pairs may
-    be equal.
+    inputs, within the space's default_tol by point and dual action
+    otherwise, so a value never depends on how the dual is written. No
+    two listed pairs may be equal.
     """
 
     p: Point
@@ -211,7 +213,7 @@ def coupling_pi(p: Point, q: PairedPoint) -> Scalar:
     return pair(q.xd, BoundVector(p, q.x))
 
 
-def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: float = 1e-9) -> bool:
+def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: Optional[float] = None) -> bool:
     """Is q one of the pairs? Exact on exact inputs, within tol otherwise."""
     return q in _PairSet(pairs, tol)
 
@@ -229,11 +231,17 @@ def fenchel_conjugate_p(
     an improper input and raises ImproperTableError. With an empty (or
     entirely +inf) universe the sup is -inf.
     """
-    values = [(q, h.value(q)) for q in universe]
-    if any(v.is_neg_inf for _, v in values):
-        raise ImproperTableError("table takes the value -inf inside the universe")
-    rows = ((q.x, q.xd.terms, 2 * v.value) for q, v in values if not v.is_pos_inf)
+    values = _values(h, h._listed, universe)
+    rows = ((q.x, q.xd.terms, 2 * v.value) for q, v in zip(universe, values) if not v.is_pos_inf)
     return _conjugate(_potential2, p, rows, (x, xd.terms))
+
+
+def _values(h: FunctionTable, listed: _PairSet, pairs: Sequence[PairedPoint]) -> list:
+    """h at each pair as listed finds it (+inf where it finds none); -inf raises."""
+    values = [POS_INF if i is None else h.entries[i][1] for i in map(listed.find, pairs)]
+    if any(v.is_neg_inf for v in values):
+        raise ImproperTableError("table takes the value -inf inside the universe")
+    return values
 
 
 def _conjugate(P, zp, rows: Iterable[tuple], q: tuple) -> ExtReal:
@@ -256,17 +264,18 @@ def fenchel_young_check(
     p: Point,
     q1: PairedPoint,
     q2: PairedPoint,
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> bool:
     """h(q1) + h*_p(swap q2) >= <q2.xd, p q1.x-> + <q1.xd, p q2.x-> - tol.
 
-    The conjugate is taken relative to the table's own listed pairs. h
-    must be proper.
+    The conjugate is taken relative to the table's own listed pairs; q1
+    is matched to them within tol. h must be proper.
     """
     if not h.is_proper():
         raise ImproperTableError("Fenchel-Young check needs a proper table")
+    tol = p.space.default_tol if tol is None else tol
     conj = fenchel_conjugate_p(h, p, h.domain, q2.xd, q2.x)
-    lhs = h.value(q1) + conj
+    lhs = _values(h, _PairSet(h.domain, tol), [q1])[0] + conj
     rhs = pair(q2.xd, BoundVector(p, q1.x)) + pair(q1.xd, BoundVector(p, q2.x))
     return lhs >= rhs - tol
 
@@ -275,15 +284,24 @@ def avg_lowerbound_check(
     h: FunctionTable,
     p: Point,
     universe: Sequence[PairedPoint],
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> bool:
-    """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair."""
-    for q in universe:
-        conj = fenchel_conjugate_p(h, p, universe, q.xd, q.x)
+    """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair.
+
+    Universe pairs are matched to the listed pairs within tol, each
+    once, and every pairing is read from one potential table.
+    """
+    tol = p.space.default_tol if tol is None else tol
+    values = _values(h, _PairSet(h.domain, tol), universe)
+    pot = _Potentials()
+    zp = pot.point(p)
+    ids = pot.index(universe)
+    rows = [(zu, du, 2 * v.value) for (zu, du), v in zip(ids, values) if not v.is_pos_inf]
+    for (zu, du), v in zip(ids, values):
+        conj = _conjugate(pot, zp, rows, (zu, du))
         if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
             raise ImproperTableError("table is +inf on every universe pair")
-        lhs = scale(Fraction(1, 2), h.value(q) + conj)
-        if not lhs >= coupling_pi(p, q) - tol:
+        if not scale(Fraction(1, 2), v + conj) >= half_of(pot(du, zu) - pot(du, zp)) - tol:
             return False
     return True
 
@@ -367,13 +385,12 @@ def _fixed_point_defect(
 
     Reads every pairing from one potential table: a coupling is two
     reads, a conjugate term four, halved once. Each universe pair's
-    capped value is looked up once.
+    capped value is looked up once, matched within tol.
     """
     pot = _Potentials()
     zp = pot.point(p)
     capped = []  # (point index, dual index, doubled value) where h <= pi_p + tol
-    for u in pairs:
-        v = h.value(u)
+    for u, v in zip(pairs, _values(h, _PairSet(h.domain, tol), pairs)):
         if v.is_finite:
             zu, du = pot.point(u.x), pot.dual(u.xd)
             if v <= half_of(pot(du, zu) - pot(du, zp)) + tol:
@@ -397,7 +414,7 @@ def gamma_p_membership(
     p: Point,
     universe: Sequence[PairedPoint],
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> GammaReport:
     """Desk-scale membership in the representable-function class.
 
@@ -416,10 +433,12 @@ def gamma_p_membership(
     listed point, where its dual is compared by key, and lam = 0 or 1
     matches its own endpoint pair; elsewhere (the hyperboloid, a float
     entry or a float grid) every combination is looked up within tol,
-    its dual compared by action (see duals_match). The fixed point reads
-    its couplings and conjugate terms from one potential table (see
-    cat0.dual._Potentials).
+    its dual compared by action (see duals_match); universe pairs are
+    matched to the table the same way. The fixed point reads its
+    couplings and conjugate terms from one potential table (see
+    cat0.dual._Potentials). tol defaults to the space's default_tol.
     """
+    tol = p.space.default_tol if tol is None else tol
     proper = h.is_proper()
     convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol)
     convexity_holds = convexity_witness is None

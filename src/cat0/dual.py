@@ -84,7 +84,6 @@ __all__ = [
     "pair",
     "dual_add",
     "dual_scale",
-    "chain_split_check",
     "duals_match",
     "canonical_hilbert",
     "j_map",
@@ -240,6 +239,12 @@ class _Potentials:
         """(point index, dual index) of each (point, dual) pair."""
         return [(self.point(q.x), self.dual(q.xd)) for q in pairs]
 
+    def tol(self, tol: Optional[float]) -> float:
+        """tol, or the default_tol of the table's space; a table without points compares nothing."""
+        if tol is None:
+            return self._space.default_tol if self._space is not None else 0.0
+        return tol
+
     def __call__(self, d: int, z: int) -> Scalar:
         """2F_d(z), computed by _potential2 on first use."""
         values = self._values[d]
@@ -287,22 +292,6 @@ def dual_add(xd: DualVector, yd: DualVector) -> DualVector:
 def dual_scale(alpha: Scalar, xd: DualVector) -> DualVector:
     """Scale every coefficient; the action scales accordingly."""
     return DualVector(tuple((alpha * c, bv) for c, bv in xd.terms))
-
-
-def chain_split_check(
-    xd: DualVector, a: Point, b: Point, w: Point, tol: Optional[float] = None
-) -> bool:
-    """Does <xd, ab-> equal <xd, aw-> + <xd, wb-> within tol?
-
-    This is an algebraic identity of the pairing (the squared-distance
-    terms at w cancel), so it holds for every w, on or off the geodesic
-    from a to b; the check exists to detect implementation drift.
-    """
-    if tol is None:
-        tol = a.space.default_tol
-    whole = pair(xd, BoundVector(a, b))
-    split = pair(xd, BoundVector(a, w)) + pair(xd, BoundVector(w, b))
-    return abs(whole - split) <= tol
 
 
 def canonical_hilbert(xd: DualVector, dim: Optional[int] = None) -> Tuple[Scalar, ...]:
@@ -437,15 +426,17 @@ def _action(xd: DualVector, tol: float) -> tuple:
     return tuple(weights)
 
 
-def duals_match(xd: DualVector, yd: DualVector, tol: float = 1e-9) -> bool:
+def duals_match(xd: DualVector, yd: DualVector, tol: Optional[float] = None) -> bool:
     """Do xd and yd act alike? Exact keys decide where both duals have one.
 
-    Otherwise xd - yd must act as zero within tol: every number of its
-    action (canonical vector, branch slopes, the H^1 slope, or merged
-    net weights on H^n, n >= 2) is at most tol in size.
+    Otherwise xd - yd must act as zero within tol (default: the space's
+    default_tol): every number of its action (canonical vector, branch
+    slopes, the H^1 slope, or merged net weights on H^n, n >= 2) is at
+    most tol in size.
     """
     if not _compatible(xd.space, yd.space):
         return False
     if xd.key is not None and yd.key is not None:
         return xd.key == yd.key
+    tol = (xd.space or yd.space).default_tol if tol is None else tol
     return all(abs(v) <= tol for v in _action(dual_add(xd, dual_scale(-1, yd)), tol))

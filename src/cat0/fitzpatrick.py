@@ -50,7 +50,6 @@ from .dual import _Potentials, _potential2, dual_add, dual_scale, dual_term, pai
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
 from .geometry import half_of
 from .monotone import (
-    RELATEDNESS_TOL,
     OperatorGraph,
     PropertyReport,
     _gaps2,
@@ -141,9 +140,10 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
 
 
 def fitzpatrick_forms_agree(
-    g: OperatorGraph, p: Point, q: PairedPoint, tol: float = 1e-9
+    g: OperatorGraph, p: Point, q: PairedPoint, tol: Optional[float] = None
 ) -> bool:
-    """Do the three forms agree within tol at this query?"""
+    """Do the three forms agree within tol (default: the space's default_tol)?"""
+    tol = p.space.default_tol if tol is None else tol
     forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
     return agree(tuple(form(g, p, q) for form in forms), tol)
 
@@ -153,7 +153,8 @@ class SLevelReport:
     """Partition of a universe by transform-vs-coupling comparison.
 
     below/equal/above hold universe indices classified with the band
-    |transform - coupling| <= tol; gaps holds the signed differences
+    |transform - coupling| <= tol, the tol that also decides relatedness
+    and pair matching; gaps holds the signed differences
     (transform minus coupling, -inf possible on an empty graph). checks
     records the expected cross properties; entries are None when their
     premise does not apply.
@@ -172,7 +173,7 @@ def level_set_report(
     g: OperatorGraph,
     p: Point,
     universe: Sequence[PairedPoint],
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> SLevelReport:
     """Classify every universe pair and run the level-set cross checks.
 
@@ -181,8 +182,9 @@ def level_set_report(
     inside the equality band; a maximal-relative graph must exhaust the
     equality region and leave the strictly-below region empty; and
     equality region == graph with nothing below forces relative
-    maximality.
+    maximality. tol defaults to the space's default_tol.
     """
+    tol = p.space.default_tol if tol is None else tol
     in_universe = _PairSet(universe, tol)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
@@ -211,9 +213,9 @@ def level_set_report(
 
     in_graph = _PairSet(g.pairs, tol)
     graph_idx = {i for i, q in enumerate(universe) if q in in_graph}
-    polar_idx = set(_polar_indices(pot, gids, uids, RELATEDNESS_TOL))
+    polar_idx = set(_polar_indices(pot, gids, uids, tol))
 
-    mono = _monotone_report(pot, g.pairs, gids, RELATEDNESS_TOL).holds
+    mono = _monotone_report(pot, g.pairs, gids, tol).holds
     # is_maximal_relative's test, on the sets already in hand
     maxrel = mono and polar_idx <= graph_idx
     at_most = set(below) | set(equal)
@@ -238,14 +240,18 @@ def level_set_report(
     )
 
 
-def s_map(h: FunctionTable, p: Optional[Point] = None, tol: float = 1e-9) -> OperatorGraph:
+def s_map(
+    h: FunctionTable, p: Optional[Point] = None, tol: Optional[float] = None
+) -> OperatorGraph:
     """The graph of pairs where the table meets its coupling.
 
-    Collects listed pairs with finite value within tol of pi_p; this is
-    the operator a representable table encodes.
+    Collects listed pairs with finite value within tol (default: the
+    space's default_tol) of pi_p; this is the operator a representable
+    table encodes.
     """
     if p is None:
         p = h.p
+    tol = p.space.default_tol if tol is None else tol
     selected = tuple(
         q
         for q, v in h.entries
@@ -259,17 +265,19 @@ def roundtrip_check(
     p: Optional[Point] = None,
     universe: Optional[Sequence[PairedPoint]] = None,
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> PropertyReport:
     """Does transform-of-s_map reproduce the table on its own entries?
 
     Precondition: the table passes the membership check relative to the
     universe (default: its own domain); failures raise
     RepresentationPreconditionError rather than reporting False, so a
-    wrong input is never confused with a failed identity.
+    wrong input is never confused with a failed identity. One tol
+    (default: the space's default_tol) serves all three steps.
     """
     if p is None:
         p = h.p
+    tol = p.space.default_tol if tol is None else tol
     if universe is None:
         universe = h.domain
     membership = gamma_p_membership(h, p, universe, lambda_grid=lambda_grid, tol=tol)
@@ -327,7 +335,7 @@ def convexity_check_fitz(
     p: Point,
     candidate_pairs: Sequence[Tuple[PairedPoint, PairedPoint]],
     lambda_grid: Sequence[Scalar] = DEFAULT_LAMBDA_GRID,
-    tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> FitzConvexityReport:
     """Convexity of the transform along segments satisfying its precondition.
 
@@ -335,8 +343,10 @@ def convexity_check_fitz(
     {a.x, b.x} x range(g) has the lower coupling-convexity property at
     p; candidate pairs failing that precondition are skipped and
     counted, the rest are checked on the lambda grid with dual-slot
-    combinations taken formally.
+    combinations taken formally. One tol (default: the space's
+    default_tol) bounds the precondition and the inequality.
     """
+    tol = p.space.default_tol if tol is None else tol
     if not g.pairs:
         return FitzConvexityReport(holds=True, witness=None, checked_pairs=0, skipped_pairs=0)
     checked = 0
@@ -347,7 +357,7 @@ def convexity_check_fitz(
         precondition_set = tuple(
             PairedPoint(x, xd) for x in (qa.x, qb.x) for xd in rng_duals
         )
-        fl = f_property_check(precondition_set, p, lambda_grid)
+        fl = f_property_check(precondition_set, p, lambda_grid, tol)
         if not fl.lower.holds:
             skipped += 1
             continue

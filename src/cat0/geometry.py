@@ -83,8 +83,7 @@ def check_cn_inequality(
     x: Point, y: Point, z: Point, t: Scalar, tol: Optional[float] = None
 ) -> CnReport:
     """Compare d(z, geodesic)^2 with the chord bound at parameter t."""
-    if tol is None:
-        tol = x.space.default_tol
+    tol = x.space.default_tol if tol is None else tol
     g = geodesic_point(x, y, t)
     lhs = dist_sq(z, g)
     rhs = (1 - t) * dist_sq(z, x) + t * dist_sq(z, y) - t * (1 - t) * dist_sq(x, y)
@@ -105,8 +104,7 @@ def check_cauchy_schwarz(
     xy: BoundVector, uv: BoundVector, tol: Optional[float] = None
 ) -> CauchySchwarzReport:
     """Check |<xy,uv>| against the product of the two lengths."""
-    if tol is None:
-        tol = xy.space.default_tol
+    tol = xy.space.default_tol if tol is None else tol
     pairing = quasilinearization(xy, uv)
     bound = distance(xy.tail, xy.head) * distance(uv.tail, uv.head)
     return CauchySchwarzReport(pairing=pairing, bound=bound, holds=abs(pairing) <= bound + tol)

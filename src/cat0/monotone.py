@@ -41,11 +41,10 @@ from .conjugate import (
     PairedPoint,
     _PairSet,
 )
-from .dual import DualVector, _Potentials, _potential2, pair
+from .dual import DualVector, _Potentials, _potential2
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
-    BoundVector,
     GeometryError,
     Point,
     SpaceHandle,
@@ -56,7 +55,6 @@ __all__ = [
     "OperatorGraph",
     "PropertyReport",
     "FPropertyReport",
-    "RELATEDNESS_TOL",
     "relatedness_gap",
     "monotonically_related",
     "is_monotone",
@@ -65,10 +63,6 @@ __all__ = [
     "f_property_check",
     "flatness_check",
 ]
-
-# how far below zero the relatedness pairing may sit before it counts
-# as a violation (float slack)
-RELATEDNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,22 +120,24 @@ def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
 
 
 def monotonically_related(
-    q1: PairedPoint, q2: PairedPoint, tol: float = RELATEDNESS_TOL
+    q1: PairedPoint, q2: PairedPoint, tol: Optional[float] = None
 ) -> bool:
     """Is the relatedness pairing >= -tol? Symmetric in its arguments."""
+    tol = q1.x.space.default_tol if tol is None else tol
     return relatedness_gap(q1, q2) >= -tol
 
 
 # The sweeps compare doubled gaps with -2 tol: doubling is exact on
 # ints, Fractions and floats, so each verdict is the one the halved gap
-# would give, without building a Fraction per comparison.
+# would give, without building a Fraction per comparison. A tol of None
+# is the default_tol of the potential table's space.
 
 
 def _monotone_report(
-    pot: _Potentials, pairs: Sequence[PairedPoint], ids: List[Tuple[int, int]], tol: float
+    pot: _Potentials, pairs: Sequence[PairedPoint], ids: List[Tuple[int, int]], tol: Optional[float]
 ) -> PropertyReport:
     """is_monotone on pairs already indexed in pot."""
-    floor = -2 * tol
+    floor = -2 * pot.tol(tol)
     for i in range(len(ids)):
         for j, gap2 in enumerate(_gaps2(pot, ids[i], ids[i + 1:]), i + 1):
             if gap2 < floor:
@@ -156,10 +152,10 @@ def _polar_indices(
     pot: _Potentials,
     member_ids: List[Tuple[int, int]],
     ids: List[Tuple[int, int]],
-    tol: float,
+    tol: Optional[float],
 ) -> List[int]:
     """Positions in ids of the pairs related to every member."""
-    floor = -2 * tol
+    floor = -2 * pot.tol(tol)
     return [
         i
         for i, u in enumerate(ids)
@@ -168,7 +164,7 @@ def _polar_indices(
 
 
 def is_monotone(
-    g: Union[OperatorGraph, Sequence[PairedPoint]], tol: float = RELATEDNESS_TOL
+    g: Union[OperatorGraph, Sequence[PairedPoint]], tol: Optional[float] = None
 ) -> PropertyReport:
     """Pairwise relatedness of all graph pairs; witness on first failure."""
     pairs = g.pairs if isinstance(g, OperatorGraph) else tuple(g)
@@ -179,7 +175,7 @@ def is_monotone(
 def monotone_polar(
     m: Union[OperatorGraph, Sequence[PairedPoint]],
     universe: Sequence[PairedPoint],
-    tol: float = RELATEDNESS_TOL,
+    tol: Optional[float] = None,
 ) -> Tuple[PairedPoint, ...]:
     """Members of the universe related to every member of m.
 
@@ -195,18 +191,18 @@ def monotone_polar(
 def is_maximal_relative(
     g: OperatorGraph,
     universe: Sequence[PairedPoint],
-    tol: float = RELATEDNESS_TOL,
-    match_tol: float = 1e-9,
+    tol: Optional[float] = None,
 ) -> PropertyReport:
     """Monotone, and no universe pair outside g is related to all of g.
 
     Requires the universe to contain the graph (membership by action:
     exact on exact inputs, otherwise points and dual actions within
-    match_tol, see duals_match); a strictly monotone extension point in
-    the universe is returned as the witness. Maximality here is always
-    relative to the given finite universe.
+    tol, see duals_match); a strictly monotone extension point in the
+    universe is returned as the witness. tol bounds relatedness and
+    matching alike. Maximality here is always relative to the given
+    finite universe.
     """
-    in_universe = _PairSet(universe, match_tol)
+    in_universe = _PairSet(universe, tol)
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
     pot = _Potentials()
@@ -214,7 +210,7 @@ def is_maximal_relative(
     mono = _monotone_report(pot, g.pairs, gids, tol)
     if not mono.holds:
         return mono
-    in_graph = _PairSet(g.pairs, match_tol)
+    in_graph = _PairSet(g.pairs, tol)
     for i in _polar_indices(pot, gids, pot.index(universe), tol):
         if universe[i] not in in_graph:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
@@ -231,40 +227,29 @@ def f_property_check(
 
     Quantifies over every dual in the range of m, every ordered pair of
     domain points, and every lambda on the grid. Witnesses carry both
-    sides of the first failing comparison.
+    sides of the first failing comparison. Each landing point is
+    computed once, and every pairing is read from one potential table.
     """
     pairs = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
-    if tol is None:
-        tol = p.space.default_tol
-    dom = []
-    rng = []
-    for q in pairs:
-        if q.x not in dom:
-            dom.append(q.x)
-        if q.xd not in rng:
-            rng.append(q.xd)
-
+    tol = p.space.default_tol if tol is None else tol
+    dom = list(dict.fromkeys(q.x for q in pairs))
+    pot = _Potentials()
+    zp = pot.point(p)
+    # (x, y, lam) with the table indices of x, y and their landing point
+    segments = [(x, y, lam, pot.point(x), pot.point(y), pot.point(geodesic_point(x, y, lam)))
+                for x in dom for y in dom for lam in lambda_grid]
     lower_w: Optional[dict] = None
     upper_w: Optional[dict] = None
-    for xd in rng:
-        for x in dom:
-            for y in dom:
-                for lam in lambda_grid:
-                    mid = geodesic_point(x, y, lam)
-                    along = pair(xd, BoundVector(p, mid))
-                    chord = (1 - lam) * pair(xd, BoundVector(p, x)) + lam * pair(
-                        xd, BoundVector(p, y)
-                    )
-                    if lower_w is None and along > chord + tol:
-                        lower_w = {
-                            "xd": xd, "x": x, "y": y, "lam": lam,
-                            "along": along, "chord": chord,
-                        }
-                    if upper_w is None and along < chord - tol:
-                        upper_w = {
-                            "xd": xd, "x": x, "y": y, "lam": lam,
-                            "along": along, "chord": chord,
-                        }
+    for xd in dict.fromkeys(q.xd for q in pairs):
+        d = pot.dual(xd)
+        at_p = pot(d, zp)
+        for x, y, lam, zx, zy, zm in segments:
+            along = half_of(pot(d, zm) - at_p)
+            chord = (1 - lam) * half_of(pot(d, zx) - at_p) + lam * half_of(pot(d, zy) - at_p)
+            if lower_w is None and along > chord + tol:
+                lower_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
+            if upper_w is None and along < chord - tol:
+                upper_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
     return FPropertyReport(
         lower=PropertyReport(holds=lower_w is None, witness=lower_w),
         upper=PropertyReport(holds=upper_w is None, witness=upper_w),
@@ -282,8 +267,7 @@ def flatness_check(
     Flat (Euclidean-like) behavior means the comparison holds with
     equality everywhere; the witness is the first strict configuration.
     """
-    if tol is None:
-        tol = space.default_tol
+    tol = space.default_tol if tol is None else tol
     for x, y, z in triples:
         for t in t_grid:
             rep = check_cn_inequality(x, y, z, t, tol)

@@ -81,7 +81,7 @@ class SpaceHandle:
 
     @property
     def default_tol(self) -> float:
-        """Comparison tolerance: closed-form spaces are tight, arccosh is not."""
+        """The default of every comparison tolerance: closed forms are tight, arccosh is not."""
         return 1e-7 if self.kind == HYPERBOLIC else 1e-9
 
 

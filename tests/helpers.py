@@ -23,6 +23,7 @@ from cat0 import (
     fitzpatrick_sup,
     make_point,
     monotone_polar,
+    pair,
     pair_in,
     zero_dual,
 )
@@ -30,6 +31,22 @@ from cat0.extreal import NEG_INF, ExtReal, Scalar, ext
 from cat0.spaces import BoundVector
 
 ORIGIN2 = make_point(euclidean(2), (0, 0))
+
+
+def chain_split_check(
+    xd: DualVector, a: Point, b: Point, w: Point, tol: Optional[float] = None
+) -> bool:
+    """Does <xd, ab-> equal <xd, aw-> + <xd, wb-> within tol?
+
+    This is an algebraic identity of the pairing (the squared-distance
+    terms at w cancel), so it holds for every w, on or off the geodesic
+    from a to b; the check exists to detect implementation drift.
+    """
+    if tol is None:
+        tol = a.space.default_tol
+    whole = pair(xd, BoundVector(a, b))
+    split = pair(xd, BoundVector(a, w)) + pair(xd, BoundVector(w, b))
+    return abs(whole - split) <= tol
 
 
 def int_points(space: SpaceHandle, rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> List[Point]:

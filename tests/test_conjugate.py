@@ -191,6 +191,27 @@ def test_average_lower_bound_rejects_a_table_infinite_on_the_universe():
         avg_lowerbound_check(h, ORIGIN2, [_pp((2, 0), (0, 1))])
 
 
+def test_average_lower_bound_reads_each_potential_once(monkeypatch):
+    import cat0.dual
+    import cat0.geometry
+    import cat0.spaces
+
+    h = random_proper_table(random.Random(3), E2, 8)  # 8 points, 7 one-term duals
+    calls = [0]
+    real = cat0.spaces.dist_sq
+
+    def counted(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    for module in (cat0.spaces, cat0.dual, cat0.geometry):
+        monkeypatch.setattr(module, "dist_sq", counted)
+    assert avg_lowerbound_check(h, ORIGIN2, h.domain)
+    # each dual's potential at each table point and at p, two squared
+    # distances each; one conjugate per universe pair made 432
+    assert calls[0] == 7 * 9 * 2
+
+
 # ---------------------------------------------------------------------------
 # membership in the representable class
 
@@ -381,7 +402,8 @@ def test_membership_equals_the_reference_on_the_tolerance_path(kind, grid, data)
     # pairs without an exact key: matched within tol, duals compared by action
     h, p, universe = data.draw(_gamma_instance(kind))
     want = _reference_gamma(h, p, universe, GRIDS[grid])
-    _assert_same_report(gamma_p_membership(h, p, universe, lambda_grid=GRIDS[grid]), want, kind)
+    got = gamma_p_membership(h, p, universe, lambda_grid=GRIDS[grid], tol=1e-9)
+    _assert_same_report(got, want, kind)
 
 
 WITNESS_TABLES = {

@@ -10,7 +10,6 @@ from cat0 import (
     GeometryError,
     SpaceMismatchError,
     canonical_hilbert,
-    chain_split_check,
     distance,
     dual_add,
     dual_norm_approx,
@@ -30,7 +29,7 @@ from cat0 import (
 )
 from cat0.spaces import BoundVector
 from conftest import euclid_points, rtree_points, small_fractions
-from helpers import bound_vectors_between, hilbert_inner
+from helpers import bound_vectors_between, chain_split_check, hilbert_inner
 
 
 def _bv(space, a, b):
@@ -259,8 +258,8 @@ def test_hyperbolic_line_duals_match_by_arc_length():
     h1 = hyperbolic(1)
     ab = dual_term(1.0, _on_curve(h1, 0.0), _on_curve(h1, 1.0))
     cd = dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.0))
-    assert duals_match(ab, cd)
-    assert not duals_match(ab, dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.5)))
+    assert duals_match(ab, cd, tol=1e-9)
+    assert not duals_match(ab, dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.5)), tol=1e-9)
 
 
 def test_hyperbolic_plane_duals_differ_by_where_they_sit():
@@ -268,7 +267,7 @@ def test_hyperbolic_plane_duals_differ_by_where_they_sit():
     h2 = hyperbolic(2)
     ab = dual_term(1.0, _on_curve(h2, 0.0), _on_curve(h2, 1.0))
     cd = dual_term(1.0, _on_curve(h2, 2.0), _on_curve(h2, 3.0))
-    assert not duals_match(ab, cd)
+    assert not duals_match(ab, cd, tol=1e-9)
     v = BoundVector(_on_curve(h2, 0.0), make_point(h2, (0.0, 1.0, math.sqrt(2.0))))
     assert abs(pair(ab, v) - pair(cd, v)) > 0.1
 

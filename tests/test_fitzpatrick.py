@@ -45,7 +45,6 @@ from cat0 import (
     zero_dual,
 )
 from cat0.geometry import quasilinearization
-from cat0.monotone import RELATEDNESS_TOL
 from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
@@ -114,7 +113,7 @@ def test_three_forms_agree_on_random_graphs(rng, any_space):
         assert a.is_finite and b.is_finite and c.is_finite
         vals = (a.value, b.value, c.value)
         assert max(vals) - min(vals) <= 1e-9
-        assert fitzpatrick_forms_agree(g, p, q)
+        assert fitzpatrick_forms_agree(g, p, q, tol=1e-9)
 
 
 def test_forms_agree_exactly_on_rational_tree_instances(rng):
@@ -369,12 +368,13 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
 def test_set_sweeps_equal_the_single_query_functions(kind, data):
     g, p, universe = data.draw(_instance(kind))
     same = functools.partial(_same, kind)
+    tol = 1e-9  # below the hyperboloid's default, as every check here was written
 
-    report = level_set_report(g, p, universe)
+    report = level_set_report(g, p, universe, tol)
     direct = [fitzpatrick_sup(g, p, q) - coupling_pi(p, q) for q in universe]
     assert all(same(a, b) for a, b in zip(report.gaps, direct))
     assert report.equal == tuple(
-        i for i, gap in enumerate(direct) if gap.is_finite and abs(gap.value) <= 1e-9
+        i for i, gap in enumerate(direct) if gap.is_finite and abs(gap.value) <= tol
     )
     assert report.below == tuple(
         i for i, gap in enumerate(direct) if gap < 0 and i not in report.equal
@@ -385,19 +385,19 @@ def test_set_sweeps_equal_the_single_query_functions(kind, data):
         (a, b)
         for i, a in enumerate(pairs)
         for b in pairs[i + 1:]
-        if not monotonically_related(a, b)
+        if not monotonically_related(a, b, tol)
     ]
-    mono = is_monotone(g)
+    mono = is_monotone(g, tol)
     assert mono.holds == report.monotone == (not unrelated)
     if unrelated:
         a, b = unrelated[0]
         assert (mono.witness["pair_a"], mono.witness["pair_b"]) == (a, b)
         assert same(mono.witness["gap"], relatedness_gap(a, b))
 
-    polar = tuple(u for u in universe if all(monotonically_related(u, q) for q in pairs))
-    assert monotone_polar(g, universe) == polar
-    maximal = not unrelated and all(pair_in(u, pairs) for u in polar)
-    assert report.maximal_relative == is_maximal_relative(g, universe).holds == maximal
+    polar = tuple(u for u in universe if all(monotonically_related(u, q, tol) for q in pairs))
+    assert monotone_polar(g, universe, tol) == polar
+    maximal = not unrelated and all(pair_in(u, pairs, tol) for u in polar)
+    assert report.maximal_relative == is_maximal_relative(g, universe, tol).holds == maximal
 
 
 def test_distinct_maximal_graphs_have_distinct_transforms(rng):

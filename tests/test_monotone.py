@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from cat0 import (
+    DEFAULT_LAMBDA_GRID,
     GeometryError,
     OperatorGraph,
     SpaceMismatchError,
@@ -15,6 +17,7 @@ from cat0 import (
     euclidean,
     f_property_check,
     flatness_check,
+    geodesic_point,
     hyperbolic,
     is_maximal_relative,
     is_monotone,
@@ -22,12 +25,14 @@ from cat0 import (
     make_point,
     monotone_polar,
     monotonically_related,
+    pair,
     pair_in,
     relatedness_gap,
     rtree,
     sample_points,
     zero_dual,
 )
+from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
     greedy_monotone_subset,
@@ -115,7 +120,7 @@ def test_anchored_scaling_operator_monotone(any_space):
         space,
         tuple(PairedPoint(x, dual_term(1, a, x)) for x in pts[1:] if x != a),
     )
-    assert is_monotone(graph).holds
+    assert is_monotone(graph, tol=1e-9).holds
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,69 @@ def test_negated_witness_fails_lower_property():
     rep = f_property_check(members, xw, lambda_grid=(0, Fraction(1, 2), 1))
     assert not rep.lower.holds
     assert rep.upper.holds
+
+
+def _reference_f_property(members, p, grid, tol):
+    """f_property_check spelled out with one pairing per comparison."""
+    dom = list(dict.fromkeys(q.x for q in members))
+    rng = list(dict.fromkeys(q.xd for q in members))
+    found = {"lower": None, "upper": None}
+    for xd, x, y, lam in itertools.product(rng, dom, dom, grid):
+        along = pair(xd, BoundVector(p, geodesic_point(x, y, lam)))
+        chord = (1 - lam) * pair(xd, BoundVector(p, x)) + lam * pair(xd, BoundVector(p, y))
+        for side, fails in (("lower", along > chord + tol), ("upper", along < chord - tol)):
+            if found[side] is None and fails:
+                found[side] = {"xd": xd, "x": x, "y": y, "lam": lam, "along": along, "chord": chord}
+    return {side: (w is None, w) for side, w in found.items()}
+
+
+def _f_property_cases():
+    import math
+
+    space = hyperbolic(2)
+    aw = make_point(space, (1.0, 0.0, math.sqrt(2.0)))
+    bw = make_point(space, (-1.0, 0.0, math.sqrt(2.0)))
+    xw = make_point(space, (0.0, 1.0, math.sqrt(2.0)))
+    xdw = dual_term(1.0, aw, bw)
+    tree = rtree()
+    tips = [make_point(tree, (k, Fraction(1, 2))) for k in (1, 2, 3)]
+    grid = (0, Fraction(1, 2), 1)
+    yield (PairedPoint(xw, xdw), PairedPoint(bw, xdw)), xw, grid
+    yield (PairedPoint(xw, dual_scale(-1, xdw)), PairedPoint(bw, dual_scale(-1, xdw))), xw, grid
+    yield tuple(PairedPoint(t, dual_term(1, tips[0], tips[2])) for t in tips), tips[1], grid
+    yield greedy_monotone_subset(random.Random(1), small_universe(side=3), 4), ORIGIN2, DEFAULT_LAMBDA_GRID
+
+
+def test_f_property_witnesses_equal_the_single_pairing_reference():
+    for members, p, grid in _f_property_cases():
+        tol = p.space.default_tol
+        rep = f_property_check(members, p, grid)
+        want = _reference_f_property(members, p, grid, tol)
+        assert (rep.lower.holds, rep.lower.witness) == want["lower"]
+        assert (rep.upper.holds, rep.upper.witness) == want["upper"]
+
+
+def test_f_property_reads_each_potential_once(monkeypatch):
+    import cat0.dual
+    import cat0.geometry
+    import cat0.spaces
+
+    members = greedy_monotone_subset(random.Random(1), small_universe(side=3), 4)
+    calls = [0]
+    real = cat0.spaces.dist_sq
+
+    def counted(x, y):
+        calls[0] += 1
+        return real(x, y)
+
+    for module in (cat0.spaces, cat0.dual, cat0.geometry):
+        monkeypatch.setattr(module, "dist_sq", counted)
+    rep = f_property_check(members, ORIGIN2)
+    assert rep.lower.holds and rep.upper.holds
+    # one zero and one one-term dual; the one-term dual's potential at the
+    # 12 distinct points (p, 3 domain points, the landing points), two
+    # squared distances each; three pairings per comparison made 384
+    assert calls[0] == 12 * 2
 
 
 # ---------------------------------------------------------------------------
