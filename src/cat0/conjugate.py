@@ -32,9 +32,11 @@ listed points is skipped without building its dual, while lam = 0 or 1
 lands on its own endpoint pair and passes. Tables holding a float, on
 the hyperboloid or with a float grid compare every combination within
 tol, its dual by action (see cat0.dual). The conjugate term is written
-once, in the potentials of cat0.dual._potential2 (_conjugate), for
-fenchel_conjugate_p, avg_lowerbound_check and the fixed-point identity;
-the last two read one potential table per call.
+once, in the potentials of cat0.dual._potential2 (_conjugate), on
+(point, dual) handles: rows are handles with a doubled value, for
+fenchel_conjugate_p, the conjugate form of the transform,
+avg_lowerbound_check and the fixed-point identity; the last two read
+one potential table per call.
 """
 
 from __future__ import annotations
@@ -232,8 +234,8 @@ def fenchel_conjugate_p(
     entirely +inf) universe the sup is -inf.
     """
     values = _values(h, h._listed, universe)
-    rows = ((q.x, q.xd.terms, 2 * v.value) for q, v in zip(universe, values) if not v.is_pos_inf)
-    return _conjugate(_potential2, p, rows, (x, xd.terms))
+    rows = ((q.x, q.xd, 2 * v.value) for q, v in zip(universe, values) if not v.is_pos_inf)
+    return _conjugate(_potential2, p, rows, (x, xd))
 
 
 def _values(h: FunctionTable, listed: _PairSet, pairs: Sequence[PairedPoint]) -> list:

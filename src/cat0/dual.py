@@ -8,7 +8,22 @@ on a bound vector ab-> by
 
 where w_x, the net weight at x, is the sum of the coefficients of the
 terms with tail x minus those of the terms with head x. Every action is
-computed from 2F as _potential2 gives it. Structurally
+computed from 2F as _potential2 gives it.
+
+On the exact spaces 2F is affine, so an exact dual is evaluated from
+its form (DualVector._offset and _linear) without any distance:
+
+* Euclidean: 2F(z) = sum_i c_i (|t_i|^2 - |h_i|^2) + 2 <v, z>, with v
+  the canonical vector sum_i c_i (h_i - t_i), since the |z|^2 terms
+  cancel;
+* tree: 2F(k, s) = 2F(root) + 2 slope_k s, with the branch slopes of
+  _tree_slopes, since the s^2 terms cancel.
+
+v and the slopes are the key below, and the offset (2F at the origin
+or root) cancels in every pairing, which is a difference of two
+potentials; it is kept so that 2F itself is exact. The hyperboloid,
+float duals and float points keep the sum of squared distances, so
+their values are those of the sum bit for bit. Structurally
 different combinations can act identically (flipping a term's
 orientation and its sign, or splitting a term at an intermediate point,
 never changes the action), so equality of duals is equality of actions,
@@ -139,17 +154,40 @@ class DualVector:
         _tree_slopes). The zero action keys as () on every space, so the
         zero dual, which carries no space, shares it. None where no
         exact key exists: on the hyperboloid and for any float
-        coefficient or coordinate. Computed on first use, then kept.
+        coefficient or coordinate. Read from _linear, the linear part of
+        the potential that _potential2 evaluates, so computed once.
         """
         space = self.space
         if space is None:
             return ()
-        if space.kind == HYPERBOLIC or not all(
-            is_exact((c,) + bv.tail.payload + bv.head.payload) for c, bv in self.terms
-        ):
+        linear = None if space.kind == HYPERBOLIC else self._linear
+        if linear is None:
             return None
-        key = canonical_hilbert(self) if space.kind == EUCLIDEAN else _tree_slopes(self.terms)
-        return key if any(key) else ()
+        return linear if any(linear) else ()
+
+    # The exact form of 2F is _offset + 2 <_linear, z> (see the module
+    # docstring and _potential2). Both parts are read only on a nonzero
+    # dual off the hyperboloid, so no hyperboloid dual stores them. They
+    # are kept apart because matching pairs by key builds many duals
+    # that are never evaluated, and those never compute an offset.
+
+    @cached_property
+    def _linear(self) -> Optional[tuple]:
+        """The canonical vector v, or the tree slopes (default, ((branch, slope), ...)).
+
+        None for any float coefficient or coordinate.
+        """
+        if not all(is_exact((c,) + bv.tail.payload + bv.head.payload) for c, bv in self.terms):
+            return None
+        return canonical_hilbert(self) if self.space.kind == EUCLIDEAN else _tree_slopes(self.terms)
+
+    @cached_property
+    def _offset(self) -> Scalar:
+        """2F at the origin (Euclidean) or at the root (tree) of an exact dual."""
+        if self.space.kind == EUCLIDEAN:
+            return sum(c * (sum(a * a for a in bv.tail.payload) - sum(b * b for b in bv.head.payload))
+                       for c, bv in self.terms)
+        return sum(c * (bv.tail.payload[1] ** 2 - bv.head.payload[1] ** 2) for c, bv in self.terms)
 
 
 def is_exact(values: Iterable[Scalar]) -> bool:
@@ -179,15 +217,58 @@ def _tree_slopes(terms) -> tuple:
     return default, tuple(sorted((k, s) for k, s in slopes.items() if s != default))
 
 
-def _potential2(terms, z: Point) -> Scalar:
-    """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual sum_i c_i [t_i h_i->].
+def _potential2(xd: DualVector, z: Point) -> Scalar:
+    """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 
-    The one place a dual's action is computed from distances. Formulas
-    in doubled potentials take (point, dual) handles and a reader
-    P(dual, point) = 2F: _potential2 itself on (Point, terms) handles
-    for a single query, a _Potentials table on index handles for a sweep.
+    The one place a dual's action is computed. Where xd has an exact
+    form and z is exact, 2F(z) is read from the form (see
+    DualVector._linear and the module docstring): offset + 2 <v, z> in
+    Euclidean space, offset + 2 slope_k s on the tree; a point from
+    another space raises, as dist_sq would. The hyperboloid, float
+    duals and float points take the sum of squared distances above.
+
+    Formulas in doubled potentials take (point, dual) handles and a
+    reader P(dual, point) = 2F: _potential2 itself on (Point,
+    DualVector) handles for a single query, a _Potentials table on
+    index handles for a sweep. A graph member's handle also carries its
+    own doubled potential P_y(y.x): kept by the OperatorGraph for a
+    single query (OperatorGraph._self_potentials), read from the table
+    for a sweep (_Potentials.members).
     """
+    terms = xd.terms
+    if not terms:
+        return 0
+    space = xd.space
+    if space.kind != HYPERBOLIC and is_exact(z.payload):
+        linear = xd._linear
+        if linear is not None:
+            if z.space != space:
+                raise SpaceMismatchError(f"points live in different spaces: {space} vs {z.space}")
+            offset = xd._offset
+            if space.kind == EUCLIDEAN:
+                return _affine2(offset, linear, z.payload)
+            (k, s), (slope, branches) = z.payload, linear
+            for branch, branch_slope in branches:
+                if branch == k:
+                    slope = branch_slope
+                    break
+            return _affine2(offset, (slope,), (s,))
     return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in terms)
+
+
+def _affine2(offset: Scalar, vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
+    """offset + 2 sum_i v_i x_i on ints and Fractions, reduced once.
+
+    The sum is kept as one numerator over the product of the
+    denominators, so only the result is reduced to lowest terms (each
+    Fraction operation would reduce its own); an int when all inputs
+    are ints.
+    """
+    num, den = offset.numerator, offset.denominator
+    for v, x in zip(vs, xs):
+        d = v.denominator * x.denominator
+        num, den = num * d + 2 * v.numerator * x.numerator * den, den * d
+    return num if den == 1 else Fraction(num, den)
 
 
 class _Potentials:
@@ -202,8 +283,8 @@ class _Potentials:
     dual's potential at a point is computed on first use (an int on
     integer inputs) and then kept. The first point numbered fixes the
     space: a point from another space raises, as a pairing across
-    spaces would (a zero dual alone never calls dist_sq, so this check
-    is not left to it).
+    spaces would (a zero dual alone evaluates nothing, so this check is
+    not left to _potential2).
     """
 
     def __init__(self):
@@ -211,7 +292,7 @@ class _Potentials:
         self._point_ids: Dict[Point, int] = {}
         self._dual_ids: Dict[DualVector, int] = {}
         self._points: List[Point] = []
-        self._terms: List[tuple] = []  # per dual index
+        self._duals: List[DualVector] = []
         self._values: List[Dict[int, Scalar]] = []  # per dual index: point index -> 2F
 
     def point(self, x: Point) -> int:
@@ -230,14 +311,18 @@ class _Potentials:
     def dual(self, xd: DualVector) -> int:
         d = self._dual_ids.get(xd)
         if d is None:
-            d = self._dual_ids[xd] = len(self._terms)
-            self._terms.append(xd.terms)
+            d = self._dual_ids[xd] = len(self._duals)
+            self._duals.append(xd)
             self._values.append({})
         return d
 
     def index(self, pairs: Sequence) -> List[Tuple[int, int]]:
         """(point index, dual index) of each (point, dual) pair."""
         return [(self.point(q.x), self.dual(q.xd)) for q in pairs]
+
+    def members(self, pairs: Sequence) -> List[Tuple[int, int, Scalar]]:
+        """Member handles (point index, dual index, own doubled potential) of the pairs."""
+        return [(z, d, self(d, z)) for z, d in self.index(pairs)]
 
     def tol(self, tol: Optional[float]) -> float:
         """tol, or the default_tol of the table's space; a table without points compares nothing."""
@@ -250,7 +335,7 @@ class _Potentials:
         values = self._values[d]
         v = values.get(z)
         if v is None:
-            v = values[z] = _potential2(self._terms[d], self._points[z])
+            v = values[z] = _potential2(self._duals[d], self._points[z])
         return v
 
 
@@ -279,7 +364,7 @@ def pair(xd: DualVector, on: BoundVector) -> Scalar:
         )
     if on.is_zero or not xd.terms:
         return 0
-    return half_of(_potential2(xd.terms, on.head) - _potential2(xd.terms, on.tail))
+    return half_of(_potential2(xd, on.head) - _potential2(xd, on.tail))
 
 
 def dual_add(xd: DualVector, yd: DualVector) -> DualVector:

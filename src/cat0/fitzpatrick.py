@@ -12,8 +12,12 @@ transform is computed in three algebraically equal ways:
 The three forms agree term by term through the chain-split identity;
 each keeps its own expression in the potentials of cat0.dual._potential2,
 so computing all of them is a cheap self-check and the agreement is part
-of the CLI output. On an empty graph all three give -inf. The sup-form
-term (_transform2) also serves level_set_report and roundtrip_check.
+of the CLI output. The query is a (point, dual) handle and the graph's
+pairs are member handles carrying their self-potentials P_y(y.x), which
+the OperatorGraph keeps after its first query; the conjugate form reads
+each row's doubled coupling as P_y(y.x) - P_y(p) from them. On an empty
+graph all three give -inf. The sup-form term (_transform2) also serves
+level_set_report and roundtrip_check.
 
 On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
@@ -101,42 +105,42 @@ class RepresentationPreconditionError(GeometryError):
 
 
 def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
-    """Twice fitzpatrick_sup at the handle q over the graph's handles ys.
+    """Twice fitzpatrick_sup at the handle q over the graph's member handles ys.
 
-    Handles and the reader P as in cat0.dual._potential2. A sup-form
-    term at (q, y) is P_q(y.x) - P_q(p) - P_y(y.x) + P_y(q.x) in doubled
-    potentials; P_q(p) is read once. ys must not be empty.
+    Handles and the reader P as in cat0.dual._potential2; a member handle
+    carries P_y(y.x). A sup-form term at (q, y) is P_q(y.x) - P_q(p) -
+    P_y(y.x) + P_y(q.x) in doubled potentials; P_q(p) is read once. ys
+    must not be empty.
     """
     zq, dq = q
     at_p = P(dq, zp)
-    return max(P(dq, zy) - at_p - P(dy, zy) + P(dy, zq) for zy, dy in ys)
+    return max(P(dq, zy) - at_p - own + P(dy, zq) for zy, dy, own in ys)
 
 
 def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Supremum form of the transform at the query pair."""
     if not g.pairs:
         return NEG_INF
-    ys = ((y.x, y.xd.terms) for y in g.pairs)
-    return ExtReal(half_of(_transform2(_potential2, p, ys, (q.x, q.xd.terms))))
+    return ExtReal(half_of(_transform2(_potential2, p, g._members(), (q.x, q.xd))))
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps."""
     if not g.pairs:
         return NEG_INF
-    ys = ((y.x, y.xd.terms) for y in g.pairs)
-    worst = min(_gaps2(_potential2, (q.x, q.xd.terms), ys))
+    worst = min(_gaps2(_potential2, (q.x, q.xd), g._members()))
     return ExtReal(coupling_pi(p, q) - half_of(worst))
 
 
 def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Conjugate form: (coupling + graph indicator)*_p o swap, relative to g.
 
-    The sup runs over g's pairs valued at their couplings; pairs acting
-    alike give equal terms, so none is merged first.
+    The sup runs over g's pairs valued at their couplings, each doubled
+    coupling read as P_y(y.x) - P_y(p) from g's kept self-potentials;
+    pairs acting alike give equal terms, so none is merged first.
     """
-    rows = ((y.x, y.xd.terms, 2 * coupling_pi(p, y)) for y in g.pairs)
-    return _conjugate(_potential2, p, rows, (q.x, q.xd.terms))
+    rows = ((zy, dy, own - _potential2(dy, p)) for zy, dy, own in g._members())
+    return _conjugate(_potential2, p, rows, (q.x, q.xd))
 
 
 def fitzpatrick_forms_agree(
@@ -191,7 +195,7 @@ def level_set_report(
 
     pot = _Potentials()
     uids = pot.index(universe)
-    gids = pot.index(g.pairs)
+    gms = pot.members(g.pairs)
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
@@ -199,8 +203,8 @@ def level_set_report(
     # fitzpatrick_sup minus coupling_pi; the coupling is P_q(q.x) - P_q(p),
     # and the difference is halved once
     gaps = [
-        ExtReal(half_of(_transform2(pot, zp, gids, (zq, dq)) - (pot(dq, zq) - pot(dq, zp))))
-        if gids else NEG_INF
+        ExtReal(half_of(_transform2(pot, zp, gms, (zq, dq)) - (pot(dq, zq) - pot(dq, zp))))
+        if gms else NEG_INF
         for zq, dq in uids
     ]
     for i, gap in enumerate(gaps):
@@ -213,9 +217,9 @@ def level_set_report(
 
     in_graph = _PairSet(g.pairs, tol)
     graph_idx = {i for i, q in enumerate(universe) if q in in_graph}
-    polar_idx = set(_polar_indices(pot, gids, uids, tol))
+    polar_idx = set(_polar_indices(pot, gms, uids, tol))
 
-    mono = _monotone_report(pot, g.pairs, gids, tol).holds
+    mono = _monotone_report(pot, g.pairs, gms, tol).holds
     # is_maximal_relative's test, on the sets already in hand
     maxrel = mono and polar_idx <= graph_idx
     at_most = set(below) | set(equal)
@@ -287,9 +291,9 @@ def roundtrip_check(
     # fitzpatrick_sup at every entry, read from one potential table
     pot = _Potentials()
     zp = pot.point(p)
-    gids = pot.index(g.pairs)
+    gms = pot.members(g.pairs)
     for (q, v), u in zip(h.entries, pot.index(h.domain)):
-        phi = ExtReal(half_of(_transform2(pot, zp, gids, u))) if gids else NEG_INF
+        phi = ExtReal(half_of(_transform2(pot, zp, gms, u))) if gms else NEG_INF
         if not agree((phi, v), tol):
             return PropertyReport(
                 holds=False, witness={"pair": q, "table": v, "transform": phi}

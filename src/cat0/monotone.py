@@ -26,14 +26,19 @@ Flatness itself is sampled through chord-condition equality on supplied
 triples.
 
 The relatedness gap is written once, in doubled potentials (_gaps2,
-see cat0.dual._potential2): relatedness_gap reads it on its two pairs,
-the whole-set sweeps (is_monotone, monotone_polar, is_maximal_relative
-and the level-set report) from one potential table per call.
+see cat0.dual._potential2), between a (point, dual) handle and member
+handles that also carry their own doubled potential P_b(b.x):
+relatedness_gap reads it on its two pairs, the whole-set sweeps
+(is_monotone, monotone_polar, is_maximal_relative and the level-set
+report) from one potential table per call. An OperatorGraph keeps its
+members' self-potentials for the single transform queries of
+cat0.fitzpatrick (see OperatorGraph).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
@@ -67,7 +72,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorGraph:
-    """A finite operator graph over one space."""
+    """A finite operator graph over one space.
+
+    Frozen: the self-potentials P_y(y.x) of its pairs are computed at
+    the first single query (fitzpatrick_sup, fitzpatrick_inf,
+    fitzpatrick_via_conjugate), never when the graph is built, and then
+    kept.
+    """
 
     space: SpaceHandle
     pairs: Tuple[PairedPoint, ...]
@@ -76,6 +87,15 @@ class OperatorGraph:
         for q in self.pairs:
             if q.x.space != self.space:
                 raise GeometryError("graph pair from a different space")
+
+    @cached_property
+    def _self_potentials(self) -> Tuple[Scalar, ...]:
+        """P_y(y.x) of each pair y, aligned with pairs: computed at the first query, then kept."""
+        return tuple(_potential2(q.xd, q.x) for q in self.pairs)
+
+    def _members(self) -> Iterator[Tuple[Point, DualVector, Scalar]]:
+        """Member handles (y.x, y.xd, P_y(y.x)) of the pairs, for the single queries."""
+        return ((q.x, q.xd, own) for q, own in zip(self.pairs, self._self_potentials))
 
     def range_duals(self) -> Tuple[DualVector, ...]:
         seen = []
@@ -102,20 +122,21 @@ class FPropertyReport:
 
 
 def _gaps2(P, a: tuple, bs: Iterable[tuple]) -> Iterator[Scalar]:
-    """Twice relatedness_gap(a, b) for each handle b in bs, in order.
+    """Twice relatedness_gap(a, b) for each member handle b in bs, in order.
 
-    Handles and the reader P as in cat0.dual._potential2. The doubled gap
-    is P_a(a.x) - P_a(b.x) - P_b(a.x) + P_b(b.x); P_a(a.x) is read once.
+    Handles and the reader P as in cat0.dual._potential2; a member handle
+    carries P_b(b.x). The doubled gap is P_a(a.x) - P_a(b.x) - P_b(a.x)
+    + P_b(b.x); P_a(a.x) is read once.
     """
     za, da = a
     own = P(da, za)
-    for zb, db in bs:
-        yield own - P(da, zb) - P(db, za) + P(db, zb)
+    for zb, db, own_b in bs:
+        yield own - P(da, zb) - P(db, za) + own_b
 
 
 def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
     """<q1.xd - q2.xd, q2.x q1.x ->; nonnegative when related."""
-    (gap2,) = _gaps2(_potential2, (q1.x, q1.xd.terms), [(q2.x, q2.xd.terms)])
+    (gap2,) = _gaps2(_potential2, (q1.x, q1.xd), [(q2.x, q2.xd, _potential2(q2.xd, q2.x))])
     return half_of(gap2)
 
 
@@ -134,12 +155,12 @@ def monotonically_related(
 
 
 def _monotone_report(
-    pot: _Potentials, pairs: Sequence[PairedPoint], ids: List[Tuple[int, int]], tol: Optional[float]
+    pot: _Potentials, pairs: Sequence[PairedPoint], members: List[tuple], tol: Optional[float]
 ) -> PropertyReport:
-    """is_monotone on pairs already indexed in pot."""
+    """is_monotone on pairs whose member handles in pot are given."""
     floor = -2 * pot.tol(tol)
-    for i in range(len(ids)):
-        for j, gap2 in enumerate(_gaps2(pot, ids[i], ids[i + 1:]), i + 1):
+    for i in range(len(members)):
+        for j, gap2 in enumerate(_gaps2(pot, members[i][:2], members[i + 1:]), i + 1):
             if gap2 < floor:
                 return PropertyReport(
                     holds=False,
@@ -150,16 +171,16 @@ def _monotone_report(
 
 def _polar_indices(
     pot: _Potentials,
-    member_ids: List[Tuple[int, int]],
+    members: List[tuple],
     ids: List[Tuple[int, int]],
     tol: Optional[float],
 ) -> List[int]:
-    """Positions in ids of the pairs related to every member."""
+    """Positions in ids of the pairs related to every member (given by member handles)."""
     floor = -2 * pot.tol(tol)
     return [
         i
         for i, u in enumerate(ids)
-        if all(gap2 >= floor for gap2 in _gaps2(pot, u, member_ids))
+        if all(gap2 >= floor for gap2 in _gaps2(pot, u, members))
     ]
 
 
@@ -169,7 +190,7 @@ def is_monotone(
     """Pairwise relatedness of all graph pairs; witness on first failure."""
     pairs = g.pairs if isinstance(g, OperatorGraph) else tuple(g)
     pot = _Potentials()
-    return _monotone_report(pot, pairs, pot.index(pairs), tol)
+    return _monotone_report(pot, pairs, pot.members(pairs), tol)
 
 
 def monotone_polar(
@@ -184,7 +205,7 @@ def monotone_polar(
     """
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
     pot = _Potentials()
-    polar = _polar_indices(pot, pot.index(members), pot.index(universe), tol)
+    polar = _polar_indices(pot, pot.members(members), pot.index(universe), tol)
     return tuple(universe[i] for i in polar)
 
 
@@ -206,12 +227,12 @@ def is_maximal_relative(
     if any(q not in in_universe for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
     pot = _Potentials()
-    gids = pot.index(g.pairs)
-    mono = _monotone_report(pot, g.pairs, gids, tol)
+    gms = pot.members(g.pairs)
+    mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono
     in_graph = _PairSet(g.pairs, tol)
-    for i in _polar_indices(pot, gids, pot.index(universe), tol):
+    for i in _polar_indices(pot, gms, pot.index(universe), tol):
         if universe[i] not in in_graph:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)

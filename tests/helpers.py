@@ -225,3 +225,46 @@ def classical_conjugate_oracle(
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else ExtReal(best)
+
+
+def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True) -> List[int]:
+    """Patch name in each module to count its calls, those where counts(*args) holds.
+
+    Returns a one-element list holding the count; assign 0 to reset it.
+    """
+    calls = [0]
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        if counts(*args):
+            calls[0] += 1
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_potentials(monkeypatch) -> List[int]:
+    """Count the potential evaluations (cat0.dual._potential2) of nonzero duals.
+
+    A zero dual's potential is 0 without any work, so it is not counted:
+    one evaluation stands where a one-term dual's potential cost two
+    squared distances.
+    """
+    import cat0.conjugate
+    import cat0.dual
+    import cat0.fitzpatrick
+    import cat0.monotone
+
+    modules = (cat0.dual, cat0.monotone, cat0.conjugate, cat0.fitzpatrick)
+    return count_calls(monkeypatch, "_potential2", modules, lambda xd, z: bool(xd.terms))
+
+
+def count_dist_sq(monkeypatch) -> List[int]:
+    """Count squared distances, wherever the library imports dist_sq."""
+    import cat0.dual
+    import cat0.geometry
+    import cat0.spaces
+
+    return count_calls(monkeypatch, "dist_sq", (cat0.spaces, cat0.dual, cat0.geometry))

@@ -43,6 +43,9 @@ from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
     classical_conjugate_oracle,
+    count_calls,
+    count_dist_sq,
+    count_potentials,
     greedy_monotone_subset,
     maximal_relative_graph,
     random_proper_table,
@@ -192,24 +195,14 @@ def test_average_lower_bound_rejects_a_table_infinite_on_the_universe():
 
 
 def test_average_lower_bound_reads_each_potential_once(monkeypatch):
-    import cat0.dual
-    import cat0.geometry
-    import cat0.spaces
-
     h = random_proper_table(random.Random(3), E2, 8)  # 8 points, 7 one-term duals
-    calls = [0]
-    real = cat0.spaces.dist_sq
-
-    def counted(x, y):
-        calls[0] += 1
-        return real(x, y)
-
-    for module in (cat0.spaces, cat0.dual, cat0.geometry):
-        monkeypatch.setattr(module, "dist_sq", counted)
+    potentials = count_potentials(monkeypatch)
+    squares = count_dist_sq(monkeypatch)
     assert avg_lowerbound_check(h, ORIGIN2, h.domain)
-    # each dual's potential at each table point and at p, two squared
-    # distances each; one conjugate per universe pair made 432
-    assert calls[0] == 7 * 9 * 2
+    # each dual's potential at each table point and at p, evaluated once
+    # from its form
+    assert potentials[0] == 7 * 9
+    assert squares[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,38 +462,26 @@ def _benchmark_shaped_tables():
 
 def test_membership_counts_its_operations(monkeypatch):
     import cat0.conjugate
-    import cat0.dual
-    import cat0.geometry
 
-    calls = {"dist_sq": 0, "geodesic_point": 0}
-    real_dist_sq, real_geodesic = cat0.dual.dist_sq, cat0.conjugate.geodesic_point
-
-    def dist_sq(x, y):
-        calls["dist_sq"] += 1
-        return real_dist_sq(x, y)
-
-    def geodesic(x, y, lam):
-        calls["geodesic_point"] += 1
-        return real_geodesic(x, y, lam)
-
-    for module in (cat0.dual, cat0.geometry):
-        monkeypatch.setattr(module, "dist_sq", dist_sq)
-    monkeypatch.setattr(cat0.conjugate, "geodesic_point", geodesic)
+    potentials = count_potentials(monkeypatch)
+    squares = count_dist_sq(monkeypatch)
+    landings = count_calls(monkeypatch, "geodesic_point", (cat0.conjugate,))
     (euclid, euclid_p, euclid_u), (tree, tree_p, tree_u) = _benchmark_shaped_tables()
-    # per table: each one-term dual's potential at each point, two squared
-    # distances each (the basepoint is a table point); one landing point
-    # per interior lambda and (point, point) pair in table order, the
-    # pairs of one point included; the lambda = 0 and 1 combinations
-    # match their own endpoints
-    for h, p, universe, dist, landing, skipped in (
-        (euclid, euclid_p, euclid_u, 2 * 4 * 2, 10 * 3, 198),
-        (tree, tree_p, tree_u, 1 * 3 * 2, 6 * 3, 45),
+    # per table: each one-term dual's potential at each point, one
+    # evaluation each, read from its form (the basepoint is a table
+    # point); one landing point per interior lambda and (point, point)
+    # pair in table order, the pairs of one point included; the lambda =
+    # 0 and 1 combinations match their own endpoints
+    for h, p, universe, evaluations, landing, skipped in (
+        (euclid, euclid_p, euclid_u, 2 * 4, 10 * 3, 198),
+        (tree, tree_p, tree_u, 1 * 3, 6 * 3, 45),
     ):
-        calls.update(dict.fromkeys(calls, 0))
+        potentials[0] = squares[0] = landings[0] = 0
         report = gamma_p_membership(h, p, universe)
         assert report.holds and report.skipped_combinations == skipped
-        assert 0 < calls["dist_sq"] <= dist
-        assert calls["geodesic_point"] <= landing
+        assert 0 < potentials[0] <= evaluations
+        assert squares[0] == 0
+        assert landings[0] <= landing
 
 
 def test_keyed_tables_read_values_without_comparing_pairs(monkeypatch):

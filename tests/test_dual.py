@@ -27,7 +27,8 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
-from cat0.spaces import BoundVector
+from cat0.dual import _potential2
+from cat0.spaces import BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, hilbert_inner
 
@@ -77,6 +78,18 @@ def test_space_mismatch_in_terms_rejected():
     with pytest.raises(SpaceMismatchError):
         dual_vector([(1, BoundVector(e, make_point(euclidean(2), (1, 1)))),
                      (1, BoundVector(t, t))])
+
+
+def test_exact_duals_reject_points_from_another_space():
+    # an exact potential is read from the dual's form without any
+    # distance, so the form checks the space itself, as dist_sq does
+    e0, e1 = make_point(euclidean(2), (0, 0)), make_point(euclidean(2), (2, -1))
+    root, leaf = make_point(rtree(), (1, 0)), make_point(rtree(), (2, Fraction(1, 2)))
+    with pytest.raises(SpaceMismatchError):
+        pair(dual_term(1, e0, e1), BoundVector(root, leaf))
+    for xd, z in ((dual_term(1, e0, e1), leaf), (dual_term(1, root, leaf), e1)):
+        with pytest.raises(SpaceMismatchError):
+            _potential2(xd, z)
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +395,57 @@ def test_float_duals_match_exactly_when_actions_agree(kind, data):
     vs = bound_vectors_between(list(pts))
     agree = all(abs(pair(a, v) - pair(b, v)) <= 1e-7 for v in vs)
     assert duals_match(a, b) == agree
+
+
+# ---------------------------------------------------------------------------
+# potentials read from the exact form
+
+
+def _direct2(xd, z):
+    """2F(z) as the sum of squared distances: the reference for the form."""
+    return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in xd.terms)
+
+
+EXACT_POINTS = {"euclidean": euclid_points(), "rtree": TREE_POINTS}
+
+
+@st.composite
+def _potential_cases(draw, points):
+    """A dual of up to four terms, with a stalled term or a zero action added."""
+    xd = draw(_duals(points, max_terms=4))
+    how = draw(st.sampled_from(("plain", "stalled", "zero_action", "shifted")))
+    if how == "stalled":
+        a = draw(points)
+        xd = dual_add(xd, dual_term(draw(small_fractions()), a, a))
+    elif how == "zero_action":
+        xd = dual_add(xd, dual_scale(-1, draw(_same_action(xd, points))))
+    elif how == "shifted" and xd.space is not None and xd.space.kind == "euclidean":
+        # xd minus a translate of itself acts as zero but has a nonzero
+        # constant potential
+        shift = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        moved = lambda pt: make_point(pt.space, tuple(a + s for a, s in zip(pt.payload, shift)))
+        xd = dual_add(xd, dual_vector((-c, BoundVector(moved(bv.tail), moved(bv.head)))
+                                      for c, bv in xd.terms))
+    return xd
+
+
+@pytest.mark.parametrize("kind", list(EXACT_POINTS))
+@given(data=st.data())
+def test_exact_potentials_equal_the_squared_distance_sum(kind, data):
+    # the offset cancels in every pairing, so only the potential itself
+    # shows whether the form keeps it
+    points = EXACT_POINTS[kind]
+    xd = data.draw(_potential_cases(points))
+    assert xd.key is not None
+    zs = [data.draw(points)]
+    if kind == "rtree":
+        # the root, and a branch no endpoint touches (TREE_POINTS stop at 6)
+        zs += [make_point(rtree(), (1, 0)), make_point(rtree(), (9, Fraction(1, 3)))]
+    for z in zs:
+        assert _potential2(xd, z) == _direct2(xd, z)
+        # at a float point the dual's potential is the sum itself, bit for bit
+        if kind == "rtree":
+            zf = make_point(z.space, (z.payload[0], float(z.payload[1]) * 0.9))
+        else:
+            zf = make_point(z.space, tuple(float(a) + 0.1 for a in z.payload))
+        assert repr(_potential2(xd, zf)) == repr(_direct2(xd, zf))

@@ -14,6 +14,7 @@ from cat0 import (
     OperatorGraph,
     PairedPoint,
     RepresentationPreconditionError,
+    SpaceMismatchError,
     classical_fitzpatrick_oracle,
     convexity_check_fitz,
     coupling_pi,
@@ -50,6 +51,8 @@ from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
     canonical_hilbert_of,
+    count_dist_sq,
+    count_potentials,
     greedy_monotone_subset,
     maximal_relative_graph,
     random_graph,
@@ -59,6 +62,7 @@ from helpers import (
 )
 
 E2 = euclidean(2)
+H2 = hyperbolic(2)
 
 
 def _pp(x_coords, vec):
@@ -328,39 +332,83 @@ def test_single_queries_equal_the_four_distance_reference(kind, data):
         assert same(fenchel_conjugate_p(h, p, universe, q.xd, q.x), conj)
 
 
-def test_single_queries_count_their_squared_distances(monkeypatch):
-    import cat0.dual
-    import cat0.geometry
-    import cat0.spaces
+def _single_query_instances():
+    """(graph, basepoint, query, squared distances per potential evaluation) on each space.
 
+    Every dual has one term. The exact instances read each potential
+    from its form; the H^2 one sums two squared distances per potential.
+    """
     one_term = [q for q in small_universe(side=3) if len(q.xd.terms) == 1]
-    g = OperatorGraph(E2, greedy_monotone_subset(random.Random(3), one_term, 9))
-    q = one_term[40]
-    h = FunctionTable(ORIGIN2, tuple((y, ExtReal(coupling_pi(ORIGIN2, y))) for y in g.pairs))
-    calls = [0]
-    real = cat0.spaces.dist_sq
+    euclid = OperatorGraph(E2, greedy_monotone_subset(random.Random(3), one_term, 9))
+    T = rtree()
+    chain = [make_point(T, (n, Fraction(1, n))) for n in range(1, 11)]
+    tree = OperatorGraph(T, tuple(PairedPoint(a, dual_term(1, a, b)) for a, b in zip(chain, chain[1:])))
+    tree_q = PairedPoint(make_point(T, (1, 0)), dual_term(1, make_point(T, (2, Fraction(2, 3))),
+                                                         make_point(T, (3, 1))))
+    curve = [make_point(H2, (math.sinh(t), 0.0, math.cosh(t))) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)]
+    hyp = OperatorGraph(H2, tuple(PairedPoint(a, dual_term(1.0, a, b)) for a, b in zip(curve, curve[1:])))
+    hyp_q = PairedPoint(make_point(H2, (0.0, 0.0, 1.0)), dual_term(1.0, curve[1], curve[3]))
+    hyp_p = make_point(H2, (1.0, -1.0, math.sqrt(3.0)))
+    return [
+        (euclid, ORIGIN2, one_term[40], 0),
+        (tree, make_point(T, (2, Fraction(1, 4))), tree_q, 0),
+        (hyp, hyp_p, hyp_q, 2),
+    ]
 
-    def counted(x, y):
-        calls[0] += 1
-        return real(x, y)
 
-    for module in (cat0.spaces, cat0.dual, cat0.geometry):
-        monkeypatch.setattr(module, "dist_sq", counted)
-    # every potential read of a one-term dual is two squared distances;
-    # the query's potential at p is read once per call. Per graph pair y:
-    # sup reads P_q(y), P_y(y), P_y(q); inf the same three, plus P_q(q)
-    # once and the query's coupling; the conjugate form one coupling and
-    # three conjugate-term reads; fenchel_conjugate_p three. The
-    # four-distance pairing made 64, 60, 108 and 72.
-    for query, reads in (
-        (lambda: fitzpatrick_sup(g, ORIGIN2, q), 1 + 3 * 9),
-        (lambda: fitzpatrick_inf(g, ORIGIN2, q), 2 + 1 + 3 * 9),
-        (lambda: fitzpatrick_via_conjugate(g, ORIGIN2, q), 2 * 9 + 1 + 3 * 9),
-        (lambda: fenchel_conjugate_p(h, ORIGIN2, g.pairs, q.xd, q.x), 1 + 3 * 9),
+def test_single_queries_count_their_squared_distances(monkeypatch):
+    potentials = count_potentials(monkeypatch)
+    squares = count_dist_sq(monkeypatch)
+    for g, p, q, per_read in _single_query_instances():
+        h = FunctionTable(p, tuple((y, ExtReal(coupling_pi(p, y))) for y in g.pairs))
+        n = len(g.pairs)
+        # the query's potential at p is read once per call. The graph's
+        # self-potentials P_y(y.x) are read by its first query (n of them)
+        # and then kept. Per graph pair y: sup reads P_q(y), P_y(q); inf
+        # the same two, plus P_q(q) once and the query's coupling; the
+        # conjugate form one read for y's coupling (P_y(y.x) is kept) and
+        # three conjugate-term reads; fenchel_conjugate_p three.
+        for query, reads in (
+            (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n),
+            (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n),
+            (lambda: fitzpatrick_inf(g, p, q), 2 + 1 + 2 * n),
+            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 4 * n),
+            (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n),
+        ):
+            potentials[0] = squares[0] = 0
+            query()
+            assert potentials[0] == reads
+            assert squares[0] == per_read * reads
+
+
+@pytest.mark.parametrize("form", [fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate])
+def test_exact_forms_reject_points_from_another_space(form):
+    # an exact Euclidean graph with a tree basepoint, a tree query point
+    # (zero dual), or a tree query dual
+    T = rtree()
+    root, leaf = make_point(T, (1, 0)), make_point(T, (2, Fraction(1, 2)))
+    g = OperatorGraph(E2, (PairedPoint(make_point(E2, (1, 2)), vector_dual(E2, (2, -1))),))
+    euclid_q = PairedPoint(make_point(E2, (0, 1)), dual_term(Fraction(1, 2), ORIGIN2, make_point(E2, (1, 1))))
+    for p, q in (
+        (root, euclid_q),
+        (ORIGIN2, PairedPoint(leaf, zero_dual())),
+        (ORIGIN2, PairedPoint(leaf, dual_term(1, root, leaf))),
     ):
-        calls[0] = 0
-        query()
-        assert 0 < calls[0] <= 2 * reads
+        with pytest.raises(SpaceMismatchError):
+            form(g, p, q)
+
+
+def test_building_a_graph_evaluates_no_potential(monkeypatch):
+    # the self-potentials are paid at the first query, not when the graph
+    # is built (a benchmark's set-up time does not absorb them)
+    potentials = count_potentials(monkeypatch)
+    for g, p, q, _ in _single_query_instances():
+        potentials[0] = 0
+        g = OperatorGraph(g.space, g.pairs)
+        assert potentials[0] == 0
+        first = fitzpatrick_sup(g, p, q)
+        assert potentials[0] == len(g.pairs) + 1 + 2 * len(g.pairs)
+        assert fitzpatrick_sup(g, p, q) == first
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])

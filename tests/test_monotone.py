@@ -35,6 +35,8 @@ from cat0 import (
 from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
+    count_dist_sq,
+    count_potentials,
     greedy_monotone_subset,
     grid_points,
     maximal_relative_graph,
@@ -165,26 +167,18 @@ def test_sweeps_reject_points_from_another_space():
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):
-    import cat0.dual
-    import cat0.geometry
-
     universe = small_universe(side=3)  # 9 grid points x 9 duals, 8 of them one-term
     g = OperatorGraph(E2, greedy_monotone_subset(random.Random(1), universe, 4))
-    calls = [0]
-    real = cat0.dual.dist_sq
-
-    def counted(x, y):
-        calls[0] += 1
-        return real(x, y)
-
-    # every pairing reads dist_sq in cat0.dual; a four-distance pairing would read it in cat0.geometry
-    for module in (cat0.dual, cat0.geometry):
-        monkeypatch.setattr(module, "dist_sq", counted)
+    potentials = count_potentials(monkeypatch)
+    # exact potentials are read from their form; a four-distance pairing
+    # would read dist_sq in cat0.geometry
+    squares = count_dist_sq(monkeypatch)
     report = level_set_report(g, ORIGIN2, universe)
     assert report.monotone
     # each one-term dual's potential at each grid point (the basepoint is
-    # one of them) costs two squared distances, once per report
-    assert 0 < calls[0] <= 8 * 9 * 2
+    # one of them) is evaluated at most once per report
+    assert 0 < potentials[0] <= 8 * 9
+    assert squares[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +319,16 @@ def test_f_property_witnesses_equal_the_single_pairing_reference():
 
 
 def test_f_property_reads_each_potential_once(monkeypatch):
-    import cat0.dual
-    import cat0.geometry
-    import cat0.spaces
-
     members = greedy_monotone_subset(random.Random(1), small_universe(side=3), 4)
-    calls = [0]
-    real = cat0.spaces.dist_sq
-
-    def counted(x, y):
-        calls[0] += 1
-        return real(x, y)
-
-    for module in (cat0.spaces, cat0.dual, cat0.geometry):
-        monkeypatch.setattr(module, "dist_sq", counted)
+    potentials = count_potentials(monkeypatch)
+    squares = count_dist_sq(monkeypatch)
     rep = f_property_check(members, ORIGIN2)
     assert rep.lower.holds and rep.upper.holds
     # one zero and one one-term dual; the one-term dual's potential at the
-    # 12 distinct points (p, 3 domain points, the landing points), two
-    # squared distances each; three pairings per comparison made 384
-    assert calls[0] == 12 * 2
+    # 12 distinct points (p, 3 domain points, the landing points), each
+    # evaluated once from its form
+    assert potentials[0] == 12
+    assert squares[0] == 0
 
 
 # ---------------------------------------------------------------------------
