@@ -16,6 +16,9 @@ Functions are finite tables: listed pairs carry extended-real values,
 unlisted pairs count as +inf (so they drop out of the sup); a -inf value
 anywhere in the universe is an improper input and raises. All suprema
 follow the conventions of cat0.extreal (sup of nothing is -inf).
+Pairs are matched by one rule, _PairSet, with the tol of each lookup: a
+frozen table or graph builds its index once (FunctionTable._listed,
+OperatorGraph._listed) and every check reads it with its own tol.
 
 The membership check gamma_p_membership is the desk-scale version of
 the class of proper convex functions that are fixed points of
@@ -25,16 +28,11 @@ content and is deliberately not checked; convexity is sampled along a
 lambda grid and only where the combined pair lands on another table
 entry (skipped combinations are counted and reported).
 
-Combinations are matched point first: each landing point is computed
-once per call, and on an exact table (every pair with an exact key,
-see DualVector.key) with an exact grid a combination landing off the
-listed points is skipped without building its dual, while lam = 0 or 1
-lands on its own endpoint pair and passes. Tables holding a float, on
-the hyperboloid or with a float grid compare every combination within
-tol, its dual by action (see cat0.dual). The conjugate term is written
-once, in the potentials of cat0.dual._potential2 (_conjugate), on
-(point, dual) handles: rows are handles with a doubled value, for
-fenchel_conjugate_p, the conjugate form of the transform,
+Combinations are matched point first, on an exact table with an exact
+grid only at listed points (see gamma_p_membership). The conjugate term
+is written once, in the potentials of cat0.dual._potential2
+(_conjugate), on (point, dual) handles: rows are handles with a doubled
+value, for fenchel_conjugate_p, the conjugate form of the transform,
 avg_lowerbound_check and the fixed-point identity; the last two read
 one potential table per call.
 """
@@ -123,15 +121,14 @@ class _PairSet:
 
     Exact pairs are found by their key in one dict lookup. A pair
     holding a float, or on the hyperboloid, is compared by a scan:
-    points and dual actions within tol (default: the default_tol of the
-    query's space; see duals_match). An exact query scans only the
-    members that have no key. Either way find gives the position of the
-    first matching member in sequence order.
+    points and dual actions within the tol given to find (default: the
+    query space's default_tol; see duals_match), so one index serves
+    every tol. An exact query scans only the members that have no key.
+    Either way find gives the first matching member's position.
     """
 
-    def __init__(self, members: Sequence[PairedPoint], tol: Optional[float] = None):
+    def __init__(self, members: Sequence[PairedPoint]):
         self._members = tuple(members)
-        self._tol = tol
         self._keyed: Dict[tuple, int] = {}
         self._unkeyed = []
         for i, m in enumerate(self._members):
@@ -141,12 +138,12 @@ class _PairSet:
             else:
                 self._keyed.setdefault(key, i)
 
-    def find(self, q: PairedPoint) -> Optional[int]:
-        """The position of the first member equal to q, or None."""
+    def find(self, q: PairedPoint, tol: Optional[float] = None) -> Optional[int]:
+        """The position of the first member equal to q within tol, or None."""
         n = len(self._members)
         key = q._key
         first = n if key is None else self._keyed.get(key, n)
-        tol = q.x.space.default_tol if self._tol is None else self._tol
+        tol = q.x.space.default_tol if tol is None else tol
         for i in self._unkeyed if key is not None else range(n):
             if i >= first:
                 break
@@ -159,9 +156,6 @@ class _PairSet:
                 return i
         return first if first < n else None
 
-    def __contains__(self, q: PairedPoint) -> bool:
-        return self.find(q) is not None
-
 
 @dataclass(frozen=True)
 class FunctionTable:
@@ -172,7 +166,8 @@ class FunctionTable:
     equals a listed pair as _PairSet compares them: by key on exact
     inputs, within the space's default_tol by point and dual action
     otherwise, so a value never depends on how the dual is written. No
-    two listed pairs may be equal.
+    two listed pairs may be equal. Their index, _listed, is built once
+    with the table; every check reads it with its own tol.
     """
 
     p: Point
@@ -217,7 +212,7 @@ def coupling_pi(p: Point, q: PairedPoint) -> Scalar:
 
 def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: Optional[float] = None) -> bool:
     """Is q one of the pairs? Exact on exact inputs, within tol otherwise."""
-    return q in _PairSet(pairs, tol)
+    return _PairSet(pairs).find(q, tol) is not None
 
 
 def fenchel_conjugate_p(
@@ -233,14 +228,15 @@ def fenchel_conjugate_p(
     an improper input and raises ImproperTableError. With an empty (or
     entirely +inf) universe the sup is -inf.
     """
-    values = _values(h, h._listed, universe)
+    values = _values(h, universe)
     rows = ((q.x, q.xd, 2 * v.value) for q, v in zip(universe, values) if not v.is_pos_inf)
     return _conjugate(_potential2, p, rows, (x, xd))
 
 
-def _values(h: FunctionTable, listed: _PairSet, pairs: Sequence[PairedPoint]) -> list:
-    """h at each pair as listed finds it (+inf where it finds none); -inf raises."""
-    values = [POS_INF if i is None else h.entries[i][1] for i in map(listed.find, pairs)]
+def _values(h: FunctionTable, pairs: Sequence[PairedPoint], tol: Optional[float] = None) -> list:
+    """h at each pair, matched within tol (+inf where none matches); -inf raises."""
+    found = (h._listed.find(q, tol) for q in pairs)
+    values = [POS_INF if i is None else h.entries[i][1] for i in found]
     if any(v.is_neg_inf for v in values):
         raise ImproperTableError("table takes the value -inf inside the universe")
     return values
@@ -277,7 +273,7 @@ def fenchel_young_check(
         raise ImproperTableError("Fenchel-Young check needs a proper table")
     tol = p.space.default_tol if tol is None else tol
     conj = fenchel_conjugate_p(h, p, h.domain, q2.xd, q2.x)
-    lhs = _values(h, _PairSet(h.domain, tol), [q1])[0] + conj
+    lhs = _values(h, [q1], tol)[0] + conj
     rhs = pair(q2.xd, BoundVector(p, q1.x)) + pair(q1.xd, BoundVector(p, q2.x))
     return lhs >= rhs - tol
 
@@ -294,7 +290,7 @@ def avg_lowerbound_check(
     once, and every pairing is read from one potential table.
     """
     tol = p.space.default_tol if tol is None else tol
-    values = _values(h, _PairSet(h.domain, tol), universe)
+    values = _values(h, universe, tol)
     pot = _Potentials()
     zp = pot.point(p)
     ids = pot.index(universe)
@@ -339,8 +335,7 @@ def _convexity_scan(
         return None, 0
     for lam in lambda_grid:
         _check_unit_interval(lam)
-    listed = _PairSet(h.domain, tol)
-    exact = not listed._unkeyed and is_exact(lambda_grid)
+    exact = not h._listed._unkeyed and is_exact(lambda_grid)
     endpoints_pass = exact and tol >= 0
     listed_points = {q.x for q in h.domain}
     point_ids: Dict[Point, int] = {}
@@ -363,7 +358,7 @@ def _convexity_scan(
                     skipped += 1
                     continue
                 cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
-                match = listed.find(PairedPoint(cx, cd))
+                match = h._listed.find(PairedPoint(cx, cd), tol)
                 if match is None:
                     skipped += 1
                     continue
@@ -392,7 +387,7 @@ def _fixed_point_defect(
     pot = _Potentials()
     zp = pot.point(p)
     capped = []  # (point index, dual index, doubled value) where h <= pi_p + tol
-    for u, v in zip(pairs, _values(h, _PairSet(h.domain, tol), pairs)):
+    for u, v in zip(pairs, _values(h, pairs, tol)):
         if v.is_finite:
             zu, du = pot.point(u.x), pot.dual(u.xd)
             if v <= half_of(pot(du, zu) - pot(du, zp)) + tol:

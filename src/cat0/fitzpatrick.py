@@ -45,7 +45,6 @@ from .conjugate import (
     FunctionTable,
     GammaReport,
     PairedPoint,
-    _PairSet,
     _conjugate,
     coupling_pi,
     gamma_p_membership,
@@ -59,6 +58,7 @@ from .monotone import (
     _gaps2,
     _monotone_report,
     _polar_indices,
+    _require_graph_in,
     f_property_check,
     relatedness_gap,
 )
@@ -189,9 +189,7 @@ def level_set_report(
     maximality. tol defaults to the space's default_tol.
     """
     tol = p.space.default_tol if tol is None else tol
-    in_universe = _PairSet(universe, tol)
-    if any(q not in in_universe for q in g.pairs):
-        raise GeometryError("universe does not contain the graph")
+    _require_graph_in(universe, g, tol)
 
     pot = _Potentials()
     uids = pot.index(universe)
@@ -215,8 +213,7 @@ def level_set_report(
         else:
             above.append(i)
 
-    in_graph = _PairSet(g.pairs, tol)
-    graph_idx = {i for i, q in enumerate(universe) if q in in_graph}
+    graph_idx = {i for i, q in enumerate(universe) if g._listed.find(q, tol) is not None}
     polar_idx = set(_polar_indices(pot, gms, uids, tol))
 
     mono = _monotone_report(pot, g.pairs, gms, tol).holds

@@ -253,13 +253,12 @@ def parse_table(
             errs.add(ewhere, "entry must be an object")
             ok = False
             continue
-        x = parse_point(space, e.get("x"), f"{ewhere}.x", errs)
-        xd = parse_dual(space, e.get("xd"), f"{ewhere}.xd", errs)
+        q = parse_paired(space, e, ewhere, errs)
         val = parse_extended(e.get("value"), f"{ewhere}.value", errs)
-        if x is None or xd is None or val is None:
+        if q is None or val is None:
             ok = False
             continue
-        entries.append((PairedPoint(x, xd), val))
+        entries.append((q, val))
     if p is None or not ok:
         return None
     try:

@@ -77,7 +77,8 @@ class OperatorGraph:
     Frozen: the self-potentials P_y(y.x) of its pairs are computed at
     the first single query (fitzpatrick_sup, fitzpatrick_inf,
     fitzpatrick_via_conjugate), never when the graph is built, and then
-    kept.
+    kept. So is the index of its pairs, _listed, built at the first
+    membership test; each test reads it with its own tol.
     """
 
     space: SpaceHandle
@@ -93,16 +94,16 @@ class OperatorGraph:
         """P_y(y.x) of each pair y, aligned with pairs: computed at the first query, then kept."""
         return tuple(_potential2(q.xd, q.x) for q in self.pairs)
 
+    @cached_property
+    def _listed(self) -> _PairSet:
+        return _PairSet(self.pairs)
+
     def _members(self) -> Iterator[Tuple[Point, DualVector, Scalar]]:
         """Member handles (y.x, y.xd, P_y(y.x)) of the pairs, for the single queries."""
         return ((q.x, q.xd, own) for q, own in zip(self.pairs, self._self_potentials))
 
     def range_duals(self) -> Tuple[DualVector, ...]:
-        seen = []
-        for q in self.pairs:
-            if q.xd not in seen:
-                seen.append(q.xd)
-        return tuple(seen)
+        return tuple(dict.fromkeys(q.xd for q in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,15 @@ def monotone_polar(
     return tuple(universe[i] for i in polar)
 
 
+def _require_graph_in(
+    universe: Sequence[PairedPoint], g: OperatorGraph, tol: Optional[float]
+) -> None:
+    """Raise GeometryError unless every pair of g matches a universe pair within tol."""
+    in_universe = _PairSet(universe)
+    if any(in_universe.find(q, tol) is None for q in g.pairs):
+        raise GeometryError("universe does not contain the graph")
+
+
 def is_maximal_relative(
     g: OperatorGraph,
     universe: Sequence[PairedPoint],
@@ -223,17 +233,14 @@ def is_maximal_relative(
     matching alike. Maximality here is always relative to the given
     finite universe.
     """
-    in_universe = _PairSet(universe, tol)
-    if any(q not in in_universe for q in g.pairs):
-        raise GeometryError("universe does not contain the graph")
+    _require_graph_in(universe, g, tol)
     pot = _Potentials()
     gms = pot.members(g.pairs)
     mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono
-    in_graph = _PairSet(g.pairs, tol)
     for i in _polar_indices(pot, gms, pot.index(universe), tol):
-        if universe[i] not in in_graph:
+        if g._listed.find(universe[i], tol) is None:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)
 

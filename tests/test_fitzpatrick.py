@@ -28,6 +28,7 @@ from cat0 import (
     fitzpatrick_inf,
     fitzpatrick_sup,
     fitzpatrick_via_conjugate,
+    gamma_p_membership,
     hyperbolic,
     is_maximal_relative,
     is_monotone,
@@ -511,6 +512,37 @@ def test_roundtrip_on_transform_tables(rng):
     assert set(recovered.pairs) == set(g.pairs)
     rep = roundtrip_check(h, ORIGIN2, universe)
     assert rep.holds, rep.witness
+
+
+def test_frozen_tables_and_graphs_index_their_pairs_once(rng, monkeypatch):
+    # the match tolerance is given per lookup, so a table's index (built
+    # with it) and a graph's (built at its first membership test) serve
+    # every later check; only the universe check indexes its input per call
+    import cat0.conjugate
+
+    built = []
+    real_init = cat0.conjugate._PairSet.__init__
+
+    def recording(self, members):
+        built.append(tuple(members))
+        real_init(self, members)
+
+    universe = tuple(small_universe(side=2, vec_range=1))
+    g = maximal_relative_graph(rng, universe)
+    monkeypatch.setattr(cat0.conjugate._PairSet, "__init__", recording)
+    h = transform_table(g, ORIGIN2, universe)
+    assert built == [universe]
+    for tol in (None, 1e-6):
+        assert gamma_p_membership(h, ORIGIN2, universe, tol=tol).holds
+        assert roundtrip_check(h, ORIGIN2, universe, tol=tol).holds
+    assert built == [universe]
+
+    recovered = s_map(h, ORIGIN2)
+    built.clear()
+    for tol in (None, 1e-6):
+        assert is_maximal_relative(recovered, universe, tol).holds
+        assert level_set_report(recovered, ORIGIN2, universe, tol).maximal_relative
+    assert built == [universe, recovered.pairs] + [universe] * 3
 
 
 def test_roundtrip_rejects_non_member_tables():

@@ -153,6 +153,28 @@ def test_parse_table_rows():
     assert h.entries[1][1] == POS_INF
 
 
+def test_parse_table_reports_each_bad_entry_field_in_order():
+    errs = _fresh()
+    table = {
+        "p": [0, 0],
+        "entries": [
+            {"x": [1, 0], "xd": {"terms": []}, "value": 0},
+            {"x": [1, "one"], "xd": {"terms": "none"}, "value": "big"},
+            7,
+            {"x": 3, "xd": [], "value": "-inf"},
+        ],
+    }
+    assert parse_table(E2, table, "table", errs) is None
+    assert errs.messages == [
+        "table.entries[1].x[1]: not a rational literal: 'one'",
+        "table.entries[1].xd.terms: must be an array",
+        "table.entries[1].value: not a rational literal: 'big'",
+        "table.entries[2]: entry must be an object",
+        "table.entries[3].x: point must be an array, got int",
+        'table.entries[3].xd: dual must be an object with a "terms" array',
+    ]
+
+
 def test_parse_grid_comma_separated():
     assert parse_grid("0,1/4,1/2,1") == (
         Fraction(0),
