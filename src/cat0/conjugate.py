@@ -29,7 +29,10 @@ lambda grid and only where the combined pair lands on another table
 entry (skipped combinations are counted and reported).
 
 Combinations are matched point first, on an exact table with an exact
-grid only at listed points (see gamma_p_membership). The conjugate term
+grid only at listed points and by a key combined from their endpoints'
+keys, and a table keeps its last membership report, which
+roundtrip_check's precondition reads again (see gamma_p_membership
+and _convexity_scan). The conjugate term
 is written once, in the potentials of cat0.dual._potential2
 (_conjugate), on (point, dual) handles: rows are handles with a doubled
 value, for fenchel_conjugate_p, the conjugate form of the transform,
@@ -47,6 +50,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
 from .dual import (
     DualVector,
     _Potentials,
+    _combined_key,
     _potential2,
     dual_add,
     dual_scale,
@@ -188,6 +192,11 @@ class FunctionTable:
     def _listed(self) -> _PairSet:
         return _PairSet(self.domain)
 
+    @cached_property
+    def _gamma_memo(self) -> list:
+        """[arguments, report] of the last gamma_p_membership call; empty before one."""
+        return []
+
     def value(self, q: PairedPoint) -> ExtReal:
         i = self._listed.find(q)
         return POS_INF if i is None else self.entries[i][1]
@@ -325,10 +334,15 @@ def _convexity_scan(
     Each landing point (1-lam) x1 (+) lam x2 is computed once per call.
     On an exact table (every listed pair keyed) with an exact grid a
     combination can only match at a listed point, so one landing
-    elsewhere is skipped without building its dual. There lam = 0 or 1
-    also matches its own endpoint pair (the landing point is that
-    endpoint, keys are linear and the table has no two pairs alike), so
-    its value is its bound and, with tol >= 0, it passes unevaluated.
+    elsewhere is skipped. One landing there is looked up by its point
+    and the key of (1-lam) x1* + lam x2*, combined from the endpoints'
+    keys (cat0.dual._combined_key) once per call for each two keys and
+    lam; no combination dual is built, and a key no pair has is
+    skipped. lam = 0 or 1 also matches its own endpoint pair (the
+    landing point is that endpoint, keys are linear and the table has no
+    two pairs alike), so its value is its bound and, with tol >= 0, it
+    passes unevaluated. Elsewhere (the hyperboloid, a float entry or a
+    float grid) each combination dual is built and found within tol.
     """
     finite = [(q, v) for q, v in h.entries if v.is_finite]
     if len(finite) < 2:
@@ -338,9 +352,13 @@ def _convexity_scan(
     exact = not h._listed._unkeyed and is_exact(lambda_grid)
     endpoints_pass = exact and tol >= 0
     listed_points = {q.x for q in h.domain}
+    space = finite[0][0].x.space
     point_ids: Dict[Point, int] = {}
     zs = [point_ids.setdefault(q.x, len(point_ids)) for q, _ in finite]
     landing: Dict[tuple, Optional[Point]] = {}
+    key_ids: Dict[tuple, int] = {}
+    ks = [key_ids.setdefault(q.xd.key, len(key_ids)) for q, _ in finite] if exact else []
+    combined: Dict[tuple, tuple] = {}
     witness: Optional[dict] = None
     skipped = 0
     for i, (q1, v1) in enumerate(finite):
@@ -357,8 +375,14 @@ def _convexity_scan(
                 if cx is None:
                     skipped += 1
                     continue
-                cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
-                match = h._listed.find(PairedPoint(cx, cd), tol)
+                if exact:
+                    at = (ks[i], ks[j], k)
+                    if at not in combined:
+                        combined[at] = _combined_key(space, lam, q1.xd.key, q2.xd.key)
+                    match = h._listed._keyed.get((cx, combined[at]))
+                else:
+                    cd = dual_add(dual_scale(1 - lam, q1.xd), dual_scale(lam, q2.xd))
+                    match = h._listed.find(PairedPoint(cx, cd), tol)
                 if match is None:
                     skipped += 1
                     continue
@@ -434,8 +458,23 @@ def gamma_p_membership(
     matched to the table the same way. The fixed point reads its
     couplings and conjugate terms from one potential table (see
     cat0.dual._Potentials). tol defaults to the space's default_tol.
+
+    The table keeps the report of its last call (one slot,
+    FunctionTable._gamma_memo) and returns that same report to a call
+    whose p, universe pairs (position by position) and grid values are
+    the same objects, and whose tol, after the default, is equal and of
+    the same type; any other call computes its report and replaces the
+    slot. Equality is not enough: 0 == 0.0 and Fraction(1, 4) == 0.25,
+    yet an exact and a float grid take different paths, and a bound
+    plus tol = 0 stays exact where plus 0.0 rounds to a float. The
+    universe and the grid are read once, so either may be an iterator.
     """
+    universe, lambda_grid = tuple(universe), tuple(lambda_grid)
     tol = p.space.default_tol if tol is None else tol
+    call = (p, universe, lambda_grid, tol)
+    memo = h._gamma_memo
+    if memo and _same_call(memo[0], call):
+        return memo[1]
     proper = h.is_proper()
     convexity_witness, skipped = _convexity_scan(h, lambda_grid, tol)
     convexity_holds = convexity_witness is None
@@ -446,7 +485,7 @@ def gamma_p_membership(
         fixed_point_holds = False
         worst = float("inf")
 
-    return GammaReport(
+    report = GammaReport(
         holds=proper and convexity_holds and fixed_point_holds,
         worst_defect=worst,
         convexity_witness=convexity_witness,
@@ -454,4 +493,14 @@ def gamma_p_membership(
         convexity_holds=convexity_holds,
         fixed_point_holds=fixed_point_holds,
         skipped_combinations=skipped,
+    )
+    memo[:] = call, report
+    return report
+
+
+def _same_call(a: tuple, b: tuple) -> bool:
+    """Same (p, universe, grid, tol): the same objects position by position, tol of one type."""
+    (pa, ua, ga, ta), (pb, ub, gb, tb) = a, b
+    return pa is pb and type(ta) is type(tb) and ta == tb and all(
+        len(x) == len(y) and all(u is v for u, v in zip(x, y)) for x, y in ((ua, ub), (ga, gb))
     )

@@ -217,6 +217,28 @@ def _tree_slopes(terms) -> tuple:
     return default, tuple(sorted((k, s) for k, s in slopes.items() if s != default))
 
 
+def _combined_key(space: SpaceHandle, lam: Scalar, a: tuple, b: tuple) -> tuple:
+    """The key of (1 - lam) xd + lam yd, read from the keys a of xd and b of yd.
+
+    Keys are linear in the dual (see DualVector.key). Euclidean: the
+    canonical vectors combine. Tree: the default slopes combine, and so
+    does each branch slope, a branch a key does not list taking that
+    key's default; branches whose slope equals the combined default are
+    dropped. A key () stands for the zero vector, or (0, ()) on the
+    tree, and a zero result is (), as in DualVector.key.
+    """
+    mu = 1 - lam
+    if space.kind == EUCLIDEAN:
+        key = tuple(mu * u + lam * v for u, v in zip(a or (0,) * len(b), b or (0,) * len(a)))
+    else:
+        (da, sa), (db, sb) = a or (0, ()), b or (0, ())
+        default = mu * da + lam * db
+        sa, sb = dict(sa), dict(sb)
+        slopes = ((k, mu * sa.get(k, da) + lam * sb.get(k, db)) for k in sorted(sa.keys() | sb.keys()))
+        key = (default, tuple((k, s) for k, s in slopes if s != default))
+    return key if any(key) else ()
+
+
 def _potential2(xd: DualVector, z: Point) -> Scalar:
     """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 

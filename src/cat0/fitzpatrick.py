@@ -274,7 +274,9 @@ def roundtrip_check(
     universe (default: its own domain); failures raise
     RepresentationPreconditionError rather than reporting False, so a
     wrong input is never confused with a failed identity. One tol
-    (default: the space's default_tol) serves all three steps.
+    (default: the space's default_tol) serves all three steps. The
+    membership report is the table's kept one when the caller has just
+    checked it with the same arguments (see gamma_p_membership).
     """
     if p is None:
         p = h.p

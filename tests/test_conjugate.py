@@ -17,6 +17,7 @@ from cat0 import (
     ImproperTableError,
     OperatorGraph,
     PairedPoint,
+    RepresentationPreconditionError,
     avg_lowerbound_check,
     coupling_pi,
     dual_add,
@@ -34,6 +35,7 @@ from cat0 import (
     make_point,
     pair,
     pair_in,
+    roundtrip_check,
     rtree,
     scale,
     zero_dual,
@@ -407,15 +409,19 @@ WITNESS_TABLES = {
 }
 
 
+def _witness_table(table):
+    """h = 0, 5, 0 at three points of one geodesic with the zero dual, based at the first."""
+    space, coords = WITNESS_TABLES[table]
+    qs = [PairedPoint(make_point(space, c), zero_dual()) for c in coords]
+    return FunctionTable(qs[0].x, tuple(zip(qs, (ExtReal(0), ExtReal(5), ExtReal(0))))), qs
+
+
 @pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
 @pytest.mark.parametrize("table", list(WITNESS_TABLES))
 def test_membership_reports_the_reference_convexity_witness(table, grid):
-    # h is 0, 5, 0 at three points of one geodesic with one dual: the
-    # middle entry sits above the chord, where (1/2, 1/2) combinations land
-    space, coords = WITNESS_TABLES[table]
-    qs = [PairedPoint(make_point(space, c), zero_dual()) for c in coords]
-    p = qs[0].x
-    h = FunctionTable(p, tuple(zip(qs, (ExtReal(0), ExtReal(5), ExtReal(0)))))
+    # the middle entry sits above the chord, where (1/2, 1/2) combinations land
+    h, qs = _witness_table(table)
+    p = h.p
     grid = GRIDS[grid] + (Fraction(1, 2),)
     report = gamma_p_membership(h, p, h.domain, lambda_grid=grid)
     assert not report.convexity_holds
@@ -466,22 +472,86 @@ def test_membership_counts_its_operations(monkeypatch):
     potentials = count_potentials(monkeypatch)
     squares = count_dist_sq(monkeypatch)
     landings = count_calls(monkeypatch, "geodesic_point", (cat0.conjugate,))
+    adds = count_calls(monkeypatch, "dual_add", (cat0.conjugate,))
+    scales = count_calls(monkeypatch, "dual_scale", (cat0.conjugate,))
     (euclid, euclid_p, euclid_u), (tree, tree_p, tree_u) = _benchmark_shaped_tables()
     # per table: each one-term dual's potential at each point, one
     # evaluation each, read from its form (the basepoint is a table
     # point); one landing point per interior lambda and (point, point)
     # pair in table order, the pairs of one point included; the lambda =
-    # 0 and 1 combinations match their own endpoints
+    # 0 and 1 combinations match their own endpoints; a combination that
+    # lands on a listed point is looked up by the key combined from its
+    # endpoints' keys, so no combination dual is built
     for h, p, universe, evaluations, landing, skipped in (
         (euclid, euclid_p, euclid_u, 2 * 4, 10 * 3, 198),
         (tree, tree_p, tree_u, 1 * 3, 6 * 3, 45),
     ):
-        potentials[0] = squares[0] = landings[0] = 0
+        potentials[0] = squares[0] = landings[0] = adds[0] = scales[0] = 0
         report = gamma_p_membership(h, p, universe)
         assert report.holds and report.skipped_combinations == skipped
         assert 0 < potentials[0] <= evaluations
         assert squares[0] == 0
         assert landings[0] <= landing
+        assert adds[0] == scales[0] == 0
+    # a float entry leaves the table without exact keys: its combinations
+    # are built as duals and compared by action
+    h, _ = _witness_table("rtree_float")
+    gamma_p_membership(h, h.p, h.domain)
+    assert adds[0] > 0 and scales[0] > 0
+
+
+def test_membership_keeps_one_report_per_table(monkeypatch):
+    # a table keeps its last report; only the same p, universe pairs and
+    # grid values (as objects) and an equal tol of one type reuse it
+    import cat0.conjugate
+
+    scans = count_calls(monkeypatch, "_convexity_scan", (cat0.conjugate,))
+    defects = count_calls(monkeypatch, "_fixed_point_defect", (cat0.conjugate,))
+
+    def computed():
+        counts = scans[0], defects[0]
+        scans[0] = defects[0] = 0
+        return counts
+
+    (h, p, universe), _ = _benchmark_shaped_tables()
+    report = gamma_p_membership(h, p, universe)
+    assert roundtrip_check(h, p, universe).holds
+    assert gamma_p_membership(h, p, universe) is report
+    assert computed() == (1, 1)
+
+    float_p = make_point(p.space, tuple(float(c) for c in p.payload))
+    assert float_p == p
+    for kwargs in (
+        {"lambda_grid": (0.0, 0.25, 0.5, 0.75, 1.0)},
+        {"p": float_p},
+        {"tol": 1e-6},
+        {"tol": 0},
+        {"tol": 0.0},
+    ):
+        call = {"p": p, "universe": universe, **kwargs}
+        gamma_p_membership(h, **call)
+        assert computed() == (1, 1), kwargs
+        gamma_p_membership(h, **call)
+        assert computed() == (0, 0), kwargs
+
+    pairs = list(universe)
+    gamma_p_membership(h, p, pairs)
+    computed()
+    pairs[0] = PairedPoint(pairs[0].x, pairs[0].xd)  # equal, but another object
+    pairs.pop()
+    got = gamma_p_membership(h, p, pairs)
+    assert computed() == (1, 1)
+    assert got == gamma_p_membership(FunctionTable(p, h.entries), p, pairs)
+    # a universe given as an iterator is read once
+    assert gamma_p_membership(FunctionTable(p, h.entries), p, iter(universe)) == report
+    computed()
+
+    bad, _ = _witness_table("euclidean")
+    for _ in range(2):
+        with pytest.raises(RepresentationPreconditionError) as err:
+            roundtrip_check(bad)
+        assert not err.value.report.convexity_holds
+    assert computed() == (1, 1)
 
 
 def test_keyed_tables_read_values_without_comparing_pairs(monkeypatch):

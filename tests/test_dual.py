@@ -27,7 +27,7 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
-from cat0.dual import _potential2
+from cat0.dual import _combined_key, _potential2
 from cat0.spaces import BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, hilbert_inner
@@ -449,3 +449,32 @@ def test_exact_potentials_equal_the_squared_distance_sum(kind, data):
         else:
             zf = make_point(z.space, tuple(float(a) + 0.1 for a in z.payload))
         assert repr(_potential2(xd, zf)) == repr(_direct2(xd, zf))
+
+
+# ---------------------------------------------------------------------------
+# keys of convex combinations
+
+
+COMBINATION_SPACES = {"euclidean": euclidean(2), "rtree": rtree()}
+
+
+@st.composite
+def _cancelling(draw, a, lam, points):
+    """b with (1 - lam) a + lam b = lam e for a one-term e: a's branch slopes cancel."""
+    e = draw(_duals(points, max_terms=1))
+    if lam in (0, 1):
+        return e
+    return dual_add(dual_scale(-(1 - lam) / lam, draw(_same_action(a, points))), e)
+
+
+@pytest.mark.parametrize("kind", list(COMBINATION_SPACES))
+@given(data=st.data())
+def test_combined_key_is_the_key_of_the_combination(kind, data):
+    # the key of (1 - lam) a + lam b read from the keys of a and b, with
+    # zero duals, zero actions and combinations that cancel a branch slope
+    points = EXACT_POINTS[kind]
+    lam = data.draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)))
+    a = data.draw(st.one_of(st.just(zero_dual()), _duals(points)))
+    b = data.draw(st.one_of(st.just(zero_dual()), _duals(points), _cancelling(a, lam, points)))
+    combo = dual_add(dual_scale(1 - lam, a), dual_scale(lam, b))
+    assert _combined_key(COMBINATION_SPACES[kind], lam, a.key, b.key) == combo.key
