@@ -8,7 +8,13 @@ on a bound vector ab-> by
 
 where w_x, the net weight at x, is the sum of the coefficients of the
 terms with tail x minus those of the terms with head x. Every action is
-computed from 2F as _potential2 gives it.
+computed from 2F as the pairing kernel gives it: _potentials2_at (one
+dual at a sequence of points), _potentials2_of (a sequence of duals at
+one point) and _potential2, the one-point case. A kernel call checks
+the spaces in one pass and reads once what its values share: the
+point's payload and exactness, or the dual's term payloads and branch
+slopes. On the hyperboloid every squared distance comes from
+cat0.spaces._hyperbolic_dist_sq, which dist_sq calls there too.
 
 On the exact spaces 2F is affine, so an exact dual is evaluated from
 its form (DualVector._offset and _linear) without any distance:
@@ -23,7 +29,8 @@ v and the slopes are the key below, and the offset (2F at the origin
 or root) cancels in every pairing, which is a difference of two
 potentials; it is kept so that 2F itself is exact. The hyperboloid,
 float duals and float points keep the sum of squared distances, so
-their values are those of the sum bit for bit. Structurally
+their values are those of the sum bit for bit, however the kernel is
+called. Structurally
 different combinations can act identically (flipping a term's
 orientation and its sign, or splitting a term at an intermediate point,
 never changes the action), so equality of duals is equality of actions,
@@ -86,6 +93,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceMismatchError,
+    _hyperbolic_dist_sq,
     dist_sq,
     distance,
     make_point,
@@ -192,7 +200,10 @@ class DualVector:
 
 def is_exact(values: Iterable[Scalar]) -> bool:
     """Are all the values ints or Fractions?"""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
 
 
 def _tree_slopes(terms) -> tuple:
@@ -242,39 +253,98 @@ def _combined_key(space: SpaceHandle, lam: Scalar, a: tuple, b: tuple) -> tuple:
 def _potential2(xd: DualVector, z: Point) -> Scalar:
     """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 
-    The one place a dual's action is computed. Where xd has an exact
-    form and z is exact, 2F(z) is read from the form (see
-    DualVector._linear and the module docstring): offset + 2 <v, z> in
-    Euclidean space, offset + 2 slope_k s on the tree; a point from
-    another space raises, as dist_sq would. The hyperboloid, float
-    duals and float points take the sum of squared distances above.
+    The one-point case of the pairing kernel, _potentials2_of and
+    _potentials2_at, which are the only code that computes a dual's
+    action. Where xd has an exact form and z is exact, 2F(z) is read
+    from the form (see DualVector._linear and the module docstring):
+    offset + 2 <v, z> in Euclidean space, offset + 2 slope_k s on the
+    tree. The hyperboloid, float duals and float points take the sum of
+    squared distances above. A nonzero dual at a point from another
+    space raises; a zero dual is 0 at every point.
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
-    DualVector) handles for a single query, a _Potentials table on
-    index handles for a sweep. A graph member's handle also carries its
-    own doubled potential P_y(y.x): kept by the OperatorGraph for a
-    single query (OperatorGraph._self_potentials), read from the table
-    for a sweep (_Potentials.members).
+    DualVector) handles, a _Potentials table on index handles for a
+    sweep, and for a single transform query columns that the kernel
+    fills in one call each (see cat0.fitzpatrick). A graph member's
+    handle also carries its own doubled potential P_y(y.x): kept by the
+    OperatorGraph for a single query (OperatorGraph._self_potentials),
+    read from the table for a sweep (_Potentials.members).
     """
-    terms = xd.terms
-    if not terms:
-        return 0
+    return _potentials2_of((xd,), z)[0]
+
+
+def _potentials2_of(xds: Sequence[DualVector], z: Point) -> List[Scalar]:
+    """2F of each dual of xds at the one point z, in order (see _potential2).
+
+    The point is read once per call: its space and kind, its payload and
+    whether it is exact.
+    """
+    space, zp = z.space, z.payload
+    for xd in xds:
+        if xd.terms:
+            _check_space(xd.space, space)
+    if space.kind == HYPERBOLIC:
+        return [_hyperbolic2(_split(xd.terms), zp) for xd in xds]
+    if not is_exact(zp):
+        return [_sum2(xd.terms, z) for xd in xds]
+    out = []
+    for xd in xds:
+        linear = xd._linear if xd.terms else None
+        if linear is None:
+            out.append(_sum2(xd.terms, z))
+        elif space.kind == EUCLIDEAN:
+            out.append(_affine2(xd._offset, linear, zp))
+        else:
+            default, branches = linear
+            out.append(_affine2(xd._offset, (dict(branches).get(zp[0], default),), zp[1:]))
+    return out
+
+
+def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
+    """2F of the dual xd at each point of zs, in order (see _potential2).
+
+    The dual is read once per call: its space and kind, on the
+    hyperboloid its terms' payloads, on the tree its branch slopes as a
+    dict.
+    """
     space = xd.space
-    if space.kind != HYPERBOLIC and is_exact(z.payload):
-        linear = xd._linear
-        if linear is not None:
-            if z.space != space:
-                raise SpaceMismatchError(f"points live in different spaces: {space} vs {z.space}")
-            offset = xd._offset
-            if space.kind == EUCLIDEAN:
-                return _affine2(offset, linear, z.payload)
-            (k, s), (slope, branches) = z.payload, linear
-            for branch, branch_slope in branches:
-                if branch == k:
-                    slope = branch_slope
-                    break
-            return _affine2(offset, (slope,), (s,))
+    if space is None:
+        return [0] * len(zs)
+    for z in zs:
+        _check_space(space, z.space)
+    if space.kind == HYPERBOLIC:
+        split = _split(xd.terms)
+        return [_hyperbolic2(split, z.payload) for z in zs]
+    linear = xd._linear
+    if linear is None:
+        return [_sum2(xd.terms, z) for z in zs]
+    if space.kind == EUCLIDEAN:
+        return [_affine2(xd._offset, linear, z.payload) if is_exact(z.payload) else _sum2(xd.terms, z)
+                for z in zs]
+    default, branches = linear
+    slopes = dict(branches)
+    return [_affine2(xd._offset, (slopes.get(z.payload[0], default),), z.payload[1:])
+            if is_exact(z.payload) else _sum2(xd.terms, z) for z in zs]
+
+
+def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
+    if point_space is not dual_space and point_space != dual_space:
+        raise SpaceMismatchError(f"points live in different spaces: {dual_space} vs {point_space}")
+
+
+def _split(terms) -> list:
+    """(c, tail payload, head payload) of each term."""
+    return [(c, bv.tail.payload, bv.head.payload) for c, bv in terms]
+
+
+def _hyperbolic2(split: list, zp: tuple) -> Scalar:
+    """2F at the hyperboloid payload zp of the terms split by _split."""
+    return sum(c * (_hyperbolic_dist_sq(t, zp) - _hyperbolic_dist_sq(h, zp)) for c, t, h in split)
+
+
+def _sum2(terms, z: Point) -> Scalar:
+    """2F at z as the sum of squared distances, off the hyperboloid."""
     return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in terms)
 
 

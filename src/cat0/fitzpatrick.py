@@ -10,14 +10,18 @@ transform is computed in three algebraically equal ways:
                   relative to the graph itself, at the swapped query.
 
 The three forms agree term by term through the chain-split identity;
-each keeps its own expression in the potentials of cat0.dual._potential2,
-so computing all of them is a cheap self-check and the agreement is part
-of the CLI output. The query is a (point, dual) handle and the graph's
-pairs are member handles carrying their self-potentials P_y(y.x), which
-the OperatorGraph keeps after its first query; the conjugate form reads
-each row's doubled coupling as P_y(y.x) - P_y(p) from them. On an empty
-graph all three give -inf. The sup-form term (_transform2) also serves
-level_set_report and roundtrip_check.
+each keeps its own expression in doubled potentials (see
+cat0.dual._potential2), so computing all of them is a cheap self-check
+and the agreement is part of the CLI output. A form fills the columns it
+reads with one call of the pairing kernel each: the query dual at a
+query-side point and the graph points, the graph's duals at q.x and, for
+the conjugate form, at p. No value is shared between forms or calls, so
+the check stays a real one. The graph's pairs are member handles
+carrying their self-potentials P_y(y.x), which the OperatorGraph keeps
+after its first query; the conjugate form reads each row's doubled
+coupling as P_y(y.x) - P_y(p), with P_y(p) from the column its term
+reads. On an empty graph all three give -inf. The sup-form term
+(_transform2) also serves level_set_report and roundtrip_check.
 
 On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
@@ -35,10 +39,12 @@ exact/closed-form values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import getitem
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
@@ -49,7 +55,7 @@ from .conjugate import (
     coupling_pi,
     gamma_p_membership,
 )
-from .dual import _Potentials, _potential2, dual_add, dual_scale, dual_term, pair
+from .dual import _Potentials, _potentials2_at, _potentials2_of, dual_add, dual_scale, dual_term, pair
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
 from .geometry import half_of
 from .monotone import (
@@ -117,18 +123,40 @@ def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
     return max(P(dq, zy) - at_p - own + P(dy, zq) for zy, dy, own in ys)
 
 
+# A single query reads its potentials from columns the kernel fills in
+# one call each, through the reader getitem: P(d, z) = d[z]. A dual's
+# handle holds its potentials at the points it is read at, and a point's
+# handle is its position there. The query dual's handle is its column:
+# its potential at one query-side point (position 0), then at each graph
+# point (position i + 1 for pair i). A member's handle holds its entries
+# of the graph duals' columns at the query-side points (_member_handles).
+
+
+def _query_column(g: OperatorGraph, q: PairedPoint, z: Point) -> List[Scalar]:
+    """P_q at z, then at each graph point."""
+    return _potentials2_at(q.xd, [z, *(y.x for y in g.pairs)])
+
+
+def _member_handles(g: OperatorGraph, *at: Point) -> Iterator[tuple]:
+    """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y."""
+    duals = [y.xd for y in g.pairs]
+    columns = zip(*(_potentials2_of(duals, a) for a in at))
+    return zip(itertools.count(1), columns, g._self_potentials)
+
+
 def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Supremum form of the transform at the query pair."""
     if not g.pairs:
         return NEG_INF
-    return ExtReal(half_of(_transform2(_potential2, p, g._members(), (q.x, q.xd))))
+    ys = _member_handles(g, q.x)
+    return ExtReal(half_of(_transform2(getitem, 0, ys, (0, _query_column(g, q, p)))))
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps."""
     if not g.pairs:
         return NEG_INF
-    worst = min(_gaps2(_potential2, (q.x, q.xd), g._members()))
+    worst = min(_gaps2(getitem, (0, _query_column(g, q, q.x)), _member_handles(g, q.x)))
     return ExtReal(coupling_pi(p, q) - half_of(worst))
 
 
@@ -136,11 +164,12 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
     """Conjugate form: (coupling + graph indicator)*_p o swap, relative to g.
 
     The sup runs over g's pairs valued at their couplings, each doubled
-    coupling read as P_y(y.x) - P_y(p) from g's kept self-potentials;
-    pairs acting alike give equal terms, so none is merged first.
+    coupling read as P_y(y.x) - P_y(p) from g's kept self-potentials and
+    the column of P_y(p) that the conjugate term reads too; pairs acting
+    alike give equal terms, so none is merged first.
     """
-    rows = ((zy, dy, own - _potential2(dy, p)) for zy, dy, own in g._members())
-    return _conjugate(_potential2, p, rows, (q.x, q.xd))
+    rows = ((zy, dy, own - dy[0]) for zy, dy, own in _member_handles(g, p, q.x))
+    return _conjugate(getitem, 0, rows, (1, _query_column(g, q, p)))
 
 
 def fitzpatrick_forms_agree(

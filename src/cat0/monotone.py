@@ -98,10 +98,6 @@ class OperatorGraph:
     def _listed(self) -> _PairSet:
         return _PairSet(self.pairs)
 
-    def _members(self) -> Iterator[Tuple[Point, DualVector, Scalar]]:
-        """Member handles (y.x, y.xd, P_y(y.x)) of the pairs, for the single queries."""
-        return ((q.x, q.xd, own) for q, own in zip(self.pairs, self._self_potentials))
-
     def range_duals(self) -> Tuple[DualVector, ...]:
         return tuple(dict.fromkeys(q.xd for q in self.pairs))
 

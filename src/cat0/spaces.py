@@ -205,9 +205,16 @@ def _same_space(x: Point, y: Point) -> SpaceHandle:
     return x.space
 
 
-def _cosh_of_distance(x: Point, y: Point) -> float:
-    """-<x,y> for hyperboloid points, snapped up to 1 when rounding dips below."""
-    m = -minkowski_form(x.payload, y.payload)
+def _cosh_of_distance(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+    """-<x,y> for hyperboloid payloads, snapped up to 1 when rounding dips below.
+
+    The loop of minkowski_form, in its order, without its length checks:
+    payloads of one space have one length.
+    """
+    total = 0
+    for a, b in zip(x[:-1], y[:-1]):
+        total += a * b
+    m = -(total - x[-1] * y[-1])
     if m < 1:
         if m >= 1 - ACOSH_SLACK:
             return 1.0
@@ -229,7 +236,20 @@ def distance(x: Point, y: Point) -> Scalar:
         n, t = x.payload
         m, s = y.payload
         return abs(t - s) if n == m else t + s
-    return math.acosh(_cosh_of_distance(x, y))
+    return math.acosh(_cosh_of_distance(x.payload, y.payload))
+
+
+def _hyperbolic_dist_sq(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
+    """acosh(-<x,y>)^2 of two hyperboloid payloads; 0 when they are equal.
+
+    The one place the hyperboloid's squared distance is written: dist_sq
+    and the pairing kernel of cat0.dual both call it, the kernel on
+    payloads it reads once per call.
+    """
+    if x == y:
+        return 0
+    d = math.acosh(_cosh_of_distance(x, y))
+    return d * d
 
 
 def dist_sq(x: Point, y: Point) -> Scalar:
@@ -239,14 +259,13 @@ def dist_sq(x: Point, y: Point) -> Scalar:
     avoids the sqrt round trip wherever the square has a closed form.
     """
     space = _same_space(x, y)
+    if space.kind == HYPERBOLIC:
+        return _hyperbolic_dist_sq(x.payload, y.payload)
     if x == y:
         return 0
     if space.kind == EUCLIDEAN:
         return sum((a - b) ** 2 for a, b in zip(x.payload, y.payload))
-    if space.kind == RTREE:
-        d = distance(x, y)
-        return d * d
-    d = math.acosh(_cosh_of_distance(x, y))
+    d = distance(x, y)
     return d * d
 
 
@@ -293,7 +312,7 @@ def hyperbolic_geodesic(x: Point, y: Point, t: Scalar) -> Point:
         return x
     if t == 1:
         return y
-    m = _cosh_of_distance(x, y)
+    m = _cosh_of_distance(x.payload, y.payload)
     q = m * m - 1
     if q <= 0:
         return x  # numerically coincident endpoints

@@ -227,17 +227,17 @@ def classical_conjugate_oracle(
     return NEG_INF if best is None else ExtReal(best)
 
 
-def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True) -> List[int]:
-    """Patch name in each module to count its calls, those where counts(*args) holds.
+def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True, calls=None) -> List[int]:
+    """Patch name in each module to count its calls, by counts(*args) each (True is one).
 
-    Returns a one-element list holding the count; assign 0 to reset it.
+    Returns a one-element list holding the count (calls, when given, is
+    added to); assign 0 to reset it.
     """
-    calls = [0]
+    calls = [0] if calls is None else calls
     real = getattr(modules[0], name)
 
     def counted(*args):
-        if counts(*args):
-            calls[0] += 1
+        calls[0] += counts(*args)
         return real(*args)
 
     for module in modules:
@@ -246,25 +246,36 @@ def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True) -> L
 
 
 def count_potentials(monkeypatch) -> List[int]:
-    """Count the potential evaluations (cat0.dual._potential2) of nonzero duals.
+    """Count the potential values of nonzero duals that the pairing kernel yields.
 
-    A zero dual's potential is 0 without any work, so it is not counted:
-    one evaluation stands where a one-term dual's potential cost two
-    squared distances.
+    Every potential comes from cat0.dual._potentials2_at (one dual at
+    several points) or _potentials2_of (several duals at one point), and
+    _potential2 is the one-point case of the latter, so each value is
+    counted once. A zero dual's potential is 0 without any work, so it
+    is not counted: one value stands where a one-term dual's potential
+    costs two squared distances.
     """
-    import cat0.conjugate
     import cat0.dual
     import cat0.fitzpatrick
-    import cat0.monotone
 
-    modules = (cat0.dual, cat0.monotone, cat0.conjugate, cat0.fitzpatrick)
-    return count_calls(monkeypatch, "_potential2", modules, lambda xd, z: bool(xd.terms))
+    modules = (cat0.dual, cat0.fitzpatrick)
+    calls = count_calls(monkeypatch, "_potentials2_at", modules,
+                        lambda xd, zs: len(zs) if xd.terms else 0)
+    return count_calls(monkeypatch, "_potentials2_of", modules,
+                       lambda xds, z: sum(1 for xd in xds if xd.terms), calls)
 
 
 def count_dist_sq(monkeypatch) -> List[int]:
-    """Count squared distances, wherever the library imports dist_sq."""
+    """Count squared distances, wherever the library imports dist_sq.
+
+    On the hyperboloid each one is counted where it is computed, in
+    cat0.spaces._hyperbolic_dist_sq, which dist_sq and the pairing
+    kernel call on payloads.
+    """
     import cat0.dual
     import cat0.geometry
     import cat0.spaces
 
-    return count_calls(monkeypatch, "dist_sq", (cat0.spaces, cat0.dual, cat0.geometry))
+    calls = count_calls(monkeypatch, "dist_sq", (cat0.spaces, cat0.dual, cat0.geometry),
+                        lambda x, y: x.space.kind != "hyperbolic")
+    return count_calls(monkeypatch, "_hyperbolic_dist_sq", (cat0.spaces, cat0.dual), calls=calls)

@@ -27,7 +27,7 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
-from cat0.dual import _combined_key, _potential2
+from cat0.dual import _combined_key, _potential2, _potentials2_at, _potentials2_of
 from cat0.spaces import BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, hilbert_inner
@@ -449,6 +449,36 @@ def test_exact_potentials_equal_the_squared_distance_sum(kind, data):
         else:
             zf = make_point(z.space, tuple(float(a) + 0.1 for a in z.payload))
         assert repr(_potential2(xd, zf)) == repr(_direct2(xd, zf))
+
+
+KERNEL_POINTS = {
+    "euclidean": euclid_points(),
+    "rtree": TREE_POINTS,
+    "hyperbolic": FLOAT_SPACES["hyperbolic"][0],
+}
+
+
+def _floated(pt):
+    """pt with float coordinates (the tree keeps its branch); the hyperboloid's already are."""
+    if pt.space.kind == "rtree":
+        return make_point(pt.space, (pt.payload[0], float(pt.payload[1])))
+    return make_point(pt.space, tuple(float(a) for a in pt.payload))
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_POINTS))
+@given(data=st.data())
+def test_batched_kernel_equals_the_one_point_potential(kind, data):
+    # exact, float and zero duals at exact and float points, endpoints
+    # among them: each batched value equals _potential2's, type included
+    exact = KERNEL_POINTS[kind]
+    points = st.one_of(exact, exact.map(_floated))
+    duals = data.draw(st.lists(st.one_of(_duals(points), _float_duals(points)), min_size=1, max_size=4))
+    zs = data.draw(st.lists(points, min_size=1, max_size=4))
+    zs += [bv.tail for xd in duals for _, bv in xd.terms][:2]
+    for xd in duals:
+        assert list(map(repr, _potentials2_at(xd, zs))) == [repr(_potential2(xd, z)) for z in zs]
+    for z in zs:
+        assert list(map(repr, _potentials2_of(duals, z))) == [repr(_potential2(xd, z)) for xd in duals]
 
 
 # ---------------------------------------------------------------------------

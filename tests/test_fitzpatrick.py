@@ -38,6 +38,7 @@ from cat0 import (
     monotonically_related,
     pair,
     pair_in,
+    random_point,
     relatedness_gap,
     roundtrip_check,
     rtree,
@@ -357,6 +358,66 @@ def _single_query_instances():
     ]
 
 
+def _curve_point(t):
+    return make_point(H2, (math.sinh(t), 0.0, math.cosh(t)))
+
+
+def _pinned_curve_queries():
+    """(graph, basepoint, query) of 20 seeded H^2 queries against a 200-pair curve graph.
+
+    Every third query point is a graph point and every other query
+    dual starts at one, so the coincident-point path of the squared
+    distance runs; every fourth dual has a second term. One- and
+    two-term sums round alike on every Python version.
+    """
+    g = OperatorGraph(H2, tuple(
+        PairedPoint(_curve_point(t), dual_term(1.0, _curve_point(t), _curve_point(t + 1.0)))
+        for t in (k * 0.05 for k in range(200))
+    ))
+    rng = random.Random(14)
+    out = []
+    for i in range(20):
+        on_curve = g.pairs[rng.randrange(200)].x
+        x = on_curve if i % 3 == 0 else random_point(H2, rng, spread=1.5)
+        tail = on_curve if i % 2 == 0 else random_point(H2, rng, spread=1.5)
+        terms = [(rng.uniform(0.25, 2.0), BoundVector(tail, random_point(H2, rng, spread=1.5)))]
+        if i % 4 == 1:
+            terms.append((-rng.uniform(0.25, 2.0), BoundVector(x, random_point(H2, rng, spread=1.5))))
+        out.append((g, random_point(H2, rng, spread=1.5), PairedPoint(x, dual_vector(terms))))
+    return out
+
+
+# float.hex of (sup, inf, conjugate) on each of _pinned_curve_queries
+_PINNED_CURVE_HEX = [
+    ('0x1.4f32ae89e87a2p-1', '0x1.4f32ae89e87a0p-1', '0x1.4f32ae89e87a2p-1'),
+    ('0x1.da880b186aefbp+0', '0x1.da880b186aefbp+0', '0x1.da880b186aefcp+0'),
+    ('-0x1.8cf2526fcb1bfp+3', '-0x1.8cf2526fcb1bep+3', '-0x1.8cf2526fcb1bfp+3'),
+    ('-0x1.67b833a3b3fb2p-2', '-0x1.67b833a3b3fb2p-2', '-0x1.67b833a3b3fb2p-2'),
+    ('-0x1.44c4082c8a2abp+3', '-0x1.44c4082c8a2abp+3', '-0x1.44c4082c8a2abp+3'),
+    ('0x1.cf30aedfc4788p+1', '0x1.cf30aedfc478ap+1', '0x1.cf30aedfc4788p+1'),
+    ('0x1.d83c783f52db4p+3', '0x1.d83c783f52db0p+3', '0x1.d83c783f52db4p+3'),
+    ('-0x1.1b6e1e8d57a96p-1', '-0x1.1b6e1e8d57a96p-1', '-0x1.1b6e1e8d57a96p-1'),
+    ('0x1.4b3038985fc9cp+3', '0x1.4b3038985fc9cp+3', '0x1.4b3038985fc9cp+3'),
+    ('0x1.44e08d67da1e6p+2', '0x1.44e08d67da1e6p+2', '0x1.44e08d67da1e6p+2'),
+    ('-0x1.6b72c1fa99e6ap+0', '-0x1.6b72c1fa99e6cp+0', '-0x1.6b72c1fa99e6ap+0'),
+    ('0x1.6470d6dad1ed3p-1', '0x1.6470d6dad1ed3p-1', '0x1.6470d6dad1ed3p-1'),
+    ('0x1.45f4e51933878p+2', '0x1.45f4e51933860p+2', '0x1.45f4e51933878p+2'),
+    ('-0x1.28873b3a70e3ap+1', '-0x1.28873b3a70e3ap+1', '-0x1.28873b3a70e3ap+1'),
+    ('0x1.0c1711854dbdcp-2', '0x1.0c1711854dbdcp-2', '0x1.0c1711854dbdcp-2'),
+    ('0x1.10fdb183a2981p+2', '0x1.10fdb183a2981p+2', '0x1.10fdb183a2981p+2'),
+    ('-0x1.da7cd05979fc4p-1', '-0x1.da7cd05979fc0p-1', '-0x1.da7cd05979fc3p-1'),
+    ('-0x1.984afbb2c550cp-3', '-0x1.984afbb2c550cp-3', '-0x1.984afbb2c550cp-3'),
+    ('0x1.ac9074ae0c69ep+3', '0x1.ac9074ae0c6a0p+3', '0x1.ac9074ae0c69ep+3'),
+    ('-0x1.86204978d8840p-6', '-0x1.86204978d8800p-6', '-0x1.86204978d8840p-6'),
+]
+
+
+def test_single_queries_keep_their_bits_on_a_curve_graph():
+    forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
+    got = [tuple(form(g, p, q).value.hex() for form in forms) for g, p, q in _pinned_curve_queries()]
+    assert got == _PINNED_CURVE_HEX
+
+
 def test_single_queries_count_their_squared_distances(monkeypatch):
     potentials = count_potentials(monkeypatch)
     squares = count_dist_sq(monkeypatch)
@@ -367,13 +428,14 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
         # self-potentials P_y(y.x) are read by its first query (n of them)
         # and then kept. Per graph pair y: sup reads P_q(y), P_y(q); inf
         # the same two, plus P_q(q) once and the query's coupling; the
-        # conjugate form one read for y's coupling (P_y(y.x) is kept) and
-        # three conjugate-term reads; fenchel_conjugate_p three.
+        # conjugate form P_q(y), P_y(q) and P_y(p), which serves both y's
+        # coupling (P_y(y.x) is kept) and the conjugate term;
+        # fenchel_conjugate_p three.
         for query, reads in (
             (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n),
             (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n),
             (lambda: fitzpatrick_inf(g, p, q), 2 + 1 + 2 * n),
-            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 4 * n),
+            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 3 * n),
             (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n),
         ):
             potentials[0] = squares[0] = 0
@@ -385,15 +447,25 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
 @pytest.mark.parametrize("form", [fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate])
 def test_exact_forms_reject_points_from_another_space(form):
     # an exact Euclidean graph with a tree basepoint, a tree query point
-    # (zero dual), or a tree query dual
+    # (zero dual), or a tree query dual; an H^2 graph with the same from
+    # E^3, whose payloads have the H^2 length, so only the space check
+    # tells them apart
     T = rtree()
     root, leaf = make_point(T, (1, 0)), make_point(T, (2, Fraction(1, 2)))
     g = OperatorGraph(E2, (PairedPoint(make_point(E2, (1, 2)), vector_dual(E2, (2, -1))),))
     euclid_q = PairedPoint(make_point(E2, (0, 1)), dual_term(Fraction(1, 2), ORIGIN2, make_point(E2, (1, 1))))
-    for p, q in (
-        (root, euclid_q),
-        (ORIGIN2, PairedPoint(leaf, zero_dual())),
-        (ORIGIN2, PairedPoint(leaf, dual_term(1, root, leaf))),
+    E3 = euclidean(3)
+    apex, flat = make_point(E3, (0.0, 0.0, 1.0)), make_point(E3, (1.0, 0.0, math.sqrt(2.0)))
+    h_apex, h_side = make_point(H2, (0.0, 0.0, 1.0)), make_point(H2, (0.0, 1.0, math.sqrt(2.0)))
+    h = OperatorGraph(H2, (PairedPoint(h_side, dual_term(1.0, h_side, h_apex)),))
+    hyp_q = PairedPoint(h_apex, dual_term(1.0, h_apex, h_side))
+    for g, p, q in (
+        (g, root, euclid_q),
+        (g, ORIGIN2, PairedPoint(leaf, zero_dual())),
+        (g, ORIGIN2, PairedPoint(leaf, dual_term(1, root, leaf))),
+        (h, apex, hyp_q),
+        (h, h_apex, PairedPoint(flat, zero_dual())),
+        (h, h_apex, PairedPoint(flat, dual_term(1.0, apex, flat))),
     ):
         with pytest.raises(SpaceMismatchError):
             form(g, p, q)
