@@ -37,13 +37,14 @@ is written once, in the potentials of cat0.dual._potential2
 (_conjugate), on (point, dual) handles: rows are handles with a doubled
 value, for fenchel_conjugate_p, the conjugate form of the transform,
 avg_lowerbound_check and the fixed-point identity; the last two read
-one potential table per call.
+the rows of one potential table per call through getitem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
@@ -300,15 +301,24 @@ def avg_lowerbound_check(
     """
     tol = p.space.default_tol if tol is None else tol
     values = _values(h, universe, tol)
+    finite = [(q, v) for q, v in zip(universe, values) if not v.is_pos_inf]
     pot = _Potentials()
+    handles = pot.handles([q for q, _ in finite], full=True)
+    rows = [(z, row, 2 * v.value) for (z, row), (_, v) in zip(handles, finite)]
     zp = pot.point(p)
-    ids = pot.index(universe)
-    rows = [(zu, du, 2 * v.value) for (zu, du), v in zip(ids, values) if not v.is_pos_inf]
-    for (zu, du), v in zip(ids, values):
-        conj = _conjugate(pot, zp, rows, (zu, du))
+    side, row_duals = [z for z, _, _ in rows] + [zp], [row for _, row, _ in rows]
+    # a universe pair's values are filled when it is reached, and its
+    # own potential is kept in its row
+    for u, v in zip(pot.handles(universe, full=True), values):
+        zu, ru = u
+        pot.fill((ru,), side)
+        pot.fill_at(row_duals, zu)
+        pot.fill_at(row_duals, zp)
+        conj = _conjugate(getitem, zp, rows, u)
         if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
             raise ImproperTableError("table is +inf on every universe pair")
-        if not scale(Fraction(1, 2), v + conj) >= half_of(pot(du, zu) - pot(du, zp)) - tol:
+        (own,) = pot.owns([u])
+        if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
             return False
     return True
 
@@ -410,15 +420,18 @@ def _fixed_point_defect(
     """
     pot = _Potentials()
     zp = pot.point(p)
-    capped = []  # (point index, dual index, doubled value) where h <= pi_p + tol
-    for u, v in zip(pairs, _values(h, pairs, tol)):
-        if v.is_finite:
-            zu, du = pot.point(u.x), pot.dual(u.xd)
-            if v <= half_of(pot(du, zu) - pot(du, zp)) + tol:
-                capped.append((zu, du, 2 * v.value))
+    finite = [(u, v) for u, v in zip(pairs, _values(h, pairs, tol)) if v.is_finite]
+    us = pot.handles([u for u, _ in finite], full=True)
+    pot.fill([row for _, row in us], [zp])
+    # (point, row, doubled value) where h <= pi_p + tol
+    capped = [(z, row, 2 * v.value) for (z, row), own, (_, v) in zip(us, pot.owns(us), finite)
+              if v <= half_of(own - row[zp]) + tol]
+    qs = pot.handles(h.domain)
+    pot.fill([row for _, row in qs], [z for z, _, _ in capped] + [zp])
+    pot.fill([row for _, row, _ in capped], [z for z, _ in qs])
     worst = 0.0
-    for (q, v), zdq in zip(h.entries, pot.index(h.domain)):
-        back = _conjugate(pot, zp, capped, zdq)
+    for (q, v), zq in zip(h.entries, qs):
+        back = _conjugate(getitem, zp, capped, zq)
         if v.is_finite and back.is_finite:
             defect = abs(float(v.value - back.value))
         elif v == back:

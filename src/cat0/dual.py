@@ -14,7 +14,11 @@ one point) and _potential2, the one-point case. A kernel call checks
 the spaces in one pass and reads once what its values share: the
 point's payload and exactness, or the dual's term payloads and branch
 slopes. On the hyperboloid every squared distance comes from
-cat0.spaces._hyperbolic_dist_sq, which dist_sq calls there too.
+cat0.spaces._hyperbolic_dist_sq, which dist_sq calls there too. Every
+formula reads the values it needs through one reader, getitem on a
+dual's values by point position: a column of a single query, or a row
+of the potential table of a whole-set sweep (_Potentials), which the
+kernel fills where the sweep reads it.
 
 On the exact spaces 2F is affine, so an exact dual is evaluated from
 its form (DualVector._offset and _linear) without any distance:
@@ -81,7 +85,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
 from .geometry import half_of
@@ -131,6 +135,27 @@ class DualVector:
         spaces = {bv.space for _, bv in self.terms}
         if len(spaces) > 1:
             raise SpaceMismatchError("dual vector mixes terms from different spaces")
+        # the kept hash's place, made first: duals whose __dict__ keys come
+        # in one order share one key table, so hashing adds no memory
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the terms, computed once and kept in __dict__ (not a field).
+
+        Tables and pair indexes hash the same duals over and over, and a
+        structural hash walks every term down to its points and space.
+        """
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.terms,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        """The state without the kept hash: str hashes differ from process to process."""
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
 
     @property
     def space(self) -> Optional[SpaceHandle]:
@@ -264,12 +289,14 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
-    DualVector) handles, a _Potentials table on index handles for a
-    sweep, and for a single transform query columns that the kernel
-    fills in one call each (see cat0.fitzpatrick). A graph member's
-    handle also carries its own doubled potential P_y(y.x): kept by the
-    OperatorGraph for a single query (OperatorGraph._self_potentials),
-    read from the table for a sweep (_Potentials.members).
+    DualVector) handles, and otherwise getitem, P(d, z) = d[z], where a
+    dual's handle holds its values by point position: a row of a
+    _Potentials table for a sweep, a column that the kernel fills in one
+    call for a single transform query (see cat0.fitzpatrick). A graph
+    member's handle also carries its own doubled potential P_y(y.x):
+    kept by the OperatorGraph for a single query
+    (OperatorGraph._self_potentials), read from its row for a sweep
+    (_Potentials.members).
     """
     return _potentials2_of((xd,), z)[0]
 
@@ -363,72 +390,163 @@ def _affine2(offset: Scalar, vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scal
     return num if den == 1 else Fraction(num, den)
 
 
+class _Row(list):
+    """One dual's doubled potentials, indexed by point number; None where not computed."""
+
+    __slots__ = ("dual", "full")
+
+    def __init__(self, dual: DualVector):
+        super().__init__()
+        self.dual = dual
+        self.full = False  # a member's row: it may be read at every point of its table
+
+
 class _Potentials:
-    """The doubled potentials 2F_d(z) of one call's duals at its points.
+    """The doubled potentials 2F_d(z) of one call's duals at its points, as rows.
 
-    A whole-set computation builds one table per call and reads its
-    pairings from it, so each dual's potential at each point is computed
-    once (see _potential2).
+    A whole-set computation builds one table per call. point() numbers
+    the call's points (by payload: a table holds one space) and row()
+    gives each dual one row (by structural equality, once per pair,
+    never per pairing), a list indexed by point number. Sweeps read a
+    row through getitem, row[z], the reader the single queries of
+    cat0.fitzpatrick use on their columns; a handle is (point number,
+    row), a member handle also carries its own potential.
 
-    point() and dual() number the call's points and duals (structural
-    equality, so each is hashed once per pair, never per pairing); a
-    dual's potential at a point is computed on first use (an int on
-    integer inputs) and then kept. The first point numbered fixes the
+    A value is computed once, by the kernel call that fills it, when the
+    step that reads it is reached: fill() fills rows at points, one
+    _potentials2_at call per row, and fill_at() fills rows at one point
+    with one _potentials2_of call; each skips what a row already holds.
+    So a row holds values only where the call reads it, and the call
+    evaluates exactly the potentials it reads. The member side is
+    numbered first: the members' points, then p where it is read. A
+    member's row is full: it may be read at every point. Another dual's
+    row is read at member-side points only, so it stays that short, and
+    the own potential P_u(u.x) of a handle elsewhere is kept in the
+    handle, not the row (owns). The first point numbered fixes the
     space: a point from another space raises, as a pairing across
     spaces would (a zero dual alone evaluates nothing, so this check is
-    not left to _potential2).
+    not left to the kernel).
     """
 
     def __init__(self):
         self._space: Optional[SpaceHandle] = None
-        self._point_ids: Dict[Point, int] = {}
-        self._dual_ids: Dict[DualVector, int] = {}
+        self._point_ids: Dict[tuple, int] = {}  # by payload: the points share one space
         self._points: List[Point] = []
-        self._duals: List[DualVector] = []
-        self._values: List[Dict[int, Scalar]] = []  # per dual index: point index -> 2F
+        self._rows: Dict[DualVector, _Row] = {}
+        self._side: Optional[int] = None  # member-side points, fixed by the first other handles
 
     def point(self, x: Point) -> int:
-        i = self._point_ids.get(x)
-        if i is None:
+        i = self._point_ids.get(x.payload)
+        if i is None or x.space is not self._space:
             if self._space is None:
                 self._space = x.space
             elif x.space != self._space:
                 raise SpaceMismatchError(
                     f"points live in different spaces: {self._space} vs {x.space}"
                 )
-            i = self._point_ids[x] = len(self._points)
-            self._points.append(x)
+            if i is None:
+                i = self._point_ids[x.payload] = len(self._points)
+                self._points.append(x)
         return i
 
-    def dual(self, xd: DualVector) -> int:
-        d = self._dual_ids.get(xd)
-        if d is None:
-            d = self._dual_ids[xd] = len(self._duals)
-            self._duals.append(xd)
-            self._values.append({})
-        return d
+    def row(self, xd: DualVector) -> _Row:
+        row = self._rows.get(xd)
+        if row is None:
+            row = self._rows[xd] = _Row(xd)
+        return row
 
-    def index(self, pairs: Sequence) -> List[Tuple[int, int]]:
-        """(point index, dual index) of each (point, dual) pair."""
-        return [(self.point(q.x), self.dual(q.xd)) for q in pairs]
+    def handles(self, pairs: Sequence, full: bool = False) -> List[Tuple[int, _Row]]:
+        """(point number, row) of each (point, dual) pair; full marks member rows.
 
-    def members(self, pairs: Sequence) -> List[Tuple[int, int, Scalar]]:
-        """Member handles (point index, dual index, own doubled potential) of the pairs."""
-        return [(z, d, self(d, z)) for z, d in self.index(pairs)]
+        The first handles that are not full close the member side.
+        """
+        if not full and self._side is None:
+            self._side = len(self._points)
+        hs = [(self.point(q.x), self.row(q.xd)) for q in pairs]
+        if full:
+            for _, row in hs:
+                row.full = True
+        return hs
+
+    def members(self, pairs: Sequence) -> List[Tuple[int, _Row, Scalar]]:
+        """Member handles (point number, row, own doubled potential) of the pairs."""
+        hs = self.handles(pairs, full=True)
+        for z, row in hs:
+            if len(row) <= z or row[z] is None:
+                self._put(row, z)
+        return [(z, row, row[z]) for z, row in hs]
+
+    def owns(self, handles: Sequence[Tuple[int, _Row]]) -> List[Scalar]:
+        """P_u(u.x) of each handle u, in order.
+
+        Read from the row where it spans u.x (a member's row, or a
+        member-side point); elsewhere computed with one _potentials2_of
+        call per point, and kept in no row.
+        """
+        side = len(self._points) if self._side is None else self._side
+        kept: Dict[int, Dict[int, _Row]] = {}  # point -> rows filled there
+        apart: Dict[int, Dict[int, _Row]] = {}  # point -> rows valued apart
+        for z, row in handles:
+            (kept if row.full or z < side else apart).setdefault(z, {})[id(row)] = row
+        for z, rows in kept.items():
+            self.fill_at(rows.values(), z)
+        values = {}
+        for z, rows in apart.items():
+            rows = list(rows.values())
+            for row, v in zip(rows, _potentials2_of([row.dual for row in rows], self._points[z])):
+                values[z, id(row)] = v
+        return [row[z] if row.full or z < side else values[z, id(row)] for z, row in handles]
+
+    def fill(self, rows: Iterable[_Row], zs: Sequence[int]) -> None:
+        """Fill each row at the points zs where it holds nothing, one _potentials2_at call a row."""
+        if not zs:
+            return
+        zs = list(dict.fromkeys(zs))
+        top = max(zs) + 1
+        for row in {id(row): row for row in rows}.values():
+            if len(row) < top:
+                row.extend([None] * (top - len(row)))
+            need = [z for z in zs if row[z] is None]
+            if need:
+                for z, v in zip(need, _potentials2_at(row.dual, [self._points[z] for z in need])):
+                    row[z] = v
+
+    def fill_at(self, rows: Iterable[_Row], z: int) -> None:
+        """Fill each row at the point z if it holds nothing there: one _potentials2_of call."""
+        need = {id(row): row for row in rows if len(row) <= z or row[z] is None}
+        if need:
+            need = list(need.values())
+            for row, v in zip(need, _potentials2_of([row.dual for row in need], self._points[z])):
+                if len(row) <= z:
+                    row.extend([None] * (z + 1 - len(row)))
+                row[z] = v
+
+    def pairs(self, a: tuple, bs: Iterable[tuple]) -> Iterator[Tuple[tuple, tuple]]:
+        """(a, b) for each handle b of bs, after filling the two values their gap reads.
+
+        Lazy: a sweep that stops at a pair leaves the later pairs' values
+        uncomputed.
+        """
+        za, ra = a[0], a[1]
+        for b in bs:
+            zb, rb = b[0], b[1]
+            if len(ra) <= zb or ra[zb] is None:
+                self._put(ra, zb)
+            if len(rb) <= za or rb[za] is None:
+                self._put(rb, za)
+            yield a, b
+
+    def _put(self, row: _Row, z: int) -> None:
+        """Fill row at the point z, which it does not hold."""
+        if len(row) <= z:
+            row.extend([None] * (z + 1 - len(row)))
+        row[z] = _potential2(row.dual, self._points[z])
 
     def tol(self, tol: Optional[float]) -> float:
         """tol, or the default_tol of the table's space; a table without points compares nothing."""
         if tol is None:
             return self._space.default_tol if self._space is not None else 0.0
         return tol
-
-    def __call__(self, d: int, z: int) -> Scalar:
-        """2F_d(z), computed by _potential2 on first use."""
-        values = self._values[d]
-        v = values.get(z)
-        if v is None:
-            v = values[z] = _potential2(self._duals[d], self._points[z])
-        return v
 
 
 def dual_vector(terms: Iterable[Tuple[Scalar, BoundVector]]) -> DualVector:

@@ -65,6 +65,7 @@ from .monotone import (
     _monotone_report,
     _polar_indices,
     _require_graph_in,
+    _universe_handles,
     f_property_check,
     relatedness_gap,
 )
@@ -132,9 +133,9 @@ def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
 # of the graph duals' columns at the query-side points (_member_handles).
 
 
-def _query_column(g: OperatorGraph, q: PairedPoint, z: Point) -> List[Scalar]:
-    """P_q at z, then at each graph point."""
-    return _potentials2_at(q.xd, [z, *(y.x for y in g.pairs)])
+def _query_column(g: OperatorGraph, q: PairedPoint, z: Point, *after: Point) -> List[Scalar]:
+    """P_q at z, then at each graph point, then at the points after."""
+    return _potentials2_at(q.xd, [z, *(y.x for y in g.pairs), *after])
 
 
 def _member_handles(g: OperatorGraph, *at: Point) -> Iterator[tuple]:
@@ -153,11 +154,20 @@ def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
-    """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps."""
+    """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps.
+
+    The query's column holds P_q(q.x) first and P_q(p) last, so the
+    coupling pi_p(q) = (P_q(q.x) - P_q(p)) / 2 reads the values the gaps
+    read (0 where coupling_pi gives 0: a zero vector or a zero dual).
+    """
     if not g.pairs:
         return NEG_INF
-    worst = min(_gaps2(getitem, (0, _query_column(g, q, q.x)), _member_handles(g, q.x)))
-    return ExtReal(coupling_pi(p, q) - half_of(worst))
+    column = _query_column(g, q, q.x, p)
+    a = (0, column, column[0])
+    worst = min(_gaps2(getitem, zip(itertools.repeat(a), _member_handles(g, q.x))))
+    zero = BoundVector(p, q.x).is_zero or not q.xd.terms
+    coupling = 0 if zero else half_of(column[0] - column[-1])
+    return ExtReal(coupling - half_of(worst))
 
 
 def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
@@ -221,29 +231,38 @@ def level_set_report(
     _require_graph_in(universe, g, tol)
 
     pot = _Potentials()
-    uids = pot.index(universe)
     gms = pot.members(g.pairs)
+    zp = pot.point(p)
+    us = _universe_handles(pot, universe)
+    # fitzpatrick_sup minus coupling_pi, doubled: the coupling is P_q(q.x)
+    # - P_q(p), and the difference is halved once (-inf without members)
+    if gms:
+        pot.fill([row for _, row, _ in us], [z for z, _, _ in gms] + [zp])
+        pot.fill([row for _, row, _ in gms], [z for z, _, _ in us])
+        doubled = [_transform2(getitem, zp, gms, (zq, rq)) - (own - rq[zp]) for zq, rq, own in us]
+    else:
+        doubled = [-math.inf] * len(us)
+    gaps = [ExtReal(half_of(g2)) if gms else NEG_INF for g2 in doubled]
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
-    zp = pot.point(p)
-    # fitzpatrick_sup minus coupling_pi; the coupling is P_q(q.x) - P_q(p),
-    # and the difference is halved once
-    gaps = [
-        ExtReal(half_of(_transform2(pot, zp, gms, (zq, dq)) - (pot(dq, zq) - pot(dq, zp))))
-        if gms else NEG_INF
-        for zq, dq in uids
-    ]
-    for i, gap in enumerate(gaps):
-        if gap.is_finite and abs(gap.value) <= tol:
+    # |gap| <= tol is decided on the doubled gap against 2 tol, which is
+    # exact on ints and Fractions and builds no Fraction; a float gap is
+    # compared as reported, since halving a float can round
+    tol2 = 2 * tol
+    if math.isinf(tol2) and not math.isinf(tol):
+        tol2 = 2 * Fraction(tol)
+    for i, (g2, gap) in enumerate(zip(doubled, gaps)):
+        v, band = (gap.raw, tol) if isinstance(g2, float) else (g2, tol2)
+        if abs(v) <= band:
             equal.append(i)
-        elif gap < 0:
+        elif v < 0:
             below.append(i)
         else:
             above.append(i)
 
     graph_idx = {i for i, q in enumerate(universe) if g._listed.find(q, tol) is not None}
-    polar_idx = set(_polar_indices(pot, gms, uids, tol))
+    polar_idx = set(_polar_indices(pot, gms, us, tol))
 
     mono = _monotone_report(pot, g.pairs, gms, tol).holds
     # is_maximal_relative's test, on the sets already in hand
@@ -316,12 +335,19 @@ def roundtrip_check(
     if not membership.holds:
         raise RepresentationPreconditionError(membership)
     g = s_map(h, p, tol)
-    # fitzpatrick_sup at every entry, read from one potential table
+    # fitzpatrick_sup at every entry, read from one potential table; an
+    # entry's values are filled when it is reached
     pot = _Potentials()
-    zp = pot.point(p)
     gms = pot.members(g.pairs)
-    for (q, v), u in zip(h.entries, pot.index(h.domain)):
-        phi = ExtReal(half_of(_transform2(pot, zp, gms, u))) if gms else NEG_INF
+    zp = pot.point(p)
+    side = [z for z, _, _ in gms] + [zp]
+    for (q, v), (zq, rq) in zip(h.entries, pot.handles(h.domain)):
+        if gms:
+            pot.fill((rq,), side)
+            pot.fill_at([row for _, row, _ in gms], zq)
+            phi = ExtReal(half_of(_transform2(getitem, zp, gms, (zq, rq))))
+        else:
+            phi = NEG_INF
         if not agree((phi, v), tol):
             return PropertyReport(
                 holds=False, witness={"pair": q, "table": v, "transform": phi}

@@ -26,12 +26,16 @@ Flatness itself is sampled through chord-condition equality on supplied
 triples.
 
 The relatedness gap is written once, in doubled potentials (_gaps2,
-see cat0.dual._potential2), between a (point, dual) handle and member
-handles that also carry their own doubled potential P_b(b.x):
-relatedness_gap reads it on its two pairs, the whole-set sweeps
-(is_monotone, monotone_polar, is_maximal_relative and the level-set
-report) from one potential table per call. An OperatorGraph keeps its
-members' self-potentials for the single transform queries of
+see cat0.dual._potential2), between handles that carry their own
+doubled potential P_a(a.x): relatedness_gap reads it on its two pairs
+through _potential2, the whole-set sweeps (is_monotone, monotone_polar,
+is_maximal_relative and the level-set report) from the rows of one
+potential table per call through getitem, as the single queries of
+cat0.fitzpatrick read their columns. A sweep fills the rows where it
+reads them, so it evaluates no potential it does not read: the polar
+goes member by member and drops a universe pair at the first member it
+is not related to (see cat0.dual._Potentials). An OperatorGraph keeps
+its members' self-potentials for the single transform queries of
 cat0.fitzpatrick (see OperatorGraph).
 """
 
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import getitem
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
@@ -118,22 +124,21 @@ class FPropertyReport:
     upper: PropertyReport
 
 
-def _gaps2(P, a: tuple, bs: Iterable[tuple]) -> Iterator[Scalar]:
-    """Twice relatedness_gap(a, b) for each member handle b in bs, in order.
+def _gaps2(P, pairs: Iterable[Tuple[tuple, tuple]]) -> Iterator[Scalar]:
+    """Twice relatedness_gap(a, b) for each pair (a, b) of handles, in order.
 
-    Handles and the reader P as in cat0.dual._potential2; a member handle
-    carries P_b(b.x). The doubled gap is P_a(a.x) - P_a(b.x) - P_b(a.x)
-    + P_b(b.x); P_a(a.x) is read once.
+    Handles and the reader P as in cat0.dual._potential2; each handle
+    carries its own doubled potential: (point, dual, P_a(a.x)). The
+    doubled gap is P_a(a.x) - P_a(b.x) - P_b(a.x) + P_b(b.x).
     """
-    za, da = a
-    own = P(da, za)
-    for zb, db, own_b in bs:
-        yield own - P(da, zb) - P(db, za) + own_b
+    for (za, da, own_a), (zb, db, own_b) in pairs:
+        yield own_a - P(da, zb) - P(db, za) + own_b
 
 
 def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
     """<q1.xd - q2.xd, q2.x q1.x ->; nonnegative when related."""
-    (gap2,) = _gaps2(_potential2, (q1.x, q1.xd), [(q2.x, q2.xd, _potential2(q2.xd, q2.x))])
+    a = (q1.x, q1.xd, _potential2(q1.xd, q1.x))
+    (gap2,) = _gaps2(_potential2, [(a, (q2.x, q2.xd, _potential2(q2.xd, q2.x)))])
     return half_of(gap2)
 
 
@@ -148,16 +153,21 @@ def monotonically_related(
 # The sweeps compare doubled gaps with -2 tol: doubling is exact on
 # ints, Fractions and floats, so each verdict is the one the halved gap
 # would give, without building a Fraction per comparison. A tol of None
-# is the default_tol of the potential table's space.
+# is the default_tol of the potential table's space. They read the
+# table's rows through getitem (see cat0.dual._Potentials).
 
 
 def _monotone_report(
     pot: _Potentials, pairs: Sequence[PairedPoint], members: List[tuple], tol: Optional[float]
 ) -> PropertyReport:
-    """is_monotone on pairs whose member handles in pot are given."""
+    """is_monotone on pairs whose member handles in pot are given.
+
+    Pair by pair, so a failing pair leaves the later ones unevaluated.
+    """
     floor = -2 * pot.tol(tol)
     for i in range(len(members)):
-        for j, gap2 in enumerate(_gaps2(pot, members[i][:2], members[i + 1:]), i + 1):
+        gaps = _gaps2(getitem, pot.pairs(members[i], members[i + 1:]))
+        for j, gap2 in enumerate(gaps, i + 1):
             if gap2 < floor:
                 return PropertyReport(
                     holds=False,
@@ -167,18 +177,30 @@ def _monotone_report(
 
 
 def _polar_indices(
-    pot: _Potentials,
-    members: List[tuple],
-    ids: List[Tuple[int, int]],
-    tol: Optional[float],
+    pot: _Potentials, members: List[tuple], us: List[tuple], tol: Optional[float]
 ) -> List[int]:
-    """Positions in ids of the pairs related to every member (given by member handles)."""
+    """Positions in us of the handles related to every member.
+
+    us are handles (point, row, own). Member by member: a handle leaves
+    at the first member it is not related to, and only the handles
+    still in are filled at the next member, so each is evaluated
+    against the members a test in member order reaches.
+    """
     floor = -2 * pot.tol(tol)
-    return [
-        i
-        for i, u in enumerate(ids)
-        if all(gap2 >= floor for gap2 in _gaps2(pot, u, members))
-    ]
+    alive = list(range(len(us)))
+    for b in members:
+        hs = [us[i] for i in alive]
+        pot.fill_at([h[1] for h in hs], b[0])
+        pot.fill((b[1],), [h[0] for h in hs])
+        gaps = _gaps2(getitem, zip(hs, repeat(b)))
+        alive = [i for i, gap2 in zip(alive, gaps) if gap2 >= floor]
+    return alive
+
+
+def _universe_handles(pot: _Potentials, universe: Sequence[PairedPoint]) -> List[tuple]:
+    """Handles (point, row, own) of the universe pairs, after the members'."""
+    hs = pot.handles(universe)
+    return [(z, row, own) for (z, row), own in zip(hs, pot.owns(hs))]
 
 
 def is_monotone(
@@ -202,7 +224,8 @@ def monotone_polar(
     """
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
     pot = _Potentials()
-    polar = _polar_indices(pot, pot.members(members), pot.index(universe), tol)
+    ms = pot.members(members)
+    polar = _polar_indices(pot, ms, _universe_handles(pot, universe), tol)
     return tuple(universe[i] for i in polar)
 
 
@@ -235,7 +258,7 @@ def is_maximal_relative(
     mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono
-    for i in _polar_indices(pot, gms, pot.index(universe), tol):
+    for i in _polar_indices(pot, gms, _universe_handles(pot, universe), tol):
         if g._listed.find(universe[i], tol) is None:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)
@@ -259,17 +282,19 @@ def f_property_check(
     dom = list(dict.fromkeys(q.x for q in pairs))
     pot = _Potentials()
     zp = pot.point(p)
-    # (x, y, lam) with the table indices of x, y and their landing point
+    # (x, y, lam) with the table numbers of x, y and their landing point
     segments = [(x, y, lam, pot.point(x), pot.point(y), pot.point(geodesic_point(x, y, lam)))
                 for x in dom for y in dom for lam in lambda_grid]
+    read = [zp, *(z for segment in segments for z in segment[3:])]
     lower_w: Optional[dict] = None
     upper_w: Optional[dict] = None
     for xd in dict.fromkeys(q.xd for q in pairs):
-        d = pot.dual(xd)
-        at_p = pot(d, zp)
+        row = pot.row(xd)
+        pot.fill((row,), read)
+        at_p = row[zp]
         for x, y, lam, zx, zy, zm in segments:
-            along = half_of(pot(d, zm) - at_p)
-            chord = (1 - lam) * half_of(pot(d, zx) - at_p) + lam * half_of(pot(d, zy) - at_p)
+            along = half_of(row[zm] - at_p)
+            chord = (1 - lam) * half_of(row[zx] - at_p) + lam * half_of(row[zy] - at_p)
             if lower_w is None and along > chord + tol:
                 lower_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
             if upper_w is None and along < chord - tol:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
-from cat0.dual import _combined_key, _potential2, _potentials2_at, _potentials2_of
+from cat0.dual import _Potentials, _combined_key, _potential2, _potentials2_at, _potentials2_of
 from cat0.spaces import BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, hilbert_inner
@@ -508,3 +510,45 @@ def test_combined_key_is_the_key_of_the_combination(kind, data):
     b = data.draw(st.one_of(st.just(zero_dual()), _duals(points), _cancelling(a, lam, points)))
     combo = dual_add(dual_scale(1 - lam, a), dual_scale(lam, b))
     assert _combined_key(COMBINATION_SPACES[kind], lam, a.key, b.key) == combo.key
+
+
+# ---------------------------------------------------------------------------
+# the kept hash
+
+
+def _two_spellings(space, a, b):
+    """The same one-term dual built twice from separately made points."""
+    return [dual_term(Fraction(1, 2), make_point(space, a), make_point(space, b)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("space, a, b", [
+    (euclidean(2), (0, 1), (2, 3)),
+    (rtree(), (1, Fraction(1, 2)), (2, 1)),
+    (hyperbolic(2), (0.0, 0.0, 1.0), (0.75, 0.0, 1.25)),
+])
+def test_a_dual_keeps_its_hash_outside_its_fields(space, a, b):
+    xd, yd = _two_spellings(space, a, b)
+    assert xd is not yd and xd == yd
+    assert hash(xd) == hash(yd) == hash((xd.terms,))
+    assert xd.__dict__["_hash"] == hash(xd)
+    object.__setattr__(yd, "_hash", 7)
+    assert hash(yd) == 7  # read back, not computed again
+    object.__setattr__(yd, "_hash", hash(xd))
+    # not a field: fields, repr and equality see the terms alone
+    assert [f.name for f in dataclasses.fields(xd)] == ["terms"]
+    assert repr(xd) == f"DualVector(terms={xd.terms!r})"
+    assert xd != dual_scale(2, yd)
+    # equal duals share one row of a potential table
+    pot = _Potentials()
+    assert pot.row(xd) is pot.row(yd)
+
+
+def test_a_pickled_dual_hashes_again_on_load():
+    # str hashes are salted per process, so a kept hash must not travel
+    xd = dual_term(1, make_point(euclidean(2), (0, 1)), make_point(euclidean(2), (2, 3)))
+    hash(xd)
+    assert "_hash" not in xd.__getstate__()
+    back = pickle.loads(pickle.dumps(xd))
+    assert "_hash" not in back.__dict__
+    assert back == xd and hash(back) == hash(xd)
+    assert back.__dict__["_hash"] == hash(xd)

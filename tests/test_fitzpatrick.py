@@ -427,14 +427,14 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
         # the query's potential at p is read once per call. The graph's
         # self-potentials P_y(y.x) are read by its first query (n of them)
         # and then kept. Per graph pair y: sup reads P_q(y), P_y(q); inf
-        # the same two, plus P_q(q) once and the query's coupling; the
-        # conjugate form P_q(y), P_y(q) and P_y(p), which serves both y's
+        # the same two, plus P_q(q) and P_q(p) once, from which it also
+        # takes the query's coupling; the conjugate form P_q(y), P_y(q) and P_y(p), which serves both y's
         # coupling (P_y(y.x) is kept) and the conjugate term;
         # fenchel_conjugate_p three.
         for query, reads in (
             (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n),
             (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n),
-            (lambda: fitzpatrick_inf(g, p, q), 2 + 1 + 2 * n),
+            (lambda: fitzpatrick_inf(g, p, q), 2 + 2 * n),
             (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 3 * n),
             (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n),
         ):

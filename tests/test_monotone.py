@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -164,6 +165,47 @@ def test_sweeps_reject_points_from_another_space():
         monotone_polar([a], [b])
     with pytest.raises(SpaceMismatchError):
         is_monotone([a, b])
+
+
+def _scattered_universe(space, rng, n):
+    """n pairs with distinct points and distinct one-term duals: no two share a point or a dual."""
+    if space.kind == "hyperbolic":
+        def point(a, b):
+            x, y = a / 4, b / 4
+            return make_point(space, (x, y, math.sqrt(1 + x * x + y * y)))
+    else:
+        def point(a, b):
+            return make_point(space, (a, b))
+    coords = rng.sample([(a, b) for a in range(-9, 10) for b in range(-9, 10)], 3 * n)
+    return tuple(
+        PairedPoint(point(*coords[3 * i]), dual_term(1 + i % 3, point(*coords[3 * i + 1]), point(*coords[3 * i + 2])))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2)])
+def test_sweeps_off_a_product_universe_evaluate_only_what_they_read(monkeypatch, space):
+    # 40 pairs, no point or dual shared: a table filled at every (dual,
+    # point) would evaluate about 40 * 41 potentials per sweep. The polar
+    # test of a universe pair stops at the first member it is not related
+    # to, and with it the potentials it reads.
+    universe = _scattered_universe(space, random.Random(4), 40)
+    p = universe[5].x
+    graphs = [universe[:1], universe[7:8], greedy_monotone_subset(random.Random(2), universe, 2)]
+    potentials = count_potentials(monkeypatch)
+    got = []
+    for members in graphs:
+        g = OperatorGraph(space, tuple(members))
+        row = []
+        for sweep in (lambda: monotone_polar(members, universe),
+                      lambda: is_maximal_relative(g, universe),
+                      lambda: level_set_report(g, p, universe)):
+            potentials[0] = 0
+            sweep()
+            row.append(potentials[0])
+        got.append(tuple(row))
+    # (monotone_polar, is_maximal_relative, level_set_report) per graph
+    assert got == [(118, 118, 156), (118, 118, 156), (144, 144, 231)]
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):
