@@ -14,7 +14,9 @@ one point) and _potential2, the one-point case. A kernel call checks
 the spaces in one pass and reads once what its values share: the
 point's payload and exactness, or the dual's term payloads and branch
 slopes. On the hyperboloid every squared distance comes from
-cat0.spaces._hyperbolic_dist_sq, which dist_sq calls there too. Every
+cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
+kernel calls it in batches and sums each dual's terms with sum(), in
+term order, so no value depends on the batching. Every
 formula reads the values it needs through one reader, getitem on a
 dual's values by point position: a column of a single query, or a row
 of the potential table of a whole-set sweep (_Potentials), which the
@@ -97,7 +99,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceMismatchError,
-    _hyperbolic_dist_sq,
+    _hyperbolic_dists_sq,
     dist_sq,
     distance,
     make_point,
@@ -284,7 +286,9 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     from the form (see DualVector._linear and the module docstring):
     offset + 2 <v, z> in Euclidean space, offset + 2 slope_k s on the
     tree. The hyperboloid, float duals and float points take the sum of
-    squared distances above. A nonzero dual at a point from another
+    squared distances above; on the hyperboloid the kernel computes them
+    in batches, by cat0.spaces._hyperbolic_dists_sq, and sums each dual's
+    terms in term order as here. A nonzero dual at a point from another
     space raises; a zero dual is 0 at every point.
 
     Formulas in doubled potentials take (point, dual) handles and a
@@ -305,14 +309,17 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point) -> List[Scalar]:
     """2F of each dual of xds at the one point z, in order (see _potential2).
 
     The point is read once per call: its space and kind, its payload and
-    whether it is exact.
+    whether it is exact. On the hyperboloid one batched call gives the
+    squared distances from every term endpoint of xds to it.
     """
     space, zp = z.space, z.payload
     for xd in xds:
         if xd.terms:
             _check_space(xd.space, space)
     if space.kind == HYPERBOLIC:
-        return [_hyperbolic2(_split(xd.terms), zp) for xd in xds]
+        d2 = iter(_hyperbolic_dists_sq(  # each term's tail, then its head
+            [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], zp))
+        return [sum([c * (next(d2) - next(d2)) for c, _ in xd.terms]) for xd in xds]
     if not is_exact(zp):
         return [_sum2(xd.terms, z) for xd in xds]
     out = []
@@ -332,8 +339,9 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
     """2F of the dual xd at each point of zs, in order (see _potential2).
 
     The dual is read once per call: its space and kind, on the
-    hyperboloid its terms' payloads, on the tree its branch slopes as a
-    dict.
+    hyperboloid its terms' payloads (two batched calls per term give the
+    squared distances from its tail and its head to every point), on the
+    tree its branch slopes as a dict.
     """
     space = xd.space
     if space is None:
@@ -341,8 +349,10 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
     for z in zs:
         _check_space(space, z.space)
     if space.kind == HYPERBOLIC:
-        split = _split(xd.terms)
-        return [_hyperbolic2(split, z.payload) for z in zs]
+        zps = [z.payload for z in zs]
+        cols = [(c, _hyperbolic_dists_sq(zps, bv.tail.payload), _hyperbolic_dists_sq(zps, bv.head.payload))
+                for c, bv in xd.terms]
+        return [sum([c * (t[i] - h[i]) for c, t, h in cols]) for i in range(len(zps))]
     linear = xd._linear
     if linear is None:
         return [_sum2(xd.terms, z) for z in zs]
@@ -358,16 +368,6 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
 def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
     if point_space is not dual_space and point_space != dual_space:
         raise SpaceMismatchError(f"points live in different spaces: {dual_space} vs {point_space}")
-
-
-def _split(terms) -> list:
-    """(c, tail payload, head payload) of each term."""
-    return [(c, bv.tail.payload, bv.head.payload) for c, bv in terms]
-
-
-def _hyperbolic2(split: list, zp: tuple) -> Scalar:
-    """2F at the hyperboloid payload zp of the terms split by _split."""
-    return sum(c * (_hyperbolic_dist_sq(t, zp) - _hyperbolic_dist_sq(h, zp)) for c, t, h in split)
 
 
 def _sum2(terms, z: Point) -> Scalar:

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from numbers import Real as _NumbersReal
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .extreal import Scalar
 
@@ -205,6 +205,16 @@ def _same_space(x: Point, y: Point) -> SpaceHandle:
     return x.space
 
 
+def _snapped_to_one(m: Scalar) -> Scalar:
+    """An arccosh argument m < 1: 1.0 within ACOSH_SLACK, else invalid input."""
+    if m >= 1 - ACOSH_SLACK:
+        return 1.0
+    raise PointValidationError(
+        f"arccosh argument {m!r} below 1 by more than {ACOSH_SLACK:.0e}; "
+        "inputs are not valid hyperboloid points"
+    )
+
+
 def _cosh_of_distance(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     """-<x,y> for hyperboloid payloads, snapped up to 1 when rounding dips below.
 
@@ -215,14 +225,7 @@ def _cosh_of_distance(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     for a, b in zip(x[:-1], y[:-1]):
         total += a * b
     m = -(total - x[-1] * y[-1])
-    if m < 1:
-        if m >= 1 - ACOSH_SLACK:
-            return 1.0
-        raise PointValidationError(
-            f"arccosh argument {m!r} below 1 by more than {ACOSH_SLACK:.0e}; "
-            "inputs are not valid hyperboloid points"
-        )
-    return m
+    return _snapped_to_one(m) if m < 1 else m
 
 
 def distance(x: Point, y: Point) -> Scalar:
@@ -239,17 +242,29 @@ def distance(x: Point, y: Point) -> Scalar:
     return math.acosh(_cosh_of_distance(x.payload, y.payload))
 
 
-def _hyperbolic_dist_sq(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
-    """acosh(-<x,y>)^2 of two hyperboloid payloads; 0 when they are equal.
+def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence[Scalar]) -> List[Scalar]:
+    """acosh(-<x,y>)^2 of each hyperboloid payload x of xs against y, in order; 0 where x == y.
 
-    The one place the hyperboloid's squared distance is written: dist_sq
-    and the pairing kernel of cat0.dual both call it, the kernel on
-    payloads it reads once per call.
+    The one place the hyperboloid's squared distance is written. dist_sq
+    calls it with one payload, and the pairing kernel of cat0.dual with
+    every payload of one call that meets the same point or term
+    endpoint, so one loop serves the batch. -<x,y> is formed as in
+    _cosh_of_distance: the loop of minkowski_form in its order, snapped
+    up to 1 within ACOSH_SLACK.
     """
-    if x == y:
-        return 0
-    d = math.acosh(_cosh_of_distance(x, y))
-    return d * d
+    head, last = y[:-1], y[-1]
+    out = []
+    for x in xs:
+        if x == y:
+            out.append(0)
+            continue
+        total = 0
+        for a, b in zip(x, head):  # stops at head's end, before the last coordinate
+            total += a * b
+        m = -(total - x[-1] * last)
+        d = math.acosh(_snapped_to_one(m) if m < 1 else m)
+        out.append(d * d)
+    return out
 
 
 def dist_sq(x: Point, y: Point) -> Scalar:
@@ -260,7 +275,7 @@ def dist_sq(x: Point, y: Point) -> Scalar:
     """
     space = _same_space(x, y)
     if space.kind == HYPERBOLIC:
-        return _hyperbolic_dist_sq(x.payload, y.payload)
+        return _hyperbolic_dists_sq((x.payload,), y.payload)[0]
     if x == y:
         return 0
     if space.kind == EUCLIDEAN:

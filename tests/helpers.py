@@ -269,8 +269,8 @@ def count_dist_sq(monkeypatch) -> List[int]:
     """Count squared distances, wherever the library imports dist_sq.
 
     On the hyperboloid each one is counted where it is computed, in
-    cat0.spaces._hyperbolic_dist_sq, which dist_sq and the pairing
-    kernel call on payloads.
+    cat0.spaces._hyperbolic_dists_sq, which dist_sq and the pairing
+    kernel call on payloads: len(xs) per call, one per payload it meets.
     """
     import cat0.dual
     import cat0.geometry
@@ -278,4 +278,5 @@ def count_dist_sq(monkeypatch) -> List[int]:
 
     calls = count_calls(monkeypatch, "dist_sq", (cat0.spaces, cat0.dual, cat0.geometry),
                         lambda x, y: x.space.kind != "hyperbolic")
-    return count_calls(monkeypatch, "_hyperbolic_dist_sq", (cat0.spaces, cat0.dual), calls=calls)
+    return count_calls(monkeypatch, "_hyperbolic_dists_sq", (cat0.spaces, cat0.dual),
+                       lambda xs, y: len(xs), calls)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from cat0 import (
     GeometryError,
+    Point,
+    PointValidationError,
     SpaceMismatchError,
     canonical_hilbert,
     distance,
@@ -23,14 +26,16 @@ from cat0 import (
     hyperbolic,
     j_map,
     make_point,
+    minkowski_form,
     pair,
     pseudometric_D_approx,
+    random_point,
     rtree,
     sample_points,
     zero_dual,
 )
 from cat0.dual import _Potentials, _combined_key, _potential2, _potentials2_at, _potentials2_of
-from cat0.spaces import BoundVector, dist_sq
+from cat0.spaces import ACOSH_SLACK, BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, hilbert_inner
 
@@ -481,6 +486,65 @@ def test_batched_kernel_equals_the_one_point_potential(kind, data):
         assert list(map(repr, _potentials2_at(xd, zs))) == [repr(_potential2(xd, z)) for z in zs]
     for z in zs:
         assert list(map(repr, _potentials2_of(duals, z))) == [repr(_potential2(xd, z)) for xd in duals]
+
+
+def _acosh_sq(x, z):
+    """acosh(-<x,z>)^2 of two payloads through minkowski_form; 0 at x == z, 1 where it dips below."""
+    if x == z:
+        return 0
+    d = math.acosh(max(-minkowski_form(x, z), 1.0))
+    return d * d
+
+
+def _reference2(xd, z):
+    """2F(z) one pair at a time: sum() over the terms, in term order."""
+    return sum(c * (_acosh_sq(bv.tail.payload, z.payload) - _acosh_sq(bv.head.payload, z.payload))
+               for c, bv in xd.terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hyperbolic_potentials_sum_their_terms_in_order(dim):
+    # from Python 3.12 sum() compensates float rounding, so on 3 or more
+    # terms a running total can differ from it in the last bits
+    rng = random.Random(dim)
+    space = hyperbolic(dim)
+    pool = [random_point(space, rng) for _ in range(6)]
+    duals = []
+    for k in range(1, 6):
+        for _ in range(8):
+            terms = []
+            for _ in range(k):
+                tail = rng.choice(pool)
+                head = tail if rng.random() < 0.2 else rng.choice(pool)  # coincident endpoints
+                terms.append((rng.uniform(-2, 2), BoundVector(tail, head)))
+            duals.append(dual_vector(terms))
+    zs = pool + [random_point(space, rng) for _ in range(4)]  # every endpoint among them
+    for xd in duals:
+        assert [v.hex() for v in _potentials2_at(xd, zs)] == [_reference2(xd, z).hex() for z in zs]
+    for z in zs:
+        assert [v.hex() for v in _potentials2_of(duals, z)] == [_reference2(xd, z).hex() for xd in duals]
+
+
+def test_hyperbolic_guards_hold_through_the_batch():
+    space = hyperbolic(2)
+    o = make_point(space, (0.0, 0.0, 1.0))
+    x = make_point(space, (3.0, 4.0, math.sqrt(26.0)))
+    y = make_point(space, (3.0, 4.0, math.nextafter(x.payload[2], 0)))  # one ulp below x
+    m = -minkowski_form(x.payload, y.payload)
+    assert x != y and 1 - ACOSH_SLACK <= m < 1
+    xd = dual_term(1.0, o, x)
+    assert dist_sq(x, y) == dist_sq(y, x) == 0.0
+    assert _potentials2_at(xd, [y]) == _potentials2_of([xd], y) == [dist_sq(o, y)]
+
+    off_sheet = Point(space, (0.0, 0.0, 0.5))  # -<off_sheet, o> = 0.5
+    message = re.escape("arccosh argument 0.5 below 1 by more than 1e-12; "
+                        "inputs are not valid hyperboloid points")
+    with pytest.raises(PointValidationError, match=message):
+        dist_sq(off_sheet, o)
+    with pytest.raises(PointValidationError, match=message):
+        _potentials2_at(xd, [o, off_sheet])
+    with pytest.raises(PointValidationError, match=message):
+        _potentials2_of([xd, dual_term(1.0, off_sheet, x)], o)
 
 
 # ---------------------------------------------------------------------------
