@@ -58,7 +58,6 @@ from .conjugate import (
     GammaReport,
     ImproperTableError,
     PairedPoint,
-    avg_lowerbound_check,
     coupling_pi,
     fenchel_conjugate_p,
     fenchel_young_check,

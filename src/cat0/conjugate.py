@@ -35,9 +35,9 @@ roundtrip_check's precondition reads again (see gamma_p_membership
 and _convexity_scan). The conjugate term
 is written once, in the potentials of cat0.dual._potential2
 (_conjugate), on (point, dual) handles: rows are handles with a doubled
-value, for fenchel_conjugate_p, the conjugate form of the transform,
-avg_lowerbound_check and the fixed-point identity; the last two read
-the rows of one potential table per call through getitem.
+value, for fenchel_conjugate_p, the conjugate form of the transform
+and the fixed-point identity; the last reads the rows of one potential
+table per call through getitem.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "pair_in",
     "fenchel_conjugate_p",
     "fenchel_young_check",
-    "avg_lowerbound_check",
     "gamma_p_membership",
     "DEFAULT_LAMBDA_GRID",
 ]
@@ -286,41 +285,6 @@ def fenchel_young_check(
     lhs = _values(h, [q1], tol)[0] + conj
     rhs = pair(q2.xd, BoundVector(p, q1.x)) + pair(q1.xd, BoundVector(p, q2.x))
     return lhs >= rhs - tol
-
-
-def avg_lowerbound_check(
-    h: FunctionTable,
-    p: Point,
-    universe: Sequence[PairedPoint],
-    tol: Optional[float] = None,
-) -> bool:
-    """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair.
-
-    Universe pairs are matched to the listed pairs within tol, each
-    once, and every pairing is read from one potential table.
-    """
-    tol = p.space.default_tol if tol is None else tol
-    values = _values(h, universe, tol)
-    finite = [(q, v) for q, v in zip(universe, values) if not v.is_pos_inf]
-    pot = _Potentials()
-    handles = pot.handles([q for q, _ in finite], full=True)
-    rows = [(z, row, 2 * v.value) for (z, row), (_, v) in zip(handles, finite)]
-    zp = pot.point(p)
-    side, row_duals = [z for z, _, _ in rows] + [zp], [row for _, row, _ in rows]
-    # a universe pair's values are filled when it is reached, and its
-    # own potential is kept in its row
-    for u, v in zip(pot.handles(universe, full=True), values):
-        zu, ru = u
-        pot.fill((ru,), side)
-        pot.fill_at(row_duals, zu)
-        pot.fill_at(row_duals, zp)
-        conj = _conjugate(getitem, zp, rows, u)
-        if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
-            raise ImproperTableError("table is +inf on every universe pair")
-        (own,) = pot.owns([u])
-        if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ computed from 2F as the pairing kernel gives it: _potentials2_at (one
 dual at a sequence of points), _potentials2_of (a sequence of duals at
 one point) and _potential2, the one-point case. A kernel call checks
 the spaces in one pass and reads once what its values share: the
-point's payload and exactness, or the dual's term payloads and branch
-slopes. On the hyperboloid every squared distance comes from
+point's payload and exactness, or the dual's key or term payloads. On
+the hyperboloid every squared distance comes from
 cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches and sums each dual's terms with sum(), in
 term order, so no value depends on the batching. Every
@@ -22,19 +22,22 @@ dual's values by point position: a column of a single query, or a row
 of the potential table of a whole-set sweep (_Potentials), which the
 kernel fills where the sweep reads it.
 
-On the exact spaces 2F is affine, so an exact dual is evaluated from
-its form (DualVector._offset and _linear) without any distance:
+Every formula reads a dual's potential only as a difference of two of
+that dual's own values, so F matters only up to a constant, as the
+dual itself does (Theta(x*) = F + const in Ahmadi Kakavandi & Amini
+(2010)). On the exact spaces 2F is affine, so a dual with an exact key
+(below) is evaluated from the key alone, at every point and without
+any distance:
 
-* Euclidean: 2F(z) = sum_i c_i (|t_i|^2 - |h_i|^2) + 2 <v, z>, with v
-  the canonical vector sum_i c_i (h_i - t_i), since the |z|^2 terms
-  cancel;
-* tree: 2F(k, s) = 2F(root) + 2 slope_k s, with the branch slopes of
+* Euclidean: 2F(z) = 2 <v, z>, with v the canonical vector
+  sum_i c_i (h_i - t_i), since the |z|^2 terms cancel;
+* tree: 2F(k, s) = 2 slope_k s, with the branch slopes of
   _tree_slopes, since the s^2 terms cancel.
 
-v and the slopes are the key below, and the offset (2F at the origin
-or root) cancels in every pairing, which is a difference of two
-potentials; it is kept so that 2F itself is exact. The hyperboloid,
-float duals and float points keep the sum of squared distances, so
+Each drops the constant 2F(origin) or 2F(root), so duals with one key
+have one potential. It is exact at exact points and computed in floats
+at points with a float coordinate. The hyperboloid and duals with a
+float coefficient or coordinate keep the sum of squared distances, so
 their values are those of the sum bit for bit, however the kernel is
 called. Structurally
 different combinations can act identically (flipping a term's
@@ -183,46 +186,24 @@ class DualVector:
     def key(self) -> Optional[tuple]:
         """Exact key of the action: two duals share it exactly when they act alike.
 
-        Euclidean: the canonical vector (see canonical_hilbert). Tree:
+        Euclidean: the canonical vector v (see canonical_hilbert). Tree:
         (default slope, ((branch, slope), ...)) of the dual's potential,
         listing the branches whose slope differs from the default (see
         _tree_slopes). The zero action keys as () on every space, so the
         zero dual, which carries no space, shares it. None where no
         exact key exists: on the hyperboloid and for any float
-        coefficient or coordinate. Read from _linear, the linear part of
-        the potential that _potential2 evaluates, so computed once.
+        coefficient or coordinate. The kernel evaluates a keyed dual
+        from its key alone (see _potential2), so duals with one key
+        have one potential.
         """
         space = self.space
         if space is None:
             return ()
-        linear = None if space.kind == HYPERBOLIC else self._linear
-        if linear is None:
+        if space.kind == HYPERBOLIC or not all(
+                is_exact((c,) + bv.tail.payload + bv.head.payload) for c, bv in self.terms):
             return None
-        return linear if any(linear) else ()
-
-    # The exact form of 2F is _offset + 2 <_linear, z> (see the module
-    # docstring and _potential2). Both parts are read only on a nonzero
-    # dual off the hyperboloid, so no hyperboloid dual stores them. They
-    # are kept apart because matching pairs by key builds many duals
-    # that are never evaluated, and those never compute an offset.
-
-    @cached_property
-    def _linear(self) -> Optional[tuple]:
-        """The canonical vector v, or the tree slopes (default, ((branch, slope), ...)).
-
-        None for any float coefficient or coordinate.
-        """
-        if not all(is_exact((c,) + bv.tail.payload + bv.head.payload) for c, bv in self.terms):
-            return None
-        return canonical_hilbert(self) if self.space.kind == EUCLIDEAN else _tree_slopes(self.terms)
-
-    @cached_property
-    def _offset(self) -> Scalar:
-        """2F at the origin (Euclidean) or at the root (tree) of an exact dual."""
-        if self.space.kind == EUCLIDEAN:
-            return sum(c * (sum(a * a for a in bv.tail.payload) - sum(b * b for b in bv.head.payload))
-                       for c, bv in self.terms)
-        return sum(c * (bv.tail.payload[1] ** 2 - bv.head.payload[1] ** 2) for c, bv in self.terms)
+        key = canonical_hilbert(self) if space.kind == EUCLIDEAN else _tree_slopes(self.terms)
+        return key if any(key) else ()
 
 
 def is_exact(values: Iterable[Scalar]) -> bool:
@@ -282,14 +263,15 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
 
     The one-point case of the pairing kernel, _potentials2_of and
     _potentials2_at, which are the only code that computes a dual's
-    action. Where xd has an exact form and z is exact, 2F(z) is read
-    from the form (see DualVector._linear and the module docstring):
-    offset + 2 <v, z> in Euclidean space, offset + 2 slope_k s on the
-    tree. The hyperboloid, float duals and float points take the sum of
-    squared distances above; on the hyperboloid the kernel computes them
-    in batches, by cat0.spaces._hyperbolic_dists_sq, and sums each dual's
-    terms in term order as here. A nonzero dual at a point from another
-    space raises; a zero dual is 0 at every point.
+    action. That is F up to a constant, which every pairing cancels.
+    A dual with an exact key is read from it at every point (see
+    _form2): 2 <v, z> in Euclidean space, 2 slope_k s on the tree, in
+    exact arithmetic at exact points and in floats elsewhere. Other
+    duals take the sum of squared distances above; on the hyperboloid
+    the kernel computes them in batches, by
+    cat0.spaces._hyperbolic_dists_sq, and sums each dual's terms in term
+    order as here. A nonzero dual at a point from another space raises;
+    a zero dual is 0 at every point.
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
@@ -320,28 +302,16 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point) -> List[Scalar]:
         d2 = iter(_hyperbolic_dists_sq(  # each term's tail, then its head
             [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], zp))
         return [sum([c * (next(d2) - next(d2)) for c, _ in xd.terms]) for xd in xds]
-    if not is_exact(zp):
-        return [_sum2(xd.terms, z) for xd in xds]
-    out = []
-    for xd in xds:
-        linear = xd._linear if xd.terms else None
-        if linear is None:
-            out.append(_sum2(xd.terms, z))
-        elif space.kind == EUCLIDEAN:
-            out.append(_affine2(xd._offset, linear, zp))
-        else:
-            default, branches = linear
-            out.append(_affine2(xd._offset, (dict(branches).get(zp[0], default),), zp[1:]))
-    return out
+    kind, exact = space.kind, is_exact(zp)
+    return [_sum2(xd.terms, z) if xd.key is None else _form2(kind, xd.key, zp, exact) for xd in xds]
 
 
 def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
     """2F of the dual xd at each point of zs, in order (see _potential2).
 
-    The dual is read once per call: its space and kind, on the
-    hyperboloid its terms' payloads (two batched calls per term give the
-    squared distances from its tail and its head to every point), on the
-    tree its branch slopes as a dict.
+    The dual is read once per call: its space and kind, its key, and on
+    the hyperboloid its terms' payloads (two batched calls per term give
+    the squared distances from its tail and its head to every point).
     """
     space = xd.space
     if space is None:
@@ -353,16 +323,11 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
         cols = [(c, _hyperbolic_dists_sq(zps, bv.tail.payload), _hyperbolic_dists_sq(zps, bv.head.payload))
                 for c, bv in xd.terms]
         return [sum([c * (t[i] - h[i]) for c, t, h in cols]) for i in range(len(zps))]
-    linear = xd._linear
-    if linear is None:
+    key = xd.key
+    if key is None:
         return [_sum2(xd.terms, z) for z in zs]
-    if space.kind == EUCLIDEAN:
-        return [_affine2(xd._offset, linear, z.payload) if is_exact(z.payload) else _sum2(xd.terms, z)
-                for z in zs]
-    default, branches = linear
-    slopes = dict(branches)
-    return [_affine2(xd._offset, (slopes.get(z.payload[0], default),), z.payload[1:])
-            if is_exact(z.payload) else _sum2(xd.terms, z) for z in zs]
+    kind = space.kind
+    return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
 
 
 def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
@@ -371,19 +336,37 @@ def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
 
 
 def _sum2(terms, z: Point) -> Scalar:
-    """2F at z as the sum of squared distances, off the hyperboloid."""
+    """2F at z as the sum of squared distances, for a dual without a key off the hyperboloid."""
     return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in terms)
 
 
-def _affine2(offset: Scalar, vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
-    """offset + 2 sum_i v_i x_i on ints and Fractions, reduced once.
+def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
+    """2F at the payload zp of a dual with the exact key key (see DualVector.key).
+
+    2 <v, z> in Euclidean space, 2 slope_k s at z = (k, s) on the tree:
+    exact when zp is, in floats otherwise. 0 for the zero action.
+    """
+    if not key:
+        return 0
+    if kind == EUCLIDEAN:
+        vs, xs = key, zp
+    else:
+        default, branches = key
+        vs, xs = (next((v for k, v in branches if k == zp[0]), default),), zp[1:]
+    if exact:
+        return _affine2(vs, xs)
+    return 2 * sum([float(v) * x for v, x in zip(vs, xs)])
+
+
+def _affine2(vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
+    """2 sum_i v_i x_i on ints and Fractions, reduced once.
 
     The sum is kept as one numerator over the product of the
     denominators, so only the result is reduced to lowest terms (each
     Fraction operation would reduce its own); an int when all inputs
     are ints.
     """
-    num, den = offset.numerator, offset.denominator
+    num, den = 0, 1
     for v, x in zip(vs, xs):
         d = v.denominator * x.denominator
         num, den = num * d + 2 * v.numerator * x.numerator * den, den * d

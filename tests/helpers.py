@@ -8,10 +8,12 @@ exact rational arithmetic.
 import itertools
 import random
 from fractions import Fraction
+from operator import getitem
 from typing import List, Optional, Sequence, Tuple, Union
 
 from cat0 import (
     DualVector,
+    FunctionTable,
     ImproperTableError,
     OperatorGraph,
     PairedPoint,
@@ -27,7 +29,10 @@ from cat0 import (
     pair_in,
     zero_dual,
 )
-from cat0.extreal import NEG_INF, ExtReal, Scalar, ext
+from cat0.conjugate import _conjugate, _values
+from cat0.dual import _Potentials
+from cat0.extreal import NEG_INF, ExtReal, Scalar, ext, scale
+from cat0.geometry import half_of
 from cat0.spaces import BoundVector
 
 ORIGIN2 = make_point(euclidean(2), (0, 0))
@@ -47,6 +52,44 @@ def chain_split_check(
     whole = pair(xd, BoundVector(a, b))
     split = pair(xd, BoundVector(a, w)) + pair(xd, BoundVector(w, b))
     return abs(whole - split) <= tol
+
+
+def avg_lowerbound_check(
+    h: FunctionTable,
+    p: Point,
+    universe: Sequence[PairedPoint],
+    tol: Optional[float] = None,
+) -> bool:
+    """(h + h*_p o swap) / 2 >= pi_p - tol at every universe pair.
+
+    Universe pairs are matched to the listed pairs within tol, each
+    once, and every pairing is read from one potential table. Over a
+    table's own pairs this is a consequence of the definition (a listed
+    pair is one of the conjugate's rows, an unlisted one reads +inf), so
+    it returns True or raises; it checks the conjugate sweep.
+    """
+    tol = p.space.default_tol if tol is None else tol
+    values = _values(h, universe, tol)
+    finite = [(q, v) for q, v in zip(universe, values) if not v.is_pos_inf]
+    pot = _Potentials()
+    handles = pot.handles([q for q, _ in finite], full=True)
+    rows = [(z, row, 2 * v.value) for (z, row), (_, v) in zip(handles, finite)]
+    zp = pot.point(p)
+    side, row_duals = [z for z, _, _ in rows] + [zp], [row for _, row, _ in rows]
+    # a universe pair's values are filled when it is reached, and its
+    # own potential is kept in its row
+    for u, v in zip(pot.handles(universe, full=True), values):
+        zu, ru = u
+        pot.fill((ru,), side)
+        pot.fill_at(row_duals, zu)
+        pot.fill_at(row_duals, zp)
+        conj = _conjugate(getitem, zp, rows, u)
+        if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
+            raise ImproperTableError("table is +inf on every universe pair")
+        (own,) = pot.owns([u])
+        if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
+            return False
+    return True
 
 
 def int_points(space: SpaceHandle, rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> List[Point]:

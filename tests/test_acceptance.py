@@ -25,7 +25,6 @@ from cat0 import (
     f_property_check,
     fenchel_conjugate_p,
     fenchel_young_check,
-    avg_lowerbound_check,
     fitzpatrick_inf,
     fitzpatrick_sup,
     fitzpatrick_via_conjugate,
@@ -49,6 +48,7 @@ from cat0 import (
 from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
+    avg_lowerbound_check,
     canonical_hilbert_of,
     classical_conjugate_oracle,
     greedy_monotone_subset,

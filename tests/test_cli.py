@@ -409,9 +409,10 @@ def _recorded_argv(tmp_path, case):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("case", RECORDED, ids=[c["command"] for c in RECORDED])
+@pytest.mark.parametrize("case", RECORDED, ids=[c.get("id", c["command"]) for c in RECORDED])
 def test_subcommand_prints_the_recorded_bytes(tmp_path, capsys, case, fmt):
-    # one valid instance per subcommand; exit code and stdout are pinned
+    # one valid instance per subcommand, and extra cases under their own
+    # id; exit code and stdout are pinned
     code = cli.main(_recorded_argv(tmp_path, case) + ["--format", fmt])
     assert [code, capsys.readouterr().out] == case[fmt]
 

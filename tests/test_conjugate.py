@@ -18,7 +18,6 @@ from cat0 import (
     OperatorGraph,
     PairedPoint,
     RepresentationPreconditionError,
-    avg_lowerbound_check,
     coupling_pi,
     dual_add,
     dual_scale,
@@ -44,6 +43,7 @@ from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
+    avg_lowerbound_check,
     classical_conjugate_oracle,
     count_calls,
     count_dist_sq,

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from cat0 import (
     GeometryError,
+    OperatorGraph,
+    PairedPoint,
     Point,
     PointValidationError,
     SpaceMismatchError,
     canonical_hilbert,
+    coupling_pi,
     distance,
     dual_add,
     dual_norm_approx,
@@ -23,6 +26,10 @@ from cat0 import (
     dual_vector,
     duals_match,
     euclidean,
+    fitzpatrick_inf,
+    fitzpatrick_sup,
+    fitzpatrick_via_conjugate,
+    geodesic_point,
     hyperbolic,
     j_map,
     make_point,
@@ -30,6 +37,7 @@ from cat0 import (
     pair,
     pseudometric_D_approx,
     random_point,
+    relatedness_gap,
     rtree,
     sample_points,
     zero_dual,
@@ -37,7 +45,7 @@ from cat0 import (
 from cat0.dual import _Potentials, _combined_key, _potential2, _potentials2_at, _potentials2_of
 from cat0.spaces import ACOSH_SLACK, BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
-from helpers import bound_vectors_between, chain_split_check, hilbert_inner
+from helpers import bound_vectors_between, chain_split_check, count_dist_sq, hilbert_inner
 
 
 def _bv(space, a, b):
@@ -436,26 +444,111 @@ def _potential_cases(draw, points):
     return xd
 
 
+def _off_grid(pt):
+    """pt moved off its exact grid to float coordinates (the tree keeps its branch)."""
+    if pt.space.kind == "rtree":
+        return make_point(pt.space, (pt.payload[0], float(pt.payload[1]) * 0.9))
+    return make_point(pt.space, tuple(float(a) + 0.1 for a in pt.payload))
+
+
+def _size2(xd, z):
+    """The sum of the sizes of the squared distances that _direct2 adds at z."""
+    return sum(abs(c) * (dist_sq(bv.tail, z) + dist_sq(bv.head, z)) for c, bv in xd.terms)
+
+
 @pytest.mark.parametrize("kind", list(EXACT_POINTS))
 @given(data=st.data())
 def test_exact_potentials_equal_the_squared_distance_sum(kind, data):
-    # the offset cancels in every pairing, so only the potential itself
-    # shows whether the form keeps it
+    # every formula reads a dual's potentials as differences of its own
+    # values, 2F(z) - 2F(w), so the form is checked on those: exactly at
+    # exact points, within rounding at float points
     points = EXACT_POINTS[kind]
     xd = data.draw(_potential_cases(points))
     assert xd.key is not None
-    zs = [data.draw(points)]
+    w, *zs = [data.draw(points), data.draw(points)]
     if kind == "rtree":
         # the root, and a branch no endpoint touches (TREE_POINTS stop at 6)
         zs += [make_point(rtree(), (1, 0)), make_point(rtree(), (9, Fraction(1, 3)))]
     for z in zs:
-        assert _potential2(xd, z) == _direct2(xd, z)
-        # at a float point the dual's potential is the sum itself, bit for bit
-        if kind == "rtree":
-            zf = make_point(z.space, (z.payload[0], float(z.payload[1]) * 0.9))
-        else:
-            zf = make_point(z.space, tuple(float(a) + 0.1 for a in z.payload))
-        assert repr(_potential2(xd, zf)) == repr(_direct2(xd, zf))
+        assert _potential2(xd, z) - _potential2(xd, w) == _direct2(xd, z) - _direct2(xd, w)
+        zf, wf = _off_grid(z), _off_grid(w)
+        size = _size2(xd, zf) + _size2(xd, wf)
+        got = _potential2(xd, zf) - _potential2(xd, wf)
+        assert abs(got - (_direct2(xd, zf) - _direct2(xd, wf))) <= 1e-12 * (1 + size)
+
+
+@pytest.mark.parametrize("kind", list(EXACT_POINTS))
+@given(data=st.data())
+def test_duals_with_one_key_have_one_potential(kind, data):
+    # a flipped term with its sign flipped, a term split at a point, a
+    # cancelling pair: structurally different, one key, and the same
+    # potential bit for bit, at float points too
+    points = EXACT_POINTS[kind]
+    xd = data.draw(_potential_cases(points))
+    yds = [data.draw(_same_action(xd, points))]
+    if xd.terms:
+        (c, bv), rest = xd.terms[0], xd.terms[1:]
+        m = geodesic_point(bv.tail, bv.head, Fraction(1, 2))
+        yds.append(dual_vector(((c, BoundVector(bv.tail, m)), (c, BoundVector(m, bv.head))) + rest))
+    zs = [data.draw(points) for _ in range(3)]
+    zs += [_off_grid(z) for z in zs]
+    for yd in yds:
+        assert yd.key == xd.key
+        for z in zs:
+            assert repr(_potential2(yd, z)) == repr(_potential2(xd, z))
+        assert list(map(repr, _potentials2_at(yd, zs))) == list(map(repr, _potentials2_at(xd, zs)))
+
+
+# An exact dual at points with float coordinates: a graph member sits at a
+# float point, the basepoint or the query's point is exact. Values are
+# (relatedness_gap(a, b), coupling_pi(p, q), the transform of {a, b} at q),
+# each in closed form; reading the form at exact points and a potential
+# with another constant at float points gives other numbers.
+MIXED = {
+    "euclidean": (
+        (euclidean(2), ((0, 0), 1, (1, 0), (3, 1)), ((0.5, 0.25), 2, (1, 1), (0, 2)),
+         (Fraction(1, 3), 0), ((0.25, 1.5), 1, (2, 2), (1, 0))),
+        (Fraction(-7, 4), Fraction(-35, 12), Fraction(7, 3)),
+    ),
+    "rtree": (
+        (rtree(), ((1, Fraction(1, 2)), 1, (2, 1), (3, 1)), ((2, 0.75), 2, (1, 1), (2, Fraction(1, 3))),
+         (3, Fraction(1, 4)), ((3, 0.5), 1, (1, 1), (2, Fraction(1, 2)))),
+        (Fraction(29, 6), Fraction(1, 8), Fraction(1, 8)),
+    ),
+}
+
+
+def _mixed_instance(space, a, b, p, q):
+    """(space, a, b, p, q) with the pairs made from (x, coeff, tail, head)."""
+    def paired(x, c, tail, head):
+        return PairedPoint(make_point(space, x), dual_term(c, make_point(space, tail), make_point(space, head)))
+    return space, paired(*a), paired(*b), make_point(space, p), paired(*q)
+
+
+def _mixed_values(space, a, b, p, q):
+    g = OperatorGraph(space, (a, b))
+    transforms = [f(g, p, q).value for f in (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)]
+    return relatedness_gap(a, b), coupling_pi(p, q), transforms
+
+
+@pytest.mark.parametrize("kind", list(MIXED))
+def test_exact_duals_at_float_points_keep_their_values(kind):
+    instance, (gap, coupling, transform) = MIXED[kind]
+    got_gap, got_coupling, transforms = _mixed_values(*_mixed_instance(*instance))
+    assert math.isclose(got_gap, gap, rel_tol=1e-12)
+    assert math.isclose(got_coupling, coupling, rel_tol=1e-12)
+    for t in transforms:
+        assert math.isclose(t, transform, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(MIXED))
+def test_exact_duals_at_float_points_compute_no_squared_distance(kind, monkeypatch):
+    instance, _ = MIXED[kind]
+    space, a, b, p, q = _mixed_instance(*instance)
+    assert all(d.key is not None for d in (a.xd, b.xd, q.xd))
+    squares = count_dist_sq(monkeypatch)
+    _mixed_values(space, a, b, p, q)
+    assert squares[0] == 0
 
 
 KERNEL_POINTS = {

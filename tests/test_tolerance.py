@@ -212,7 +212,7 @@ def _h2_instances():
 
 
 with open(os.path.join(DATA, "cli_cases.json"), encoding="utf-8") as _f:
-    EXACT = {c["command"]: c for c in json.load(_f)}
+    EXACT = {c["command"]: c for c in json.load(_f) if "id" not in c}  # one per subcommand
 H2_INSTANCES = _h2_instances()
 
 
