@@ -341,7 +341,7 @@ def _sum2(terms, z: Point) -> Scalar:
 
 
 def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
-    """2F at the payload zp of a dual with the exact key key (see DualVector.key).
+    """2F at the payload zp of a dual whose exact key is key (see DualVector.key).
 
     2 <v, z> in Euclidean space, 2 slope_k s at z = (k, s) on the tree:
     exact when zp is, in floats otherwise. 0 for the zero action.
