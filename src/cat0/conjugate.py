@@ -251,19 +251,21 @@ def _values(h: FunctionTable, pairs: Sequence[PairedPoint], tol: Optional[float]
     return values
 
 
-def _conjugate(P, zp, rows: Iterable[tuple], q: tuple) -> ExtReal:
+def _conjugate(P, zp, rows: Iterable[tuple], q: tuple, half=half_of) -> ExtReal:
     """The sup of <q.xd, p u.x-> + <u.xd, p q.x-> - value over rows u; -inf over none.
 
     Handles and the reader P as in cat0.dual._potential2; a row is a
     handle with its value doubled. A term is P_q(u.x) - P_q(p) + P_u(q.x)
-    - P_u(p) - 2 value in doubled potentials; P_q(p) is read once.
+    - P_u(p) - 2 value in doubled potentials; P_q(p) is read once. half
+    turns the doubled sup into the value (half_of, or the division of
+    a single query on an integer scale).
     """
     z, d = q
     at_p = P(d, zp)
     best = max(
         (P(d, zu) - at_p + P(du, z) - P(du, zp) - v2 for zu, du, v2 in rows), default=None
     )
-    return NEG_INF if best is None else ExtReal(half_of(best))
+    return NEG_INF if best is None else ExtReal(half(best))
 
 
 def fenchel_young_check(

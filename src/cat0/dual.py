@@ -11,8 +11,10 @@ terms with tail x minus those of the terms with head x. Every action is
 computed from 2F as the pairing kernel gives it: _potentials2_at (one
 dual at a sequence of points), _potentials2_of (a sequence of duals at
 one point) and _potential2, the one-point case. A kernel call checks
-the spaces in one pass and reads once what its values share: the
-point's payload and exactness, or the dual's key or term payloads. On
+the spaces in one pass, unless its caller has checked them (the single
+transform queries, whose graph checked its pairs when it was built),
+and reads once what its values share: the point's payload and
+exactness, or the dual's key or term payloads. On
 the hyperboloid every squared distance comes from
 cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches and sums each dual's terms with sum(), in
@@ -36,11 +38,24 @@ any distance:
 
 Each drops the constant 2F(origin) or 2F(root), so duals with one key
 have one potential. It is exact at exact points and computed in floats
-at points with a float coordinate. The hyperboloid and duals with a
-float coefficient or coordinate keep the sum of squared distances, so
-their values are those of the sum bit for bit, however the kernel is
-called. Structurally
-different combinations can act identically (flipping a term's
+at points with a float coordinate.
+
+A single transform query on exact inputs runs on one integer scale
+(_scale): with sv the lcm of the denominators of the keys and sz that
+of the points' coordinates, 2F sv sz is an int for every dual at every
+point, since 2F is bilinear in the key and the point. Called with the
+scale, the kernel gives these ints, from keys and points read as ints
+over their own denominators. Potentials count only up to a constant and
+are linear in the key, so scaling them all by one positive int keeps
+every formula exact: a formula sums ints, and its value is divided by
+sv sz once, when it is reported (see cat0.fitzpatrick). Past
+_SCALE_BITS bits of sv sz, where ints that long cost more than reducing
+small Fractions, the query runs on Fractions as above.
+
+The hyperboloid and duals with a float coefficient or coordinate keep
+the sum of squared distances, so their values are those of the sum bit
+for bit, however the kernel is called. Structurally different
+combinations can act identically (flipping a term's
 orientation and its sign, or splitting a term at an intermediate point,
 never changes the action), so equality of duals is equality of actions,
 as in the quotient X* of Ahmadi Kakavandi & Amini (2010). It is decided
@@ -90,6 +105,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
@@ -205,6 +221,22 @@ class DualVector:
         key = canonical_hilbert(self) if space.kind == EUCLIDEAN else _tree_slopes(self.terms)
         return key if any(key) else ()
 
+    @cached_property
+    def _ints(self) -> Optional[tuple]:
+        """The exact key as ints over one denominator, as the kernel reads it on a scale.
+
+        (den, ints) in Euclidean space, v = ints / den; (den, default,
+        {branch: slope}) on the tree, every slope an int over den. None
+        for the zero action.
+        """
+        key = self.key
+        if not key:
+            return None
+        if self.space.kind == EUCLIDEAN:
+            return _over(key)
+        den, (default, *slopes) = _over(_slopes(key))
+        return den, default, dict(zip((k for k, _ in key[1]), slopes))
+
 
 def is_exact(values: Iterable[Scalar]) -> bool:
     """Are all the values ints or Fractions?"""
@@ -258,7 +290,7 @@ def _combined_key(space: SpaceHandle, lam: Scalar, a: tuple, b: tuple) -> tuple:
     return key if any(key) else ()
 
 
-def _potential2(xd: DualVector, z: Point) -> Scalar:
+def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = None) -> Scalar:
     """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 
     The one-point case of the pairing kernel, _potentials2_of and
@@ -271,7 +303,8 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     the kernel computes them in batches, by
     cat0.spaces._hyperbolic_dists_sq, and sums each dual's terms in term
     order as here. A nonzero dual at a point from another space raises;
-    a zero dual is 0 at every point.
+    a zero dual is 0 at every point. On a scale (sv, sz) of the duals
+    and points (see _scale) the value is the int 2F sv sz.
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
@@ -280,53 +313,66 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     _Potentials table for a sweep, a column that the kernel fills in one
     call for a single transform query (see cat0.fitzpatrick). A graph
     member's handle also carries its own doubled potential P_y(y.x):
-    kept by the OperatorGraph for a single query
-    (OperatorGraph._self_potentials), read from its row for a sweep
-    (_Potentials.members).
+    kept by the OperatorGraph for a single query (OperatorGraph._frame),
+    read from its row for a sweep (_Potentials.members).
     """
-    return _potentials2_of((xd,), z)[0]
+    return _potentials2_of((xd,), z, scale)[0]
 
 
-def _potentials2_of(xds: Sequence[DualVector], z: Point) -> List[Scalar]:
+def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[int, int]] = None,
+                    checked: bool = False) -> List[Scalar]:
     """2F of each dual of xds at the one point z, in order (see _potential2).
 
     The point is read once per call: its space and kind, its payload and
-    whether it is exact. On the hyperboloid one batched call gives the
-    squared distances from every term endpoint of xds to it.
+    whether it is exact, or on a scale its scaled coordinates. On the
+    hyperboloid one batched call gives the squared distances from every
+    term endpoint of xds to it. checked: the caller has checked that
+    the duals lie in z's space (a graph's duals, for a point checked
+    against the graph's space), so the call does not check them again.
     """
     space, zp = z.space, z.payload
-    for xd in xds:
-        if xd.terms:
-            _check_space(xd.space, space)
-    if space.kind == HYPERBOLIC:
+    if not checked:
+        for xd in xds:
+            if xd.terms:
+                _check_space(xd.space, space)
+    kind = space.kind
+    if kind == HYPERBOLIC:
         d2 = iter(_hyperbolic_dists_sq(  # each term's tail, then its head
             [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], zp))
         return [sum([c * (next(d2) - next(d2)) for c, _ in xd.terms]) for xd in xds]
-    kind, exact = space.kind, is_exact(zp)
+    if scale is not None:
+        return _scaled2_of(kind, xds, z, scale)
+    exact = is_exact(zp)
     return [_sum2(xd.terms, z) if xd.key is None else _form2(kind, xd.key, zp, exact) for xd in xds]
 
 
-def _potentials2_at(xd: DualVector, zs: Sequence[Point]) -> List[Scalar]:
+def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
+                    checked: bool = False) -> List[Scalar]:
     """2F of the dual xd at each point of zs, in order (see _potential2).
 
     The dual is read once per call: its space and kind, its key, and on
     the hyperboloid its terms' payloads (two batched calls per term give
     the squared distances from its tail and its head to every point).
+    checked: the caller has checked that the points lie in the dual's
+    space, as for a graph's points and a query checked against it.
     """
     space = xd.space
     if space is None:
         return [0] * len(zs)
-    for z in zs:
-        _check_space(space, z.space)
-    if space.kind == HYPERBOLIC:
+    if not checked:
+        for z in zs:
+            _check_space(space, z.space)
+    kind = space.kind
+    if kind == HYPERBOLIC:
         zps = [z.payload for z in zs]
         cols = [(c, _hyperbolic_dists_sq(zps, bv.tail.payload), _hyperbolic_dists_sq(zps, bv.head.payload))
                 for c, bv in xd.terms]
         return [sum([c * (t[i] - h[i]) for c, t, h in cols]) for i in range(len(zps))]
+    if scale is not None:
+        return _scaled2_at(kind, xd, zs, scale)
     key = xd.key
     if key is None:
         return [_sum2(xd.terms, z) for z in zs]
-    kind = space.kind
     return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
 
 
@@ -356,6 +402,107 @@ def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
     if exact:
         return _affine2(vs, xs)
     return 2 * sum([float(v) * x for v, x in zip(vs, xs)])
+
+
+def _scaled2_of(kind: str, xds: Sequence[DualVector], z: Point, scale: Tuple[int, int]) -> List[int]:
+    """2F sv sz of each dual of xds at the exact point z, on the scale (sv, sz).
+
+    A key is read as ints over its own denominator dv (DualVector._ints)
+    and the point as ints over its own dz, so a value is the product of
+    the small ints times 2 sv sz / (dv dz): one product of big factors
+    per call, and per value one division by a small denominator.
+    """
+    sv, sz = scale
+    if kind == EUCLIDEAN:
+        dz, xs = _over(z.payload)
+    else:
+        k, s = z.payload
+        dz, x = s.denominator, s.numerator
+    t = 2 * sv * (sz // dz)
+    out = []
+    for xd in xds:
+        form = xd._ints
+        if form is None:
+            out.append(0)
+        elif kind == EUCLIDEAN:
+            dv, vs = form
+            out.append(sum(map(mul, vs, xs)) * (t // dv))
+        else:
+            dv, default, slopes = form
+            out.append(slopes.get(k, default) * x * (t // dv))
+    return out
+
+
+def _scaled2_at(kind: str, xd: DualVector, zs: Sequence[Point], scale: Tuple[int, int]) -> List[int]:
+    """2F sv sz of the dual xd at each of the exact points zs, on the scale (sv, sz) (see _scaled2_of)."""
+    form = xd._ints
+    if form is None:
+        return [0] * len(zs)
+    sv, sz = scale
+    t = 2 * (sv // form[0]) * sz
+    out = []
+    if kind == EUCLIDEAN:
+        vs = form[1]
+        for z in zs:
+            out.append(sum([v * x.numerator * (t // x.denominator) for v, x in zip(vs, z.payload)]))
+        return out
+    _, default, slopes = form
+    for z in zs:
+        k, s = z.payload
+        out.append(slopes.get(k, default) * s.numerator * (t // s.denominator))
+    return out
+
+
+def _over(values: Sequence[Scalar]) -> Tuple[int, Tuple[int, ...]]:
+    """(den, ints): exact values as ints over the lcm den of their denominators."""
+    den = math.lcm(*[v.denominator for v in values])
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+# The bits that a scale's sv sz may have. An exact single transform query
+# runs on ints over one denominator up to it and on Fractions past it,
+# where ints of that many bits cost more than reducing small Fractions
+# (CHANGES.md records the crossover).
+_SCALE_BITS = 4096
+
+
+def _scale(space: SpaceHandle, xds: Iterable[DualVector], zs: Iterable[Point],
+           base: Tuple[int, int] = (1, 1)) -> Optional[Tuple[int, int]]:
+    """The scale (sv, sz) on which the kernel gives 2F of the duals xds at the points zs as ints.
+
+    sv is the lcm of base[0] and the denominators of the duals' keys, sz
+    of base[1] and the points' coordinates, so 2F sv sz is an int for
+    every dual at every point (2F is bilinear in the key and the point).
+    Potentials count only up to a constant and are linear in the key
+    (Theta(x*) = F + const), so scaling them all by sv sz keeps every
+    formula exact; a value v2 on the scale stands for v2 / (sv sz).
+    None on the hyperboloid, where a dual has no key or a coordinate is
+    a float, and where sv sz would have more than _SCALE_BITS bits.
+    """
+    if space.kind == HYPERBOLIC:
+        return None
+    sv, sz = base
+    for xd in xds:
+        if xd.key is None:
+            return None
+        form = xd._ints
+        if form is not None:
+            sv = math.lcm(sv, form[0])
+            if sv.bit_length() > _SCALE_BITS:
+                return None
+    for z in zs:
+        if not is_exact(z.payload):
+            return None
+        sz = math.lcm(sz, *[v.denominator for v in z.payload])
+        if sz.bit_length() > _SCALE_BITS:
+            return None
+    return (sv, sz) if (sv * sz).bit_length() <= _SCALE_BITS else None
+
+
+def _slopes(key: tuple) -> tuple:
+    """The default slope and the branch slopes of a tree key."""
+    default, branches = key
+    return (default, *(s for _, s in branches))
 
 
 def _affine2(vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
@@ -686,8 +833,7 @@ def _action(xd: DualVector, tol: float) -> tuple:
     if space.kind == EUCLIDEAN:
         return canonical_hilbert(xd)
     if space.kind != HYPERBOLIC:
-        default, slopes = _tree_slopes(xd.terms)
-        return (default, *(s for _, s in slopes))
+        return _slopes(_tree_slopes(xd.terms))
     if space.dim == 1:
         return (sum(c * (math.asinh(bv.head.payload[0]) - math.asinh(bv.tail.payload[0]))
                     for c, bv in xd.terms),)

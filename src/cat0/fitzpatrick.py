@@ -23,6 +23,18 @@ coupling as P_y(y.x) - P_y(p), with P_y(p) from the column its term
 reads. On an empty graph all three give -inf. The sup-form term
 (_transform2) also serves level_set_report and roundtrip_check.
 
+On exact inputs a query runs on one integer scale (cat0.dual._scale):
+the OperatorGraph keeps D_V and D_Z, the lcms of its keys' and its
+points' denominators, and its self-potentials as ints over D_V D_Z,
+and a query lcm's them with the denominators of q.xd's key, q.x and p
+into its scale (sv, sz), scaling the kept ints to it. The kernel fills
+the columns with ints on that scale, the three term expressions run on
+them unchanged, and each form divides once at the end, reporting
+Fraction(best2, 2 sv sz): the value and type that half_of(best2) gives
+on Fractions. On the hyperboloid, with a float, or past the kernel's
+cap on the scale's bits, a query runs on floats or on Fractions
+reduced at every step, as any pairing does.
+
 On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
 monotonicity and relative maximality; level_set_report partitions a
@@ -55,7 +67,17 @@ from .conjugate import (
     coupling_pi,
     gamma_p_membership,
 )
-from .dual import _Potentials, _potentials2_at, _potentials2_of, dual_add, dual_scale, dual_term, pair
+from .dual import (
+    _Potentials,
+    _check_space,
+    _potentials2_at,
+    _potentials2_of,
+    _scale,
+    dual_add,
+    dual_scale,
+    dual_term,
+    pair,
+)
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
 from .geometry import half_of
 from .monotone import (
@@ -130,27 +152,59 @@ def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
 # handle is its position there. The query dual's handle is its column:
 # its potential at one query-side point (position 0), then at each graph
 # point (position i + 1 for pair i). A member's handle holds its entries
-# of the graph duals' columns at the query-side points (_member_handles).
+# of the graph duals' columns at the query-side points (_Query.members).
+# On exact inputs the columns hold ints on the query's scale (sv, sz),
+# and each form halves through _Query.half, which divides by 2 sv sz.
 
 
-def _query_column(g: OperatorGraph, q: PairedPoint, z: Point, *after: Point) -> List[Scalar]:
-    """P_q at z, then at each graph point, then at the points after."""
-    return _potentials2_at(q.xd, [z, *(y.x for y in g.pairs), *after])
+class _Query:
+    """One query's scale, its graph's self-potentials on it, and its halving.
 
+    p and q.x are checked against the graph's space here (q.xd lies in
+    q.x's), so the kernel calls of the query check nothing again: the
+    graph's pairs were checked when it was built.
+    """
 
-def _member_handles(g: OperatorGraph, *at: Point) -> Iterator[tuple]:
-    """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y."""
-    duals = [y.xd for y in g.pairs]
-    columns = zip(*(_potentials2_of(duals, a) for a in at))
-    return zip(itertools.count(1), columns, g._self_potentials)
+    __slots__ = ("g", "q", "scale", "owns")
+
+    def __init__(self, g: OperatorGraph, p: Point, q: PairedPoint):
+        for z in (p, q.x):
+            _check_space(g.space, z.space)
+        base, owns = g._frame
+        scale = None if base is None else _scale(g.space, (q.xd,), (q.x, p), base)
+        if scale is not None:
+            factor = scale[0] // base[0] * (scale[1] // base[1])
+            if factor != 1:
+                owns = [factor * own for own in owns]
+        elif base is not None:  # the graph's ints, as the Fractions they stand for
+            owns = [Fraction(own, base[0] * base[1]) for own in owns]
+        self.g, self.q, self.scale, self.owns = g, q, scale, owns
+
+    def half(self, v2: Scalar) -> Scalar:
+        """half_of(v2), or on a scale the Fraction v2 / (2 sv sz) that v2 stands for."""
+        if self.scale is None:
+            return half_of(v2)
+        sv, sz = self.scale
+        return Fraction(v2, 2 * sv * sz)
+
+    def column(self, z: Point, *after: Point) -> List[Scalar]:
+        """P_q at z, then at each graph point, then at the points after."""
+        points = [z, *(y.x for y in self.g.pairs), *after]
+        return _potentials2_at(self.q.xd, points, self.scale, checked=True)
+
+    def members(self, *at: Point) -> Iterator[tuple]:
+        """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y."""
+        duals = [y.xd for y in self.g.pairs]
+        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True) for a in at))
+        return zip(itertools.count(1), columns, self.owns)
 
 
 def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Supremum form of the transform at the query pair."""
     if not g.pairs:
         return NEG_INF
-    ys = _member_handles(g, q.x)
-    return ExtReal(half_of(_transform2(getitem, 0, ys, (0, _query_column(g, q, p)))))
+    run = _Query(g, p, q)
+    return ExtReal(run.half(_transform2(getitem, 0, run.members(q.x), (0, run.column(p)))))
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
@@ -162,12 +216,13 @@ def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """
     if not g.pairs:
         return NEG_INF
-    column = _query_column(g, q, q.x, p)
+    run = _Query(g, p, q)
+    column = run.column(q.x, p)
     a = (0, column, column[0])
-    worst = min(_gaps2(getitem, zip(itertools.repeat(a), _member_handles(g, q.x))))
+    worst = min(_gaps2(getitem, zip(itertools.repeat(a), run.members(q.x))))
     zero = BoundVector(p, q.x).is_zero or not q.xd.terms
-    coupling = 0 if zero else half_of(column[0] - column[-1])
-    return ExtReal(coupling - half_of(worst))
+    coupling = 0 if zero else run.half(column[0] - column[-1])
+    return ExtReal(coupling - run.half(worst))
 
 
 def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
@@ -178,8 +233,9 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
     the column of P_y(p) that the conjugate term reads too; pairs acting
     alike give equal terms, so none is merged first.
     """
-    rows = ((zy, dy, own - dy[0]) for zy, dy, own in _member_handles(g, p, q.x))
-    return _conjugate(getitem, 0, rows, (1, _query_column(g, q, p)))
+    run = _Query(g, p, q)
+    rows = ((zy, dy, own - dy[0]) for zy, dy, own in run.members(p, q.x))
+    return _conjugate(getitem, 0, rows, (1, run.column(p)), run.half)
 
 
 def fitzpatrick_forms_agree(

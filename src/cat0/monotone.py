@@ -52,7 +52,7 @@ from .conjugate import (
     PairedPoint,
     _PairSet,
 )
-from .dual import DualVector, _Potentials, _potential2
+from .dual import DualVector, _Potentials, _potential2, _scale
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
@@ -80,8 +80,9 @@ __all__ = [
 class OperatorGraph:
     """A finite operator graph over one space.
 
-    Frozen: the self-potentials P_y(y.x) of its pairs are computed at
-    the first single query (fitzpatrick_sup, fitzpatrick_inf,
+    Frozen: its frame, the scale of its duals and points and the
+    self-potentials P_y(y.x) of its pairs, is computed at the first
+    single query (fitzpatrick_sup, fitzpatrick_inf,
     fitzpatrick_via_conjugate), never when the graph is built, and then
     kept. So is the index of its pairs, _listed, built at the first
     membership test; each test reads it with its own tol.
@@ -96,9 +97,17 @@ class OperatorGraph:
                 raise GeometryError("graph pair from a different space")
 
     @cached_property
-    def _self_potentials(self) -> Tuple[Scalar, ...]:
-        """P_y(y.x) of each pair y, aligned with pairs: computed at the first query, then kept."""
-        return tuple(_potential2(q.xd, q.x) for q in self.pairs)
+    def _frame(self) -> Tuple[Optional[Tuple[int, int]], Tuple[Scalar, ...]]:
+        """(scale, self-potentials): computed at the first query, then kept.
+
+        scale is (D_V, D_Z), the lcms of the denominators of the keys
+        and of the points (cat0.dual._scale), and P_y(y.x) of each pair
+        y, aligned with pairs, is an int over D_V D_Z. On the hyperboloid,
+        with a float or past the scale's cap, scale is None and P_y(y.x)
+        is computed as any potential is.
+        """
+        scale = _scale(self.space, (q.xd for q in self.pairs), (q.x for q in self.pairs))
+        return scale, tuple(_potential2(q.xd, q.x, scale) for q in self.pairs)
 
     @cached_property
     def _listed(self) -> _PairSet:

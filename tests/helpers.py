@@ -273,15 +273,17 @@ def classical_conjugate_oracle(
 def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True, calls=None) -> List[int]:
     """Patch name in each module to count its calls, by counts(*args) each (True is one).
 
+    counts reads the positional arguments the function is called with;
+    the counted function passes every argument on, keywords included.
     Returns a one-element list holding the count (calls, when given, is
     added to); assign 0 to reset it.
     """
     calls = [0] if calls is None else calls
     real = getattr(modules[0], name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += counts(*args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
@@ -296,16 +298,18 @@ def count_potentials(monkeypatch) -> List[int]:
     _potential2 is the one-point case of the latter, so each value is
     counted once. A zero dual's potential is 0 without any work, so it
     is not counted: one value stands where a one-term dual's potential
-    costs two squared distances.
+    costs two squared distances. The count reads the kernel's first two
+    arguments, so it is the same with or without a scale (ints on the
+    scale are the same potentials).
     """
     import cat0.dual
     import cat0.fitzpatrick
 
     modules = (cat0.dual, cat0.fitzpatrick)
     calls = count_calls(monkeypatch, "_potentials2_at", modules,
-                        lambda xd, zs: len(zs) if xd.terms else 0)
+                        lambda xd, zs, *rest: len(zs) if xd.terms else 0)
     return count_calls(monkeypatch, "_potentials2_of", modules,
-                       lambda xds, z: sum(1 for xd in xds if xd.terms), calls)
+                       lambda xds, z, *rest: sum(1 for xd in xds if xd.terms), calls)
 
 
 def count_dist_sq(monkeypatch) -> List[int]:

@@ -2,11 +2,13 @@ import functools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cat0.dual
 from cat0 import (
     NEG_INF,
     ExtReal,
@@ -47,7 +49,8 @@ from cat0 import (
     worked_examples,
     zero_dual,
 )
-from cat0.geometry import quasilinearization
+from cat0.dual import _scale
+from cat0.geometry import half_of, quasilinearization
 from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
@@ -334,6 +337,67 @@ def test_single_queries_equal_the_four_distance_reference(kind, data):
         assert same(fenchel_conjugate_p(h, p, universe, q.xd, q.x), conj)
 
 
+def _exact_fraction(dens):
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from(dens))
+
+
+@st.composite
+def _exact_query(draw, kind, past_cap):
+    """(pairs, basepoint, query) on exact inputs with mixed denominators.
+
+    The graph's coordinates and coefficients take denominators from one
+    set, the query's from another, so the query's scale is often, not
+    always, a multiple of the graph's. Duals are zero, one or two terms
+    between the instance's points; p is sometimes q.x. Past the cap, one
+    coordinate of a graph point, of q.x or of p has a denominator of
+    about 6,000 bits.
+    """
+    space = E2 if kind == "euclidean" else rtree()
+    graph_dens, query_dens = (1, 2, 3, 4, 6), (1, 2, 5, 7, 9)
+
+    def point(dens, huge=False):
+        d = draw(st.integers(2**6000, 2**6001) if huge else st.sampled_from(dens))
+        first = Fraction(draw(st.integers(1 if huge else -6, 6)), d)
+        if kind == "euclidean":
+            return make_point(space, (first, draw(_exact_fraction(dens))))
+        return make_point(space, (draw(st.integers(1, 3)), min(abs(first), 1)))
+
+    huge = draw(st.sampled_from(("graph", "q.x", "p"))) if past_cap else None
+    pts = [point(graph_dens, huge == "graph" and i == 0) for i in range(draw(st.integers(1, 4)))]
+
+    def dual(dens, ends):
+        terms = draw(st.lists(st.tuples(_exact_fraction(dens), ends, ends), max_size=2))
+        return dual_vector((c, BoundVector(t, h)) for c, t, h in terms)
+
+    pick = st.sampled_from(pts)
+    pairs = tuple(PairedPoint(draw(pick) if i else pts[0], dual(graph_dens, pick))
+                  for i in range(draw(st.integers(1, 5))))
+    x = point(query_dens, huge == "q.x")
+    q = PairedPoint(x, dual(query_dens, st.sampled_from(pts + [x])))
+    p = x if draw(st.booleans()) and huge != "p" else point(query_dens, huge == "p")
+    return pairs, p, q
+
+
+@pytest.mark.parametrize("past_cap", [False, True], ids=["under-cap", "past-cap"])
+@pytest.mark.parametrize("kind", ["euclidean", "rtree"])
+@given(data=st.data())
+def test_exact_queries_give_the_same_reprs_on_both_paths(kind, past_cap, data):
+    # the three forms on a graph's integer scale and with the scale cap
+    # at 0 bits, where every exact query runs on Fractions, as before
+    # the integer scale existed: the same values of the same types, equal
+    # to the four-distance reference
+    pairs, p, q = data.draw(_exact_query(kind, past_cap))
+    duals, points = [y.xd for y in pairs] + [q.xd], [y.x for y in pairs] + [q.x, p]
+    assert (_scale(p.space, duals, points) is None) == past_cap
+    forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
+    scaled = [repr(form(OperatorGraph(p.space, pairs), p, q)) for form in forms]
+    with mock.patch.object(cat0.dual, "_SCALE_BITS", 0):
+        fractions = [repr(form(OperatorGraph(p.space, pairs), p, q)) for form in forms]
+    assert scaled == fractions
+    sup = max(_ref_pair(q.xd, BoundVector(p, y.x)) - _ref_pair(y.xd, BoundVector(q.x, y.x)) for y in pairs)
+    assert all(r == repr(ExtReal(half_of(2 * sup))) for r in scaled)
+
+
 def _single_query_instances():
     """(graph, basepoint, query, squared distances per potential evaluation) on each space.
 
@@ -442,6 +506,28 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
             query()
             assert potentials[0] == reads
             assert squares[0] == per_read * reads
+
+
+def test_a_query_past_the_scale_cap_counts_as_on_integers(monkeypatch):
+    # the tree instance above on its integer scale, and the same graph
+    # queried at a basepoint whose denominator has 5,000 bits, past the
+    # cap, so that the query runs on Fractions: both read what the pin
+    # above counts
+    potentials = count_potentials(monkeypatch)
+    _, (g, p, q, _), _ = _single_query_instances()
+    far = make_point(g.space, (2, Fraction(1, 2**5000 + 1)))
+    duals, points = [y.xd for y in g.pairs] + [q.xd], [y.x for y in g.pairs] + [q.x]
+    assert _scale(g.space, duals, points + [p]) is not None
+    assert _scale(g.space, duals, points + [far]) is None
+    n = len(g.pairs)
+    for basepoint in (p, far):
+        fresh = OperatorGraph(g.space, g.pairs)
+        counts = []
+        for form in (fitzpatrick_sup, fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
+            potentials[0] = 0
+            form(fresh, basepoint, q)
+            counts.append(potentials[0])
+        assert counts == [n + 1 + 2 * n, 1 + 2 * n, 2 + 2 * n, 1 + 3 * n]
 
 
 @pytest.mark.parametrize("form", [fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate])
