@@ -324,7 +324,7 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[i
     """2F of each dual of xds at the one point z, in order (see _potential2).
 
     The point is read once per call: its space and kind, its payload and
-    whether it is exact, or on a scale its scaled coordinates. On the
+    whether it is exact, or on a scale its coordinates as ints. On the
     hyperboloid one batched call gives the squared distances from every
     term endpoint of xds to it. checked: the caller has checked that
     the duals lie in z's space (a graph's duals, for a point checked
@@ -476,8 +476,9 @@ def _scale(space: SpaceHandle, xds: Iterable[DualVector], zs: Iterable[Point],
     Potentials count only up to a constant and are linear in the key
     (Theta(x*) = F + const), so scaling them all by sv sz keeps every
     formula exact; a value v2 on the scale stands for v2 / (sv sz).
-    None on the hyperboloid, where a dual has no key or a coordinate is
-    a float, and where sv sz would have more than _SCALE_BITS bits.
+    None on the hyperboloid, where a dual has no key or a point holds a
+    float, and where sv sz would have more than _SCALE_BITS bits (the
+    lcms stop at the first step past it).
     """
     if space.kind == HYPERBOLIC:
         return None

@@ -382,10 +382,10 @@ def _exact_query(draw, kind, past_cap):
 @pytest.mark.parametrize("kind", ["euclidean", "rtree"])
 @given(data=st.data())
 def test_exact_queries_give_the_same_reprs_on_both_paths(kind, past_cap, data):
-    # the three forms on a graph's integer scale and with the scale cap
-    # at 0 bits, where every exact query runs on Fractions, as before
-    # the integer scale existed: the same values of the same types, equal
-    # to the four-distance reference
+    # the three forms on the instance's integer scale (or on Fractions,
+    # past the cap), and with the cap at 0 bits, where every exact query
+    # runs on Fractions: the same values of the same types, equal to the
+    # four-distance reference
     pairs, p, q = data.draw(_exact_query(kind, past_cap))
     duals, points = [y.xd for y in pairs] + [q.xd], [y.x for y in pairs] + [q.x, p]
     assert (_scale(p.space, duals, points) is None) == past_cap
