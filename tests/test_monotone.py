@@ -167,45 +167,104 @@ def test_sweeps_reject_points_from_another_space():
         is_monotone([a, b])
 
 
-def _scattered_universe(space, rng, n):
-    """n pairs with distinct points and distinct one-term duals: no two share a point or a dual."""
+def _grid_point(space):
+    """point(a, b) for integers a, b in [-9, 9]: distinct (a, b) give distinct points."""
     if space.kind == "hyperbolic":
         def point(a, b):
             x, y = a / 4, b / 4
             return make_point(space, (x, y, math.sqrt(1 + x * x + y * y)))
+    elif space.kind == "rtree":
+        def point(a, b):
+            return make_point(space, (a + 10, Fraction(b + 10, 20)))
     else:
         def point(a, b):
             return make_point(space, (a, b))
-    coords = rng.sample([(a, b) for a in range(-9, 10) for b in range(-9, 10)], 3 * n)
+    return point
+
+
+_GRID = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+
+
+def _scattered_universe(space, rng, n):
+    """n pairs with distinct points and distinct one-term duals: no two share a point or a dual."""
+    point = _grid_point(space)
+    coords = rng.sample(_GRID, 3 * n)
     return tuple(
         PairedPoint(point(*coords[3 * i]), dual_term(1 + i % 3, point(*coords[3 * i + 1]), point(*coords[3 * i + 2])))
         for i in range(n)
     )
 
 
-@pytest.mark.parametrize("space", [E2, hyperbolic(2)])
+def _sweep_counts(monkeypatch, universe, graphs, p, sweeps):
+    """Potentials that each sweep evaluates, as a tuple per graph.
+
+    A sweep is called as sweep(members, g, universe, p), g the graph of the members.
+    """
+    space = universe[0].x.space
+    potentials = count_potentials(monkeypatch)
+    got = []
+    for members in graphs:
+        g = OperatorGraph(space, tuple(members))
+        row = []
+        for sweep in sweeps:
+            potentials[0] = 0
+            sweep(members, g, universe, p)
+            row.append(potentials[0])
+        got.append(tuple(row))
+    return got
+
+
+def _polar(members, g, universe, p):
+    return monotone_polar(members, universe)
+
+
+def _monotone(members, g, universe, p):
+    return is_monotone(g)
+
+
+def _maximal(members, g, universe, p):
+    return is_maximal_relative(g, universe)
+
+
+def _level(members, g, universe, p):
+    return level_set_report(g, p, universe)
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2), rtree()])
 def test_sweeps_off_a_product_universe_evaluate_only_what_they_read(monkeypatch, space):
     # 40 pairs, no point or dual shared: a table filled at every (dual,
     # point) would evaluate about 40 * 41 potentials per sweep. The polar
     # test of a universe pair stops at the first member it is not related
     # to, and with it the potentials it reads.
     universe = _scattered_universe(space, random.Random(4), 40)
-    p = universe[5].x
     graphs = [universe[:1], universe[7:8], greedy_monotone_subset(random.Random(2), universe, 2)]
-    potentials = count_potentials(monkeypatch)
-    got = []
-    for members in graphs:
-        g = OperatorGraph(space, tuple(members))
-        row = []
-        for sweep in (lambda: monotone_polar(members, universe),
-                      lambda: is_maximal_relative(g, universe),
-                      lambda: level_set_report(g, p, universe)):
-            potentials[0] = 0
-            sweep()
-            row.append(potentials[0])
-        got.append(tuple(row))
+    got = _sweep_counts(monkeypatch, universe, graphs, universe[5].x, (_polar, _maximal, _level))
     # (monotone_polar, is_maximal_relative, level_set_report) per graph
-    assert got == [(118, 118, 156), (118, 118, 156), (144, 144, 231)]
+    last = (154, 154, 231) if space.kind == "rtree" else (144, 144, 231)
+    assert got == [(118, 118, 156), (118, 118, 156), last]
+
+
+def _shared_universe(space, rng):
+    """5 one-term duals with 4 pairs each, at distinct points of a pool of 6 that all duals share."""
+    point = _grid_point(space)
+    coords = rng.sample(_GRID, 16)
+    pool = [point(*c) for c in coords[:6]]
+    duals = [dual_term(1 + i % 3, point(*coords[6 + 2 * i]), point(*coords[7 + 2 * i])) for i in range(5)]
+    return tuple(PairedPoint(x, xd) for xd in duals for x in rng.sample(pool, 4))
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2), rtree()])
+def test_sweeps_on_a_universe_that_shares_duals_and_points(monkeypatch, space):
+    # 20 pairs on 6 points and 5 duals. A graph drawn from the universe
+    # leaves pairs outside it that share a member's dual, so one row is
+    # a member's and a non-member's, and pairs that share a member's point.
+    universe = _shared_universe(space, random.Random(5))
+    graphs = [universe[:1], universe[::4], greedy_monotone_subset(random.Random(3), universe, 3),
+              universe[4:12]]
+    got = _sweep_counts(monkeypatch, universe, graphs, universe[2].x, (_polar, _monotone, _maximal, _level))
+    # (monotone_polar, is_monotone, is_maximal_relative, level_set_report) per graph
+    second = (25, 7, 7, 30) if space.kind == "rtree" else (26, 7, 7, 30)
+    assert got == [(22, 1, 22, 22), second, (29, 6, 29, 29), (27, 9, 9, 29)]
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):
