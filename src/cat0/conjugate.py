@@ -387,10 +387,10 @@ def _fixed_point_defect(
     pot = _Potentials()
     zp = pot.point(p)
     finite = [(u, v) for u, v in zip(pairs, _values(h, pairs, tol)) if v.is_finite]
-    us = pot.handles([u for u, _ in finite], full=True)
-    pot.fill([row for _, row in us], [zp])
+    us = pot.members([u for u, _ in finite])
+    pot.fill([row for _, row, _ in us], [zp])
     # (point, row, doubled value) where h <= pi_p + tol
-    capped = [(z, row, 2 * v.value) for (z, row), own, (_, v) in zip(us, pot.owns(us), finite)
+    capped = [(z, row, 2 * v.value) for (z, row, own), (_, v) in zip(us, finite)
               if v <= half_of(own - row[zp]) + tol]
     qs = pot.handles(h.domain)
     pot.fill([row for _, row in qs], [z for z, _, _ in capped] + [zp])

@@ -20,9 +20,9 @@ cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches and sums each dual's terms with sum(), in
 term order, so no value depends on the batching. Every
 formula reads the values it needs through one reader, getitem on a
-dual's values by point position: a column of a single query, or a row
-of the potential table of a whole-set sweep (_Potentials), which the
-kernel fills where the sweep reads it.
+dual's values: a column of a single query, by point position, or a row
+of the potential table of a whole-set sweep (_Potentials), keyed by
+point number and holding the values the kernel computed for the sweep.
 
 Every formula reads a dual's potential only as a difference of two of
 that dual's own values, so F matters only up to a constant, as the
@@ -309,9 +309,10 @@ def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = Non
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
     DualVector) handles, and otherwise getitem, P(d, z) = d[z], where a
-    dual's handle holds its values by point position: a row of a
-    _Potentials table for a sweep, a column that the kernel fills in one
-    call for a single transform query (see cat0.fitzpatrick). A graph
+    dual's handle holds its values by point: a row of a _Potentials
+    table for a sweep, keyed by point number, a column that the kernel
+    fills in one call for a single transform query, by point position
+    (see cat0.fitzpatrick). A graph
     member's handle also carries its own doubled potential P_y(y.x):
     kept by the OperatorGraph for a single query (OperatorGraph._frame),
     read from its row for a sweep (_Potentials.members).
@@ -521,15 +522,14 @@ def _affine2(vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
     return num if den == 1 else Fraction(num, den)
 
 
-class _Row(list):
-    """One dual's doubled potentials, indexed by point number; None where not computed."""
+class _Row(dict):
+    """One dual's doubled potentials, keyed by point number: the values computed so far."""
 
-    __slots__ = ("dual", "full")
+    __slots__ = ("dual",)
 
     def __init__(self, dual: DualVector):
         super().__init__()
         self.dual = dual
-        self.full = False  # a member's row: it may be read at every point of its table
 
 
 class _Potentials:
@@ -538,8 +538,8 @@ class _Potentials:
     A whole-set computation builds one table per call. point() numbers
     the call's points (by payload: a table holds one space) and row()
     gives each dual one row (by structural equality, once per pair,
-    never per pairing), a list indexed by point number. Sweeps read a
-    row through getitem, row[z], the reader the single queries of
+    never per pairing), a dict keyed by point number. Sweeps read a row
+    through getitem, row[z], the reader the single queries of
     cat0.fitzpatrick use on their columns; a handle is (point number,
     row), a member handle also carries its own potential.
 
@@ -547,16 +547,11 @@ class _Potentials:
     step that reads it is reached: fill() fills rows at points, one
     _potentials2_at call per row, and fill_at() fills rows at one point
     with one _potentials2_of call; each skips what a row already holds.
-    So a row holds values only where the call reads it, and the call
-    evaluates exactly the potentials it reads. The member side is
-    numbered first: the members' points, then p where it is read. A
-    member's row is full: it may be read at every point. Another dual's
-    row is read at member-side points only, so it stays that short, and
-    the own potential P_u(u.x) of a handle elsewhere is kept in the
-    handle, not the row (owns). The first point numbered fixes the
-    space: a point from another space raises, as a pairing across
-    spaces would (a zero dual alone evaluates nothing, so this check is
-    not left to the kernel).
+    A row holds exactly the values computed for it, so the call
+    evaluates exactly the potentials it reads. The first point numbered
+    fixes the space: a point from another space raises, as a pairing
+    across spaces would (a zero dual alone evaluates nothing, so this
+    check is not left to the kernel).
     """
 
     def __init__(self):
@@ -564,7 +559,6 @@ class _Potentials:
         self._point_ids: Dict[tuple, int] = {}  # by payload: the points share one space
         self._points: List[Point] = []
         self._rows: Dict[DualVector, _Row] = {}
-        self._side: Optional[int] = None  # member-side points, fixed by the first other handles
 
     def point(self, x: Point) -> int:
         i = self._point_ids.get(x.payload)
@@ -586,70 +580,37 @@ class _Potentials:
             row = self._rows[xd] = _Row(xd)
         return row
 
-    def handles(self, pairs: Sequence, full: bool = False) -> List[Tuple[int, _Row]]:
-        """(point number, row) of each (point, dual) pair; full marks member rows.
-
-        The first handles that are not full close the member side.
-        """
-        if not full and self._side is None:
-            self._side = len(self._points)
-        hs = [(self.point(q.x), self.row(q.xd)) for q in pairs]
-        if full:
-            for _, row in hs:
-                row.full = True
-        return hs
+    def handles(self, pairs: Sequence) -> List[Tuple[int, _Row]]:
+        """(point number, row) of each (point, dual) pair."""
+        return [(self.point(q.x), self.row(q.xd)) for q in pairs]
 
     def members(self, pairs: Sequence) -> List[Tuple[int, _Row, Scalar]]:
         """Member handles (point number, row, own doubled potential) of the pairs."""
-        hs = self.handles(pairs, full=True)
-        for z, row in hs:
-            if len(row) <= z or row[z] is None:
-                self._put(row, z)
-        return [(z, row, row[z]) for z, row in hs]
+        hs = self.handles(pairs)
+        return [(z, row, own) for (z, row), own in zip(hs, self.owns(hs))]
 
     def owns(self, handles: Sequence[Tuple[int, _Row]]) -> List[Scalar]:
-        """P_u(u.x) of each handle u, in order.
-
-        Read from the row where it spans u.x (a member's row, or a
-        member-side point); elsewhere computed with one _potentials2_of
-        call per point, and kept in no row.
-        """
-        side = len(self._points) if self._side is None else self._side
-        kept: Dict[int, Dict[int, _Row]] = {}  # point -> rows filled there
-        apart: Dict[int, Dict[int, _Row]] = {}  # point -> rows valued apart
+        """P_u(u.x) of each handle u, in order: one fill_at call per point."""
+        at: Dict[int, List[_Row]] = {}
         for z, row in handles:
-            (kept if row.full or z < side else apart).setdefault(z, {})[id(row)] = row
-        for z, rows in kept.items():
-            self.fill_at(rows.values(), z)
-        values = {}
-        for z, rows in apart.items():
-            rows = list(rows.values())
-            for row, v in zip(rows, _potentials2_of([row.dual for row in rows], self._points[z])):
-                values[z, id(row)] = v
-        return [row[z] if row.full or z < side else values[z, id(row)] for z, row in handles]
+            at.setdefault(z, []).append(row)
+        for z, rows in at.items():
+            self.fill_at(rows, z)
+        return [row[z] for z, row in handles]
 
     def fill(self, rows: Iterable[_Row], zs: Sequence[int]) -> None:
         """Fill each row at the points zs where it holds nothing, one _potentials2_at call a row."""
-        if not zs:
-            return
         zs = list(dict.fromkeys(zs))
-        top = max(zs) + 1
         for row in {id(row): row for row in rows}.values():
-            if len(row) < top:
-                row.extend([None] * (top - len(row)))
-            need = [z for z in zs if row[z] is None]
+            need = [z for z in zs if z not in row]
             if need:
-                for z, v in zip(need, _potentials2_at(row.dual, [self._points[z] for z in need])):
-                    row[z] = v
+                row.update(zip(need, _potentials2_at(row.dual, [self._points[z] for z in need])))
 
     def fill_at(self, rows: Iterable[_Row], z: int) -> None:
         """Fill each row at the point z if it holds nothing there: one _potentials2_of call."""
-        need = {id(row): row for row in rows if len(row) <= z or row[z] is None}
+        need = list({id(row): row for row in rows if z not in row}.values())
         if need:
-            need = list(need.values())
             for row, v in zip(need, _potentials2_of([row.dual for row in need], self._points[z])):
-                if len(row) <= z:
-                    row.extend([None] * (z + 1 - len(row)))
                 row[z] = v
 
     def pairs(self, a: tuple, bs: Iterable[tuple]) -> Iterator[Tuple[tuple, tuple]]:
@@ -661,17 +622,11 @@ class _Potentials:
         za, ra = a[0], a[1]
         for b in bs:
             zb, rb = b[0], b[1]
-            if len(ra) <= zb or ra[zb] is None:
-                self._put(ra, zb)
-            if len(rb) <= za or rb[za] is None:
-                self._put(rb, za)
+            if zb not in ra:
+                ra[zb] = _potential2(ra.dual, self._points[zb])
+            if za not in rb:
+                rb[za] = _potential2(rb.dual, self._points[za])
             yield a, b
-
-    def _put(self, row: _Row, z: int) -> None:
-        """Fill row at the point z, which it does not hold."""
-        if len(row) <= z:
-            row.extend([None] * (z + 1 - len(row)))
-        row[z] = _potential2(row.dual, self._points[z])
 
     def tol(self, tol: Optional[float]) -> float:
         """tol, or the default_tol of the table's space; a table without points compares nothing."""

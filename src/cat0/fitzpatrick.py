@@ -87,7 +87,6 @@ from .monotone import (
     _monotone_report,
     _polar_indices,
     _require_graph_in,
-    _universe_handles,
     f_property_check,
     relatedness_gap,
 )
@@ -289,7 +288,7 @@ def level_set_report(
     pot = _Potentials()
     gms = pot.members(g.pairs)
     zp = pot.point(p)
-    us = _universe_handles(pot, universe)
+    us = pot.members(universe)
     # fitzpatrick_sup minus coupling_pi, doubled: the coupling is P_q(q.x)
     # - P_q(p), and the difference is halved once (-inf without members)
     if gms:

@@ -31,10 +31,13 @@ doubled potential P_a(a.x): relatedness_gap reads it on its two pairs
 through _potential2, the whole-set sweeps (is_monotone, monotone_polar,
 is_maximal_relative and the level-set report) from the rows of one
 potential table per call through getitem, as the single queries of
-cat0.fitzpatrick read their columns. A sweep fills the rows where it
-reads them, so it evaluates no potential it does not read: the polar
-goes member by member and drops a universe pair at the first member it
-is not related to (see cat0.dual._Potentials). An OperatorGraph keeps
+cat0.fitzpatrick read their columns. A row holds only the values
+computed for it, and a sweep computes them where it reads them, so it
+evaluates no potential it does not read: the polar goes member by
+member and drops a universe pair at the first member it is not related
+to (see cat0.dual._Potentials). The members and the universe pairs
+alike are handles with their own potentials (_Potentials.members); a
+pair outside the graph may share a member's row. An OperatorGraph keeps
 its members' self-potentials for the single transform queries of
 cat0.fitzpatrick (see OperatorGraph).
 """
@@ -206,12 +209,6 @@ def _polar_indices(
     return alive
 
 
-def _universe_handles(pot: _Potentials, universe: Sequence[PairedPoint]) -> List[tuple]:
-    """Handles (point, row, own) of the universe pairs, after the members'."""
-    hs = pot.handles(universe)
-    return [(z, row, own) for (z, row), own in zip(hs, pot.owns(hs))]
-
-
 def is_monotone(
     g: Union[OperatorGraph, Sequence[PairedPoint]], tol: Optional[float] = None
 ) -> PropertyReport:
@@ -234,7 +231,7 @@ def monotone_polar(
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
     pot = _Potentials()
     ms = pot.members(members)
-    polar = _polar_indices(pot, ms, _universe_handles(pot, universe), tol)
+    polar = _polar_indices(pot, ms, pot.members(universe), tol)
     return tuple(universe[i] for i in polar)
 
 
@@ -267,7 +264,7 @@ def is_maximal_relative(
     mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono
-    for i in _polar_indices(pot, gms, _universe_handles(pot, universe), tol):
+    for i in _polar_indices(pot, gms, pot.members(universe), tol):
         if g._listed.find(universe[i], tol) is None:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)

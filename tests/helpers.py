@@ -72,13 +72,13 @@ def avg_lowerbound_check(
     values = _values(h, universe, tol)
     finite = [(q, v) for q, v in zip(universe, values) if not v.is_pos_inf]
     pot = _Potentials()
-    handles = pot.handles([q for q, _ in finite], full=True)
+    handles = pot.handles([q for q, _ in finite])
     rows = [(z, row, 2 * v.value) for (z, row), (_, v) in zip(handles, finite)]
     zp = pot.point(p)
     side, row_duals = [z for z, _, _ in rows] + [zp], [row for _, row, _ in rows]
     # a universe pair's values are filled when it is reached, and its
     # own potential is kept in its row
-    for u, v in zip(pot.handles(universe, full=True), values):
+    for u, v in zip(pot.handles(universe), values):
         zu, ru = u
         pot.fill((ru,), side)
         pot.fill_at(row_duals, zu)
