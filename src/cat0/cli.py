@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -162,8 +163,16 @@ class Command(NamedTuple):
 
 COMMANDS: List[Command] = []
 
+def tolerance(text: str) -> float:
+    """A --tol value: any float but nan, which would pass every comparison."""
+    tol = float(text)
+    if math.isnan(tol):
+        raise argparse.ArgumentTypeError(f"a bound must be a number, got {text!r}")
+    return tol
+
+
 _TOL = ("--tol", {
-    "type": float, "default": None,
+    "type": tolerance, "default": None,
     "help": "bound on every comparison the subcommand makes (default: the space's tolerance)",
 })
 _UNIVERSE = ("--universe", {"default": None, "help": "path to a candidate-universe file"})

@@ -166,6 +166,25 @@ def test_monotone_check_passing_and_failing(tmp_path):
     assert out["holds"] is False and out["witness"] is not None
 
 
+def test_nan_tol_is_a_usage_error(tmp_path, capsys):
+    # not monotone: a nan bound would pass every comparison and report holds
+    bad = {
+        "space": {"kind": "euclidean", "dim": 1},
+        "pairs": [
+            {"x": [0], "xd": {"terms": [{"coeff": 1, "a": [0], "b": [1]}]}},
+            {"x": [1], "xd": {"terms": [{"coeff": 1, "a": [1], "b": [0]}]}},
+        ],
+    }
+    path = write(tmp_path, "bad.json", bad)
+    assert cli.main(["monotone-check", path]) == 1
+    for tol in ("nan", "-NaN"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["monotone-check", path, "--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+    assert cli.main(["monotone-check", path, "--tol", "inf"]) == 0
+
+
 def test_polar_and_maximal_check(tmp_path):
     universe = {
         "space": {"kind": "euclidean", "dim": 1},
@@ -467,6 +486,15 @@ def test_off_sheet_hyperbolic_point_reports_defect(tmp_path):
     res = run_cli(["distance", write(tmp_path, "h.json", inst)])
     assert res.returncode == 2
     assert "hyperboloid" in res.stderr
+
+
+@pytest.mark.parametrize("x", [[1e200, 0.0, 1.0], [10 ** 400, 0, 1]])
+def test_hyperbolic_point_past_float_range_is_an_input_error(tmp_path, x):
+    inst = {"space": {"kind": "hyperbolic", "dim": 2}, "x": x, "y": [0, 0, 1]}
+    res = run_cli(["distance", write(tmp_path, "h.json", inst)])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: x: hyperboloid constraint")
 
 
 def test_space_mismatch_between_universe_and_instance(tmp_path):
