@@ -152,10 +152,13 @@ def make_point(space: SpaceHandle, payload: Sequence, tol: float = 1e-9) -> Poin
             )
         branch, t = payload
         if isinstance(branch, bool) or not isinstance(branch, int):
-            if isinstance(branch, _NumbersReal) and not isinstance(branch, bool) and branch == int(branch):
-                branch = int(branch)
-            else:
+            try:
+                whole = isinstance(branch, _NumbersReal) and not isinstance(branch, bool) and branch == int(branch)
+            except (ValueError, OverflowError):  # nan, inf
+                whole = False
+            if not whole:
                 raise PointValidationError(f"rtree branch must be an integer, got {branch!r}")
+            branch = int(branch)
         if branch < 1:
             raise PointValidationError(f"rtree branch must be >= 1, got {branch}")
         _check_scalar(t, "rtree parameter")
@@ -171,20 +174,35 @@ def make_point(space: SpaceHandle, payload: Sequence, tol: float = 1e-9) -> Poin
             f"{space.kind} payload needs {space.coord_len} coordinates, got {len(coords)}"
         )
     if space.kind == HYPERBOLIC:
-        defect = minkowski_form(coords, coords) + 1
-        # the float error of the form itself grows with the squared
-        # coordinate size, so the acceptance band scales the same way
-        scale = 1 + sum(float(c) * float(c) for c in coords)
-        if abs(defect) > tol * scale:
-            raise PointValidationError(
-                f"hyperboloid constraint <x,x> = -1 violated by {float(defect):.3e} "
-                f"(tolerance {tol * scale:.3e})"
-            )
+        _check_on_sheet(coords, tol)
         if coords[-1] <= 0:
             raise PointValidationError(
                 f"hyperboloid sheet requires positive last coordinate, got {coords[-1]}"
             )
     return Point(space, coords)
+
+
+def _check_on_sheet(coords: Tuple[Scalar, ...], tol: float) -> None:
+    """Raise PointValidationError unless <x,x> = -1 within tol (1 + sum x_i^2).
+
+    The float error of the form itself grows with the squared coordinate
+    size, so the acceptance band scales the same way. An exact payload
+    with <x,x> = -1 exactly is on the sheet at any size. Otherwise a
+    payload past float range is rejected: its band or its form overflows
+    (to inf, or to nan for inf - inf), or an exact coordinate is too
+    large for a float.
+    """
+    try:
+        defect = minkowski_form(coords, coords) + 1
+        if defect == 0:
+            return
+        band = tol * (1 + sum(float(c) * float(c) for c in coords))
+        if abs(defect) <= band < math.inf:
+            return
+        found = f"{float(defect):.3e} (tolerance {band:.3e})"
+    except OverflowError:
+        found = "a value past float range"
+    raise PointValidationError(f"hyperboloid constraint <x,x> = -1 violated by {found}")
 
 
 def minkowski_form(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:

@@ -76,6 +76,30 @@ def test_hyperbolic_validation_band_scales_with_magnitude():
     assert distance(p, p) == 0
 
 
+@pytest.mark.parametrize("payload", [
+    (1e200, 0.0, 1.0),  # <x,x> overflows to +inf, as does its band
+    (1e160, 0.0, 1e160),  # inf - inf: the form is nan
+    (10 ** 400, 0, 1),  # too large for a float
+    (Fraction(10 ** 400), 0, 1.0),  # an exact and a float coordinate
+])
+def test_hyperboloid_payloads_past_float_range_are_rejected(payload):
+    with pytest.raises(PointValidationError):
+        make_point(hyperbolic(2), payload)
+
+
+def test_exact_hyperboloid_payloads_on_the_sheet_are_accepted_at_any_size():
+    # x = (1/r - r) / 2, y = (1/r + r) / 2 has y^2 - x^2 = 1 exactly
+    for r in (Fraction(1, 2), Fraction(1, 10 ** 400)):
+        payload = ((1 / r - r) / 2, (1 / r + r) / 2)
+        assert make_point(hyperbolic(1), payload).payload == payload
+
+
+@pytest.mark.parametrize("branch", [math.inf, -math.inf, math.nan])
+def test_rtree_branch_that_is_not_finite_is_rejected(branch):
+    with pytest.raises(PointValidationError):
+        make_point(rtree(), (branch, Fraction(1, 2)))
+
+
 def test_space_mismatch_rejected():
     a = make_point(euclidean(2), (0, 0))
     b = make_point(rtree(), (1, 0))
