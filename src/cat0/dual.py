@@ -10,15 +10,18 @@ where w_x, the net weight at x, is the sum of the coefficients of the
 terms with tail x minus those of the terms with head x. Every action is
 computed from 2F as the pairing kernel gives it: _potentials2_at (one
 dual at a sequence of points), _potentials2_of (a sequence of duals at
-one point) and _potential2, the one-point case. A kernel call checks
-the spaces in one pass, unless its caller has checked them (the single
-transform queries, whose graph checked its pairs when it was built),
-and reads once what its values share: the point's payload and
-exactness, or the dual's key or term payloads. On
-the hyperboloid every squared distance comes from
+one point) and _potential2, the one-point case, and on the hyperboloid
+_potentials2_each (each dual at its own point, for a graph's
+self-potentials). A kernel call checks the spaces in one pass, unless
+its caller has checked them (the single transform queries, whose graph
+checked its pairs when it was built), and reads once what its values
+share: the point's payload and exactness, or the dual's key or term
+payloads. On the hyperboloid every squared distance comes from
 cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
-kernel calls it in batches and sums each dual's terms with sum(), in
-term order, so no value depends on the batching. Every
+kernel calls it in batches, which it forms in blocks of coordinate
+columns, and assembles the potentials with map() over the terms'
+columns, each one sum() over its dual's terms in term order, so no
+value depends on the batching. Every
 formula reads the values it needs through one reader, getitem on a
 dual's values: a column of a single query, by point position, or a row
 of the potential table of a whole-set sweep (_Potentials), keyed by
@@ -105,7 +108,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import islice, repeat
+from operator import attrgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
@@ -301,8 +305,10 @@ def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = Non
     exact arithmetic at exact points and in floats elsewhere. Other
     duals take the sum of squared distances above; on the hyperboloid
     the kernel computes them in batches, by
-    cat0.spaces._hyperbolic_dists_sq, and sums each dual's terms in term
-    order as here. A nonzero dual at a point from another space raises;
+    cat0.spaces._hyperbolic_dists_sq (one call per _potentials2_of or
+    _potentials2_each call, two per term for _potentials2_at), and each
+    value is one sum() over its dual's terms in term order, as here. A
+    nonzero dual at a point from another space raises;
     a zero dual is 0 at every point. On a scale (sv, sz) of the duals
     and points (see _scale) the value is the int 2F sv sz.
 
@@ -314,8 +320,9 @@ def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = Non
     fills in one call for a single transform query, by point position
     (see cat0.fitzpatrick). A graph
     member's handle also carries its own doubled potential P_y(y.x):
-    kept by the OperatorGraph for a single query (OperatorGraph._frame),
-    read from its row for a sweep (_Potentials.members).
+    kept by the OperatorGraph for a single query (OperatorGraph._frame,
+    on the hyperboloid from one _potentials2_each call), read from its
+    row for a sweep (_Potentials.members).
     """
     return _potentials2_of((xd,), z, scale)[0]
 
@@ -338,9 +345,7 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[i
                 _check_space(xd.space, space)
     kind = space.kind
     if kind == HYPERBOLIC:
-        d2 = iter(_hyperbolic_dists_sq(  # each term's tail, then its head
-            [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], zp))
-        return [sum([c * (next(d2) - next(d2)) for c, _ in xd.terms]) for xd in xds]
+        return _hyperbolic2(xds, zp)
     if scale is not None:
         return _scaled2_of(kind, xds, z, scale)
     exact = is_exact(zp)
@@ -364,17 +369,47 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[i
         for z in zs:
             _check_space(space, z.space)
     kind = space.kind
-    if kind == HYPERBOLIC:
+    if kind == HYPERBOLIC:  # a column c_i (d(t_i, z)^2 - d(h_i, z)^2) per term, one sum() per point
         zps = [z.payload for z in zs]
-        cols = [(c, _hyperbolic_dists_sq(zps, bv.tail.payload), _hyperbolic_dists_sq(zps, bv.head.payload))
+        cols = [map(mul, repeat(c), map(sub, _hyperbolic_dists_sq(zps, bv.tail.payload),
+                                         _hyperbolic_dists_sq(zps, bv.head.payload)))
                 for c, bv in xd.terms]
-        return [sum([c * (t[i] - h[i]) for c, t, h in cols]) for i in range(len(zps))]
+        return list(map(sum, zip(*cols)))
     if scale is not None:
         return _scaled2_at(kind, xd, zs, scale)
     key = xd.key
     if key is None:
         return [_sum2(xd.terms, z) for z in zs]
     return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
+
+
+def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point]) -> List[Scalar]:
+    """2F of each hyperboloid dual of xds at its own point of zs, in order (see _potential2).
+
+    One elementwise _hyperbolic_dists_sq call gives the squared distance
+    from every term endpoint to its dual's point. The caller has checked
+    the spaces: these are a graph's pairs (OperatorGraph._frame).
+    """
+    partners = [z.payload for xd, z in zip(xds, zs) for _ in range(2 * len(xd.terms))]
+    return _hyperbolic2(xds, partners, each=True)
+
+
+def _hyperbolic2(xds: Sequence[DualVector], y, each: bool = False) -> List[Scalar]:
+    """2F of each hyperboloid dual of xds at the payload y, or with each at its partners y (see _potentials2_each).
+
+    One _hyperbolic_dists_sq call gives the squared distance from every
+    term's tail, then its head, to y. Each value is one sum() over its
+    dual's terms c_i (d(t_i)^2 - d(h_i)^2), in term order: from Python
+    3.12 on sum() compensates float rounding, so a running total could
+    differ from it. One dual sums the whole column, which spares the
+    islice that splits it among several.
+    """
+    d2 = iter(_hyperbolic_dists_sq(
+        [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], y, each))
+    products = map(mul, [c for xd in xds for c, _ in xd.terms], map(sub, d2, d2))
+    if len(xds) == 1:
+        return [sum(products)]
+    return list(map(sum, map(islice, repeat(products), map(len, map(attrgetter("terms"), xds)))))
 
 
 def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):

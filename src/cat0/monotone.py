@@ -55,10 +55,11 @@ from .conjugate import (
     PairedPoint,
     _PairSet,
 )
-from .dual import DualVector, _Potentials, _potential2, _scale
+from .dual import DualVector, _Potentials, _potential2, _potentials2_each, _scale
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
+    HYPERBOLIC,
     GeometryError,
     Point,
     SpaceHandle,
@@ -105,10 +106,14 @@ class OperatorGraph:
 
         scale is (D_V, D_Z), the lcms of the denominators of the keys
         and of the points (cat0.dual._scale), and P_y(y.x) of each pair
-        y, aligned with pairs, is an int over D_V D_Z. On the hyperboloid,
-        with a float or past the scale's cap, scale is None and P_y(y.x)
-        is computed as any potential is.
+        y, aligned with pairs, is an int over D_V D_Z. With a float or
+        past the scale's cap, scale is None and P_y(y.x) is computed as
+        any potential is. On the hyperboloid, where scale is None, all n
+        come from one _potentials2_each call: one elementwise batch of
+        squared distances, not n one-point calls.
         """
+        if self.space.kind == HYPERBOLIC:
+            return None, tuple(_potentials2_each([q.xd for q in self.pairs], [q.x for q in self.pairs]))
         scale = _scale(self.space, (q.xd for q in self.pairs), (q.x for q in self.pairs))
         return scale, tuple(_potential2(q.xd, q.x, scale) for q in self.pairs)
 

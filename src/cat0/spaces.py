@@ -23,7 +23,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import compress, count, repeat
 from numbers import Real as _NumbersReal
+from operator import add, eq, mul, neg, sub
 from typing import List, Sequence, Tuple
 
 from .extreal import Scalar
@@ -218,7 +221,7 @@ def minkowski_form(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
 
 
 def _same_space(x: Point, y: Point) -> SpaceHandle:
-    if x.space != y.space:
+    if x.space is not y.space and x.space != y.space:
         raise SpaceMismatchError(f"points live in different spaces: {x.space} vs {y.space}")
     return x.space
 
@@ -246,6 +249,18 @@ def _cosh_of_distance(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     return _snapped_to_one(m) if m < 1 else m
 
 
+def _acosh(m: Scalar) -> float:
+    """acosh(m) for m >= 1; for an exact m too large for a float, ln 2m from its numerator and denominator.
+
+    acosh(m) = ln 2m + ln((1 + sqrt(1 - 1/m^2)) / 2), and past float
+    range the second term is below 1e-616 in size.
+    """
+    try:
+        return math.acosh(m)
+    except OverflowError:  # an exact m past float range
+        return math.log(2 * m.numerator) - math.log(m.denominator)
+
+
 def distance(x: Point, y: Point) -> Scalar:
     """Geodesic distance. Exact (int/Fraction preserving) on the rtree."""
     space = _same_space(x, y)
@@ -257,19 +272,42 @@ def distance(x: Point, y: Point) -> Scalar:
         n, t = x.payload
         m, s = y.payload
         return abs(t - s) if n == m else t + s
-    return math.acosh(_cosh_of_distance(x.payload, y.payload))
+    return _acosh(_cosh_of_distance(x.payload, y.payload))
 
 
-def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence[Scalar]) -> List[Scalar]:
-    """acosh(-<x,y>)^2 of each hyperboloid payload x of xs against y, in order; 0 where x == y.
+# _hyperbolic_dists_sq forms a batch a block of at most _BLOCK payloads at
+# a time, so that no temporary grows with the batch, and a batch of fewer
+# than _SHORT payloads against one y payload by payload, where setting up
+# the columns costs more than they save (on 20,001 H^2 payloads, blocks of
+# 256 to 512 cost least; below about 16 payloads the loop is faster).
+_BLOCK = 256
+_SHORT = 16
 
-    The one place the hyperboloid's squared distance is written. dist_sq
-    calls it with one payload, and the pairing kernel of cat0.dual with
-    every payload of one call that meets the same point or term
-    endpoint, so one loop serves the batch. -<x,y> is formed as in
-    _cosh_of_distance: the loop of minkowski_form in its order, snapped
-    up to 1 within ACOSH_SLACK.
+
+def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool = False) -> List[Scalar]:
+    """acosh(-<x,y>)^2 of each hyperboloid payload x of xs against y, in order; the int 0 where x == y.
+
+    y is one payload that every x meets or, with each, a sequence of
+    payloads, one partner per x. The one place the hyperboloid's squared
+    distance is written: dist_sq calls it with one payload, and the
+    pairing kernel of cat0.dual with every payload of one call that
+    meets the same point or term endpoint, or elementwise for a graph's
+    self-potentials.
+
+    -<x,y> is ((x_0 y_0 + x_1 y_1) + ...) - x_n y_n, the loop of
+    minkowski_form in its order, snapped up to 1 within ACOSH_SLACK
+    where it is below 1 (see _cosh_of_distance), and x == y is tested
+    before the snap, so no value depends on the batching. A batch of
+    _SHORT or more payloads, and any batch with each, is formed a block
+    of _BLOCK payloads at a time, coordinate column by coordinate column
+    (_dists_sq_block); a shorter batch against one y payload by payload.
+    An exact m too large for a float gives acosh(m) = ln 2m (_acosh).
     """
+    if each or len(xs) >= _SHORT:
+        out: List[Scalar] = []
+        for lo in range(0, len(xs), _BLOCK):
+            out += _dists_sq_block(xs[lo:lo + _BLOCK], y[lo:lo + _BLOCK] if each else y, each)
+        return out
     head, last = y[:-1], y[-1]
     out = []
     for x in xs:
@@ -280,8 +318,39 @@ def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence[Scalar]) ->
         for a, b in zip(x, head):  # stops at head's end, before the last coordinate
             total += a * b
         m = -(total - x[-1] * last)
-        d = math.acosh(_snapped_to_one(m) if m < 1 else m)
+        try:
+            d = math.acosh(_snapped_to_one(m) if m < 1 else m)
+        except OverflowError:  # an exact m past float range
+            d = _acosh(m)
         out.append(d * d)
+    return out
+
+
+def _dists_sq_block(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool) -> List[Scalar]:
+    """_hyperbolic_dists_sq of one block, with map() over its columns.
+
+    x == y is decided for the whole block first, y's coordinates are
+    read once per block (with each, as columns too), and m, acosh(m)
+    and the squares are each one map() over the block. Only a block
+    where some m at x != y is below 1 snaps its m one by one, and only
+    one with an m past float range takes acosh one by one. The sum
+    starts at x_0 y_0, not at the loop's 0 + x_0 y_0: the two differ
+    only in the sign of a zero, which subtracting x_n y_n > 0 drops.
+    """
+    *heads, last = map(map, repeat(mul), zip(*xs), zip(*y) if each else map(repeat, y))
+    ms = list(map(neg, map(sub, reduce(partial(map, add), heads), last)))
+    same = list(compress(count(), map(eq, xs, y if each else repeat(y))))
+    for i in same:
+        ms[i] = 1
+    if min(ms) < 1:
+        ms = [_snapped_to_one(m) if m < 1 else m for m in ms]
+    try:
+        ds = list(map(math.acosh, ms))
+    except OverflowError:  # an exact m past float range
+        ds = list(map(_acosh, ms))
+    out = list(map(mul, ds, ds))
+    for i in same:
+        out[i] = 0
     return out
 
 

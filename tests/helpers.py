@@ -6,6 +6,7 @@ exact rational arithmetic.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import getitem
@@ -33,7 +34,7 @@ from cat0.conjugate import _conjugate, _values
 from cat0.dual import _Potentials
 from cat0.extreal import NEG_INF, ExtReal, Scalar, ext, scale
 from cat0.geometry import half_of
-from cat0.spaces import BoundVector
+from cat0.spaces import BoundVector, _snapped_to_one
 
 ORIGIN2 = make_point(euclidean(2), (0, 0))
 
@@ -90,6 +91,28 @@ def avg_lowerbound_check(
         if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
             return False
     return True
+
+
+def hyperbolic_dists_sq_loop(xs: Sequence[tuple], y, each: bool = False) -> List[Scalar]:
+    """acosh(-<x,y>)^2 of each hyperboloid payload x against y, or with each its partner in y, one at a time.
+
+    The reference that cat0.spaces._hyperbolic_dists_sq must match bit
+    for bit: the int 0 where x == y, tested first; otherwise -<x,y> as
+    the loop of minkowski_form forms it, ((0 + x_0 y_0) + ...) - x_n y_n,
+    snapped up to 1 within ACOSH_SLACK.
+    """
+    out: List[Scalar] = []
+    for x, y in zip(xs, y if each else itertools.repeat(y)):
+        if x == y:
+            out.append(0)
+            continue
+        total = 0
+        for a, b in zip(x[:-1], y[:-1]):
+            total += a * b
+        m = -(total - x[-1] * y[-1])
+        d = math.acosh(_snapped_to_one(m) if m < 1 else m)
+        out.append(d * d)
+    return out
 
 
 def int_points(space: SpaceHandle, rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> List[Point]:
@@ -294,20 +317,25 @@ def count_potentials(monkeypatch) -> List[int]:
     """Count the potential values of nonzero duals that the pairing kernel yields.
 
     Every potential comes from cat0.dual._potentials2_at (one dual at
-    several points) or _potentials2_of (several duals at one point), and
-    _potential2 is the one-point case of the latter, so each value is
-    counted once. A zero dual's potential is 0 without any work, so it
-    is not counted: one value stands where a one-term dual's potential
-    costs two squared distances. The count reads the kernel's first two
-    arguments, so it is the same with or without a scale (ints on the
-    scale are the same potentials).
+    several points), _potentials2_of (several duals at one point) or
+    _potentials2_each (each hyperboloid dual at its own point, for a
+    graph's self-potentials), and _potential2 is the one-point case of
+    _potentials2_of, so each value is counted once. A zero dual's
+    potential is 0 without any work, so it is not counted: one value
+    stands where a one-term dual's potential costs two squared
+    distances. The count reads the kernel's first two arguments, so it
+    is the same with or without a scale (ints on the scale are the same
+    potentials).
     """
     import cat0.dual
     import cat0.fitzpatrick
+    import cat0.monotone
 
     modules = (cat0.dual, cat0.fitzpatrick)
     calls = count_calls(monkeypatch, "_potentials2_at", modules,
                         lambda xd, zs, *rest: len(zs) if xd.terms else 0)
+    count_calls(monkeypatch, "_potentials2_each", (cat0.dual, cat0.monotone),
+                lambda xds, zs: sum(1 for xd in xds if xd.terms), calls)
     return count_calls(monkeypatch, "_potentials2_of", modules,
                        lambda xds, z, *rest: sum(1 for xd in xds if xd.terms), calls)
 
@@ -317,7 +345,8 @@ def count_dist_sq(monkeypatch) -> List[int]:
 
     On the hyperboloid each one is counted where it is computed, in
     cat0.spaces._hyperbolic_dists_sq, which dist_sq and the pairing
-    kernel call on payloads: len(xs) per call, one per payload it meets.
+    kernel call on payloads: len(xs) per call, one per payload it meets,
+    whether it meets one shared payload or a partner each.
     """
     import cat0.dual
     import cat0.geometry
@@ -326,4 +355,4 @@ def count_dist_sq(monkeypatch) -> List[int]:
     calls = count_calls(monkeypatch, "dist_sq", (cat0.spaces, cat0.dual, cat0.geometry),
                         lambda x, y: x.space.kind != "hyperbolic")
     return count_calls(monkeypatch, "_hyperbolic_dists_sq", (cat0.spaces, cat0.dual),
-                       lambda xs, y: len(xs), calls)
+                       lambda xs, *rest: len(xs), calls)

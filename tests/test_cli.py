@@ -497,6 +497,17 @@ def test_hyperbolic_point_past_float_range_is_an_input_error(tmp_path, x):
     assert res.stderr.startswith("error: x: hyperboloid constraint")
 
 
+def test_exact_far_hyperbolic_point_has_a_distance(tmp_path):
+    # x = (sinh t, cosh t) exactly at t = 400 ln 10: -<x, y> is too large
+    # for a float, and the distance is t
+    n = 10 ** 400
+    inst = {"space": {"kind": "hyperbolic", "dim": 1},
+            "x": [f"{n * n - 1}/{2 * n}", f"{n * n + 1}/{2 * n}"], "y": ["0", "1"]}
+    res = run_cli(["distance", write(tmp_path, "h.json", inst)])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == '{\n  "value": 921.034037198\n}\n'
+
+
 def test_space_mismatch_between_universe_and_instance(tmp_path):
     upath = write(tmp_path, "u.json", {
         "space": {"kind": "rtree"},

@@ -43,7 +43,7 @@ from cat0 import (
     zero_dual,
 )
 from cat0.dual import _Potentials, _combined_key, _potential2, _potentials2_at, _potentials2_of
-from cat0.spaces import ACOSH_SLACK, BoundVector, dist_sq
+from cat0.spaces import ACOSH_SLACK, _BLOCK, BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, count_dist_sq, hilbert_inner
 
@@ -628,6 +628,7 @@ def test_hyperbolic_guards_hold_through_the_batch():
     xd = dual_term(1.0, o, x)
     assert dist_sq(x, y) == dist_sq(y, x) == 0.0
     assert _potentials2_at(xd, [y]) == _potentials2_of([xd], y) == [dist_sq(o, y)]
+    assert _potentials2_at(dual_term(1.0, x, o), [y] * _BLOCK) == [-dist_sq(o, y)] * _BLOCK  # in a block
 
     off_sheet = Point(space, (0.0, 0.0, 0.5))  # -<off_sheet, o> = 0.5
     message = re.escape("arccosh argument 0.5 below 1 by more than 1e-12; "
@@ -636,6 +637,8 @@ def test_hyperbolic_guards_hold_through_the_batch():
         dist_sq(off_sheet, o)
     with pytest.raises(PointValidationError, match=message):
         _potentials2_at(xd, [o, off_sheet])
+    with pytest.raises(PointValidationError, match=message):
+        _potentials2_at(xd, [o] * _BLOCK + [off_sheet])
     with pytest.raises(PointValidationError, match=message):
         _potentials2_of([xd, dual_term(1.0, off_sheet, x)], o)
 

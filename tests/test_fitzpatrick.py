@@ -56,6 +56,7 @@ from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
     canonical_hilbert_of,
+    count_calls,
     count_dist_sq,
     count_potentials,
     greedy_monotone_subset,
@@ -568,6 +569,29 @@ def test_building_a_graph_evaluates_no_potential(monkeypatch):
         first = fitzpatrick_sup(g, p, q)
         assert potentials[0] == len(g.pairs) + 1 + 2 * len(g.pairs)
         assert fitzpatrick_sup(g, p, q) == first
+
+
+def test_a_hyperbolic_graph_batches_its_self_potentials(monkeypatch):
+    # the first query on an n-pair H^2 graph takes its n self-potentials
+    # P_y(y.x) from one elementwise kernel call, 2n squared distances
+    # (every dual starts at its own point, so half of them are 0); later
+    # queries read them kept
+    import cat0.spaces
+
+    calls = count_calls(monkeypatch, "_hyperbolic_dists_sq", (cat0.spaces, cat0.dual))
+    squares = count_dist_sq(monkeypatch)
+    g, p, q = _pinned_curve_queries()[1]
+    n = len(g.pairs)
+    for form in (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
+        fresh = OperatorGraph(g.space, g.pairs)
+        counts = []
+        for _ in range(2):
+            calls[0] = squares[0] = 0
+            form(fresh, p, q)
+            counts.append((calls[0], squares[0]))
+        (first, first_squares), (again, again_squares) = counts
+        assert first == again + 1
+        assert first_squares == again_squares + 2 * n
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])

@@ -21,7 +21,9 @@ from cat0 import (
     rtree,
     sample_points,
 )
+from cat0.spaces import ACOSH_SLACK, _BLOCK, _SHORT, _hyperbolic_dists_sq
 from conftest import rtree_points
+from helpers import hyperbolic_dists_sq_loop
 
 N_METRIC_SAMPLES = 1000
 
@@ -92,6 +94,65 @@ def test_exact_hyperboloid_payloads_on_the_sheet_are_accepted_at_any_size():
     for r in (Fraction(1, 2), Fraction(1, 10 ** 400)):
         payload = ((1 / r - r) / 2, (1 / r + r) / 2)
         assert make_point(hyperbolic(1), payload).payload == payload
+
+
+def test_exact_far_hyperboloid_points_have_a_distance():
+    # x = (sinh t, cosh t) exactly at t = 400 ln 10, so -<x, apex> =
+    # cosh t is too large for a float; acosh of it is ln 2m within 1e-616
+    n = 10 ** 400
+    space = hyperbolic(1)
+    x = make_point(space, (Fraction(n * n - 1, 2 * n), Fraction(n * n + 1, 2 * n)))
+    apex = make_point(space, (0, 1))
+    t = 400 * math.log(10)
+    assert distance(x, apex) == distance(apex, x) == pytest.approx(t, rel=1e-15)
+    assert dist_sq(x, apex) == pytest.approx(t * t, rel=1e-15)
+    batch = [x.payload, apex.payload] * _BLOCK  # in blocks of columns
+    assert _hyperbolic_dists_sq(batch, apex.payload) == [dist_sq(x, apex), 0] * _BLOCK
+
+
+def _rational_sheet_point(u):
+    """(2u, 1 + |u|^2) / (1 - |u|^2): an exact hyperboloid payload for rational u, |u| < 1."""
+    s = sum(v * v for v in u)
+    return tuple(2 * v / (1 - s) for v in u) + ((1 + s) / (1 - s),)
+
+
+# one float payload per dimension, and the same with its last coordinate
+# one ulp lower: -<x, y> lies in the ACOSH_SLACK band below 1
+_SLACK_PAIRS = {
+    1: (2.0, 2.23606797749979),
+    2: (2.0, 1.0, 2.449489742783178),
+    3: (3.0, 2.0, 4.0, 5.477225575051661),
+}
+
+
+def _kernel_pool(dim, rng):
+    floats = [random_point(hyperbolic(dim), rng).payload for _ in range(6)]
+    exact = [_rational_sheet_point([Fraction(rng.randint(-3, 3), 7) for _ in range(dim)]) for _ in range(3)]
+    x = _SLACK_PAIRS[dim]
+    y = x[:-1] + (math.nextafter(x[-1], 0),)
+    assert 1 - ACOSH_SLACK <= -minkowski_form(x, y) < 1
+    return floats + exact + [x, y]
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else repr(v)
+
+
+_KERNEL_SIZES = sorted({0, 1, 2, _SHORT - 1, _SHORT, _SHORT + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@given(size=st.sampled_from(_KERNEL_SIZES), seed=st.integers(0, 2 ** 32 - 1), each=st.booleans())
+def test_hyperbolic_kernel_keeps_the_bits_of_the_loop(dim, size, seed, each):
+    # float and exact payloads, repeats (the int 0), a pair in the snap
+    # band, one shared y or a partner per x; batch sizes around the
+    # loop's cut and the block size
+    rng = random.Random(seed)
+    pool = _kernel_pool(dim, rng)
+    xs = [rng.choice(pool) for _ in range(size)]
+    y = [rng.choice(pool) for _ in range(size)] if each else rng.choice(pool)
+    got = _hyperbolic_dists_sq(xs, y, each=each)
+    assert list(map(_bits, got)) == list(map(_bits, hyperbolic_dists_sq_loop(xs, y, each)))
 
 
 @pytest.mark.parametrize("branch", [math.inf, -math.inf, math.nan])
