@@ -118,7 +118,7 @@ def _rational_sheet_point(u):
 
 # one float payload per dimension, and the same with its last coordinate
 # one ulp lower: -<x, y> lies in the ACOSH_SLACK band below 1
-_SLACK_PAIRS = {
+_SLACK_POINTS = {
     1: (2.0, 2.23606797749979),
     2: (2.0, 1.0, 2.449489742783178),
     3: (3.0, 2.0, 4.0, 5.477225575051661),
@@ -128,7 +128,7 @@ _SLACK_PAIRS = {
 def _kernel_pool(dim, rng):
     floats = [random_point(hyperbolic(dim), rng).payload for _ in range(6)]
     exact = [_rational_sheet_point([Fraction(rng.randint(-3, 3), 7) for _ in range(dim)]) for _ in range(3)]
-    x = _SLACK_PAIRS[dim]
+    x = _SLACK_POINTS[dim]
     y = x[:-1] + (math.nextafter(x[-1], 0),)
     assert 1 - ACOSH_SLACK <= -minkowski_form(x, y) < 1
     return floats + exact + [x, y]
