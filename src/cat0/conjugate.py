@@ -151,14 +151,14 @@ class _PairSet:
         for i in self._unkeyed if key is not None else range(n):
             if i >= first:
                 break
-            m = self._members[i]
-            if (
-                m.x.space == q.x.space
-                and distance(m.x, q.x) <= tol
-                and duals_match(q.xd, m.xd, tol)
-            ):
+            if _near(self._members[i], q, tol):
                 return i
         return first if first < n else None
+
+
+def _near(m: PairedPoint, q: PairedPoint, tol: float) -> bool:
+    """Are m and q the same pair within tol: points within tol, duals acting alike (duals_match)?"""
+    return m.x.space == q.x.space and distance(m.x, q.x) <= tol and duals_match(q.xd, m.xd, tol)
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,22 @@ def coupling_pi(p: Point, q: PairedPoint) -> Scalar:
 
 
 def pair_in(q: PairedPoint, pairs: Sequence[PairedPoint], tol: Optional[float] = None) -> bool:
-    """Is q one of the pairs? Exact on exact inputs, within tol otherwise."""
-    return _PairSet(pairs).find(q, tol) is not None
+    """Is q one of the pairs? Exact on exact inputs, within tol otherwise.
+
+    The answer of _PairSet(pairs).find(q, tol), by a scan that stops at
+    the first match instead of indexing every pair: an exact query
+    matches a member with a key by key alone, and every other member
+    within tol (default: the query space's default_tol).
+    """
+    key = q._key
+    tol = q.x.space.default_tol if tol is None else tol
+    for m in pairs:
+        if key is not None and m._key is not None:
+            if m._key == key:
+                return True
+        elif _near(m, q, tol):
+            return True
+    return False
 
 
 def fenchel_conjugate_p(

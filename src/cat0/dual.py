@@ -10,16 +10,19 @@ where w_x, the net weight at x, is the sum of the coefficients of the
 terms with tail x minus those of the terms with head x. Every action is
 computed from 2F as the pairing kernel gives it: _potentials2_at (one
 dual at a sequence of points), _potentials2_of (a sequence of duals at
-one point) and _potential2, the one-point case, and on the hyperboloid
-_potentials2_each (each dual at its own point, for a graph's
-self-potentials). A kernel call checks the spaces in one pass, unless
-its caller has checked them (the single transform queries, whose graph
-checked its pairs when it was built), and reads once what its values
-share: the point's payload and exactness, or the dual's key or term
-payloads. On the hyperboloid every squared distance comes from
+one point) and _potential2, the one-point case, and _potentials2_each
+(each dual at its own point, for a graph's self-potentials). A kernel
+call checks the spaces in one pass, unless its caller has checked them
+(the single transform queries, whose graph checked its pairs when it
+was built), and reads once what its values share: the point's payload
+and exactness, or the dual's key or term payloads. What it reads of an
+OperatorGraph's own duals and points, the single queries pass as the
+graph keeps it (read; see OperatorGraph._frame), and every other call
+builds it. On the hyperboloid every squared distance comes from
 cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches, which it forms in blocks of coordinate
-columns, and assembles the potentials with map() over the terms'
+columns, once per distinct term endpoint of a sequence of duals
+(_Ends), and assembles the potentials with map() over the terms'
 columns, each one sum() over its dual's terms in term order, so no
 value depends on the batching. Every
 formula reads the values it needs through one reader, getitem on a
@@ -48,10 +51,11 @@ A single transform query on exact inputs runs on one integer scale
 of the points' coordinates, 2F sv sz is an int for every dual at every
 point, since 2F is bilinear in the key and the point. Called with the
 scale, the kernel gives these ints, from keys and points read as ints
-over their own denominators. Potentials count only up to a constant and
-are linear in the key, so scaling them all by one positive int keeps
-every formula exact: a formula sums ints, and its value is divided by
-sv sz once, when it is reported (see cat0.fitzpatrick). Past
+over their own denominators (_key_ints, _duals_ints, _points_ints).
+Potentials count only up to a constant and are linear in the key, so
+scaling them all by one positive int keeps every formula exact: a
+formula sums ints, and its value is divided by sv sz once, when it is
+reported (see cat0.fitzpatrick). Past
 _SCALE_BITS bits of sv sz, where ints that long cost more than reducing
 small Fractions, the query runs on Fractions as above.
 
@@ -105,11 +109,12 @@ candidate set and never exceed the true suprema.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice, repeat
-from operator import attrgetter, mul, sub
+from functools import cached_property, partial, reduce
+from itertools import chain, islice, repeat
+from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
@@ -122,6 +127,8 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceMismatchError,
+    _asinh,
+    _Blocks,
     _hyperbolic_dists_sq,
     dist_sq,
     distance,
@@ -225,22 +232,6 @@ class DualVector:
         key = canonical_hilbert(self) if space.kind == EUCLIDEAN else _tree_slopes(self.terms)
         return key if any(key) else ()
 
-    @cached_property
-    def _ints(self) -> Optional[tuple]:
-        """The exact key as ints over one denominator, as the kernel reads it on a scale.
-
-        (den, ints) in Euclidean space, v = ints / den; (den, default,
-        {branch: slope}) on the tree, every slope an int over den. None
-        for the zero action.
-        """
-        key = self.key
-        if not key:
-            return None
-        if self.space.kind == EUCLIDEAN:
-            return _over(key)
-        den, (default, *slopes) = _over(_slopes(key))
-        return den, default, dict(zip((k for k, _ in key[1]), slopes))
-
 
 def is_exact(values: Iterable[Scalar]) -> bool:
     """Are all the values ints or Fractions?"""
@@ -294,23 +285,23 @@ def _combined_key(space: SpaceHandle, lam: Scalar, a: tuple, b: tuple) -> tuple:
     return key if any(key) else ()
 
 
-def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = None) -> Scalar:
+def _potential2(xd: DualVector, z: Point) -> Scalar:
     """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 
-    The one-point case of the pairing kernel, _potentials2_of and
-    _potentials2_at, which are the only code that computes a dual's
-    action. That is F up to a constant, which every pairing cancels.
-    A dual with an exact key is read from it at every point (see
-    _form2): 2 <v, z> in Euclidean space, 2 slope_k s on the tree, in
-    exact arithmetic at exact points and in floats elsewhere. Other
-    duals take the sum of squared distances above; on the hyperboloid
-    the kernel computes them in batches, by
-    cat0.spaces._hyperbolic_dists_sq (one call per _potentials2_of or
-    _potentials2_each call, two per term for _potentials2_at), and each
-    value is one sum() over its dual's terms in term order, as here. A
-    nonzero dual at a point from another space raises;
-    a zero dual is 0 at every point. On a scale (sv, sz) of the duals
-    and points (see _scale) the value is the int 2F sv sz.
+    The one-point case of the pairing kernel, _potentials2_of,
+    _potentials2_at and _potentials2_each, which are the only code that
+    computes a dual's action. That is F up to a constant, which every
+    pairing cancels. A dual with an exact key is read from it at every
+    point (see _form2): 2 <v, z> in Euclidean space, 2 slope_k s on the
+    tree, in exact arithmetic at exact points and in floats elsewhere.
+    Other duals take the sum of squared distances above; on the
+    hyperboloid the kernel computes them in batches, by
+    cat0.spaces._hyperbolic_dists_sq: one call over the distinct term
+    endpoints of a _potentials2_of call (_Ends, _hyperbolic2), two per
+    term and batch of points for _potentials2_at, one elementwise call
+    for _potentials2_each. Each value is one sum() over its dual's terms
+    in term order, as here. A nonzero dual at a
+    point from another space raises; a zero dual is 0 at every point.
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
@@ -318,23 +309,65 @@ def _potential2(xd: DualVector, z: Point, scale: Optional[Tuple[int, int]] = Non
     dual's handle holds its values by point: a row of a _Potentials
     table for a sweep, keyed by point number, a column that the kernel
     fills in one call for a single transform query, by point position
-    (see cat0.fitzpatrick). A graph
-    member's handle also carries its own doubled potential P_y(y.x):
-    kept by the OperatorGraph for a single query (OperatorGraph._frame,
-    on the hyperboloid from one _potentials2_each call), read from its
-    row for a sweep (_Potentials.members).
+    (see cat0.fitzpatrick). A graph member's handle also carries its own
+    doubled potential P_y(y.x): kept by the OperatorGraph for a single
+    query (OperatorGraph._frame, from one _potentials2_each call), read
+    from its row for a sweep (_Potentials.members).
     """
-    return _potentials2_of((xd,), z, scale)[0]
+    return _potentials2_of((xd,), z)[0]
+
+
+# What the kernel reads of its duals and points, built by each call or,
+# for an OperatorGraph's own duals and points, kept by its frame and
+# passed as read (OperatorGraph._frame):
+# * on the hyperboloid, a sequence of duals as its _Ends, and the points
+#   one dual meets as a list of payload batches, each a list or a kept
+#   spaces._Blocks;
+# * on a scale, a sequence of duals as their keys in ints (_duals_ints),
+#   and the points one dual meets as their coordinates in ints
+#   (_points_ints), both in columns.
+# The batches or columns of a read concatenate to the points of the call.
+
+
+class _Ends:
+    """The term endpoints of a sequence of hyperboloid duals, as _hyperbolic2 reads them.
+
+    payloads: the distinct endpoint payloads, in order of first
+    appearance (payloads that are equal and hold coordinates of the same
+    types are one: their squared distances have the same bits); points:
+    the same, as a spaces._Blocks where a graph's frame keeps them;
+    index: the positions among them of each term's tail, then its head,
+    in term order, as an array of 4-byte ints (a list would take 8 bytes
+    an entry and an int object per position); coeffs: the terms'
+    coefficients in term order; counts: each dual's number of terms, or
+    None where every dual has one.
+    """
+
+    __slots__ = ("payloads", "points", "index", "coeffs", "counts")
+
+    def __init__(self, xds: Sequence[DualVector], keep: bool = False):
+        at: Dict[tuple, int] = {}
+        index = [at.setdefault((p, *map(type, p)), len(at))
+                 for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)]
+        self.payloads = [key[0] for key in at]
+        self.points = _Blocks(self.payloads) if keep else self.payloads
+        self.index = array('i', index)
+        self.coeffs = [c for xd in xds for c, _ in xd.terms]
+        counts = [len(xd.terms) for xd in xds]
+        self.counts = None if counts.count(1) == len(counts) else counts
 
 
 def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[int, int]] = None,
-                    checked: bool = False) -> List[Scalar]:
+                    checked: bool = False, read=None) -> List[Scalar]:
     """2F of each dual of xds at the one point z, in order (see _potential2).
 
     The point is read once per call: its space and kind, its payload and
-    whether it is exact, or on a scale its coordinates as ints. On the
+    whether it is exact, or on a scale (sv, sz) (see _scale) its
+    coordinates as ints, and the values are the ints 2F sv sz. On the
     hyperboloid one batched call gives the squared distances from every
-    term endpoint of xds to it. checked: the caller has checked that
+    distinct term endpoint of xds to it. read: what the kernel reads of
+    xds (their _Ends, or on a scale _duals_ints), kept by a graph's
+    frame; built here when None. checked: the caller has checked that
     the duals lie in z's space (a graph's duals, for a point checked
     against the graph's space), so the call does not check them again.
     """
@@ -345,22 +378,27 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[i
                 _check_space(xd.space, space)
     kind = space.kind
     if kind == HYPERBOLIC:
-        return _hyperbolic2(xds, zp)
+        return _hyperbolic2(_Ends(xds) if read is None else read, zp)
     if scale is not None:
-        return _scaled2_of(kind, xds, z, scale)
+        return _scaled2_of(kind, _duals_ints(space, xds) if read is None else read, z, scale)
     exact = is_exact(zp)
     return [_sum2(xd.terms, z) if xd.key is None else _form2(kind, xd.key, zp, exact) for xd in xds]
 
 
 def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
-                    checked: bool = False) -> List[Scalar]:
+                    checked: bool = False, read=None) -> List[Scalar]:
     """2F of the dual xd at each point of zs, in order (see _potential2).
 
-    The dual is read once per call: its space and kind, its key, and on
-    the hyperboloid its terms' payloads (two batched calls per term give
-    the squared distances from its tail and its head to every point).
-    checked: the caller has checked that the points lie in the dual's
-    space, as for a graph's points and a query checked against it.
+    The dual is read once per call: its space and kind, its key (on a
+    scale, as ints), and on the hyperboloid its terms' payloads (two
+    batched calls per term and batch of points give the squared
+    distances from its tail and its head to every point). read: what
+    the kernel reads, in part kept by a graph's frame: on the
+    hyperboloid batches of the payloads of zs, on a scale the
+    _key_ints of xd and the _points_ints of zs (None for the zero
+    action, which reads no point); built here when None. checked: the caller has checked that the points lie in the
+    dual's space, as for a graph's points and a query checked against
+    it.
     """
     space = xd.space
     if space is None:
@@ -370,46 +408,77 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[i
             _check_space(space, z.space)
     kind = space.kind
     if kind == HYPERBOLIC:  # a column c_i (d(t_i, z)^2 - d(h_i, z)^2) per term, one sum() per point
-        zps = [z.payload for z in zs]
-        cols = [map(mul, repeat(c), map(sub, _hyperbolic_dists_sq(zps, bv.tail.payload),
-                                         _hyperbolic_dists_sq(zps, bv.head.payload)))
+        batches = [_Blocks([z.payload for z in zs])] if read is None else read
+
+        def dists(y):
+            return chain.from_iterable(map(_hyperbolic_dists_sq, batches, repeat(y)))
+
+        cols = [map(mul, repeat(c), map(sub, dists(bv.tail.payload), dists(bv.head.payload)))
                 for c, bv in xd.terms]
         return list(map(sum, zip(*cols)))
     if scale is not None:
-        return _scaled2_at(kind, xd, zs, scale)
+        form, points = (_key_ints(xd), None) if read is None else read
+        if form is None:  # the zero action
+            return [0] * len(zs)
+        return _scaled2_at(kind, form, _points_ints(space, zs) if points is None else points, scale)
     key = xd.key
     if key is None:
         return [_sum2(xd.terms, z) for z in zs]
     return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
 
 
-def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point]) -> List[Scalar]:
-    """2F of each hyperboloid dual of xds at its own point of zs, in order (see _potential2).
+def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
+                      read=None) -> List[Scalar]:
+    """2F of each dual of xds at its own point of zs, in order: a graph's self-potentials (see _potential2).
 
-    One elementwise _hyperbolic_dists_sq call gives the squared distance
-    from every term endpoint to its dual's point. The caller has checked
-    the spaces: these are a graph's pairs (OperatorGraph._frame).
+    On the hyperboloid one elementwise _hyperbolic_dists_sq call gives
+    the squared distance from every term endpoint to its dual's point,
+    and read is the duals' _Ends. Elsewhere the pairs are exact and on
+    the scale (sv, sz), read is (_duals_ints, _points_ints) of the pairs,
+    and the values are ints as in _potentials2_of, column by column.
+    Either is built here when None. The caller has checked the spaces:
+    these are a graph's pairs (OperatorGraph._frame).
     """
-    partners = [z.payload for xd, z in zip(xds, zs) for _ in range(2 * len(xd.terms))]
-    return _hyperbolic2(xds, partners, each=True)
+    if not zs:
+        return []
+    space = zs[0].space
+    if space.kind == HYPERBOLIC:
+        ends = _Ends(xds) if read is None else read
+        partners = [z.payload for n, z in zip(ends.counts or repeat(1), zs) for _ in range(2 * n)]
+        return _hyperbolic2(ends, partners, each=True)
+    duals, points = (_duals_ints(space, xds), _points_ints(space, zs)) if read is None else read
+    if space.kind == EUCLIDEAN:
+        dots = _dot(duals[1:], points[1:])
+    else:  # each dual's slope on its own point's branch, times the point's ints
+        dots = map(mul, map(dict.get, duals[2], points[1], duals[1]), points[2])
+    sv, sz = scale
+    ts = map(floordiv, map(mul, map(floordiv, repeat(sv), duals[0]), repeat(2 * sz)), points[0])
+    return list(map(mul, dots, ts))
 
 
-def _hyperbolic2(xds: Sequence[DualVector], y, each: bool = False) -> List[Scalar]:
-    """2F of each hyperboloid dual of xds at the payload y, or with each at its partners y (see _potentials2_each).
+def _hyperbolic2(ends: _Ends, y, each: bool = False) -> List[Scalar]:
+    """2F of each hyperboloid dual at the payload y, or with each at its partners y, from the duals' _Ends.
 
     One _hyperbolic_dists_sq call gives the squared distance from every
-    term's tail, then its head, to y. Each value is one sum() over its
-    dual's terms c_i (d(t_i)^2 - d(h_i)^2), in term order: from Python
-    3.12 on sum() compensates float rounding, so a running total could
-    differ from it. One dual sums the whole column, which spares the
-    islice that splits it among several.
+    distinct endpoint to y, and ends.index gathers each term's tail and
+    head from them; with each, from every term's tail, then its head,
+    to its own partner. Each value is one sum() over its dual's terms
+    c_i (d(t_i)^2 - d(h_i)^2), in term order: from Python 3.12 on sum()
+    compensates float rounding, so a running total could differ from
+    it. Duals of one term each take the sum() of a 1-tuple, and one
+    dual the whole column, which spares the islice that splits it among
+    several.
     """
-    d2 = iter(_hyperbolic_dists_sq(
-        [p for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)], y, each))
-    products = map(mul, [c for xd in xds for c, _ in xd.terms], map(sub, d2, d2))
-    if len(xds) == 1:
+    if each:
+        d2 = iter(_hyperbolic_dists_sq(list(map(ends.payloads.__getitem__, ends.index)), y, each))
+    else:
+        d2 = map(_hyperbolic_dists_sq(ends.points, y).__getitem__, ends.index)
+    products = map(mul, ends.coeffs, map(sub, d2, d2))
+    if ends.counts is None:  # one term a dual: the sum() of its one product
+        return list(map(sum, zip(products)))
+    if len(ends.counts) == 1:
         return [sum(products)]
-    return list(map(sum, map(islice, repeat(products), map(len, map(attrgetter("terms"), xds)))))
+    return list(map(sum, map(islice, repeat(products), ends.counts)))
 
 
 def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
@@ -440,59 +509,117 @@ def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
     return 2 * sum([float(v) * x for v, x in zip(vs, xs)])
 
 
-def _scaled2_of(kind: str, xds: Sequence[DualVector], z: Point, scale: Tuple[int, int]) -> List[int]:
-    """2F sv sz of each dual of xds at the exact point z, on the scale (sv, sz).
+def _key_ints(xd: DualVector) -> Optional[tuple]:
+    """The exact key of xd as ints over one denominator, as the kernel reads it on a scale.
 
-    A key is read as ints over its own denominator dv (DualVector._ints)
-    and the point as ints over its own dz, so a value is the product of
-    the small ints times 2 sv sz / (dv dz): one product of big factors
-    per call, and per value one division by a small denominator.
+    (dv, ints) in Euclidean space, v = ints / dv; (dv, default,
+    {branch: slope}) on the tree, every slope an int over dv. None for
+    the zero action. Computed per call: a graph's frame keeps its own
+    duals' in columns (_duals_ints), a query reads its dual's once per
+    form.
     """
-    sv, sz = scale
-    if kind == EUCLIDEAN:
-        dz, xs = _over(z.payload)
-    else:
-        k, s = z.payload
-        dz, x = s.denominator, s.numerator
-    t = 2 * sv * (sz // dz)
-    out = []
-    for xd in xds:
-        form = xd._ints
-        if form is None:
-            out.append(0)
-        elif kind == EUCLIDEAN:
-            dv, vs = form
-            out.append(sum(map(mul, vs, xs)) * (t // dv))
-        else:
-            dv, default, slopes = form
-            out.append(slopes.get(k, default) * x * (t // dv))
-    return out
+    key = xd.key
+    if not key:
+        return None
+    if xd.space.kind == EUCLIDEAN:
+        return _over(key)
+    default, branches = key
+    dv = math.lcm(default.denominator, *[s.denominator for _, s in branches])
+    return (dv, default.numerator * (dv // default.denominator),
+            {k: s.numerator * (dv // s.denominator) for k, s in branches})
 
 
-def _scaled2_at(kind: str, xd: DualVector, zs: Sequence[Point], scale: Tuple[int, int]) -> List[int]:
-    """2F sv sz of the dual xd at each of the exact points zs, on the scale (sv, sz) (see _scaled2_of)."""
-    form = xd._ints
-    if form is None:
-        return [0] * len(zs)
-    sv, sz = scale
-    t = 2 * (sv // form[0]) * sz
-    out = []
+def _point_ints(kind: str, z: Point) -> tuple:
+    """The exact point z in ints over its own denominator dz: (dz, ints) in Euclidean space, (dz, k, s dz) at z = (k, s) on the tree."""
     if kind == EUCLIDEAN:
-        vs = form[1]
-        for z in zs:
-            out.append(sum([v * x.numerator * (t // x.denominator) for v, x in zip(vs, z.payload)]))
-        return out
-    _, default, slopes = form
-    for z in zs:
-        k, s = z.payload
-        out.append(slopes.get(k, default) * s.numerator * (t // s.denominator))
-    return out
+        return _over(z.payload)
+    k, s = z.payload
+    return s.denominator, k, s.numerator
+
+
+def _duals_ints(space: SpaceHandle, xds: Sequence[DualVector]) -> tuple:
+    """The keys of the exact duals xds in ints (_key_ints), in columns, as the kernel reads them on a scale.
+
+    (dvs, column of the vectors' first ints, ..., column of their last)
+    in Euclidean space, (dvs, default slopes, {branch: slope} dicts) on
+    the tree; the zero action as dv 1 with zero slopes. Columns of ints
+    take less memory than a tuple per dual, the kernel reads them with
+    map(), and two reads concatenate column by column.
+    """
+    if space.kind == EUCLIDEAN:
+        zero = (1, (0,) * space.dim)
+        forms = [_key_ints(xd) or zero for xd in xds]
+        return (tuple([dv for dv, _ in forms]), *_transposed([vs for _, vs in forms], space.dim))
+    forms = [_key_ints(xd) or (1, 0, {}) for xd in xds]
+    return tuple(zip(*forms)) or ((), (), ())
+
+
+def _points_ints(space: SpaceHandle, zs: Sequence[Point]) -> tuple:
+    """The exact points zs in ints over their own denominators (_point_ints), in columns.
+
+    (dzs, column of the first coordinates' ints, ..., column of the
+    last) in Euclidean space, (dzs, branches, ints) on the tree. Two
+    reads concatenate column by column (see _Query.column in
+    cat0.fitzpatrick).
+    """
+    if space.kind == EUCLIDEAN:
+        forms = [_over(z.payload) for z in zs]
+        return (tuple([dz for dz, _ in forms]), *_transposed([xs for _, xs in forms], space.dim))
+    ss = [z.payload[1] for z in zs]
+    return tuple([s.denominator for s in ss]), tuple([z.payload[0] for z in zs]), tuple([s.numerator for s in ss])
+
+
+def _transposed(rows: Sequence[tuple], width: int) -> List[tuple]:
+    """The columns of rows of the given width: width empty columns for no rows."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _dot(columns: Sequence[Sequence[int]], others) -> Iterator[int]:
+    """sum_i columns[i][j] others[i][j] for each j, a map() over each column: dot products in columns."""
+    return reduce(partial(map, add), map(map, repeat(mul), columns, others))
+
+
+def _scaled2_of(kind: str, read: tuple, z: Point, scale: Tuple[int, int]) -> List[int]:
+    """2F sv sz of each exact dual at the exact point z, on the scale (sv, sz), from the duals' _duals_ints.
+
+    A key is read as ints over its own denominator dv and the point as
+    ints over its own dz, so a value is the product of the small ints
+    times 2 sv sz / (dv dz): one product of big factors per call, and
+    per value one division by a small denominator.
+    """
+    zform = _point_ints(kind, z)
+    if kind == EUCLIDEAN:
+        dots = _dot(read[1:], map(repeat, zform[1]))
+    else:  # each dual's slope on z's branch, times z's ints
+        dots = map(mul, map(dict.get, read[2], repeat(zform[1]), read[1]), repeat(zform[2]))
+    sv, sz = scale
+    return list(map(mul, dots, map(floordiv, repeat(2 * sv * (sz // zform[0])), read[0])))
+
+
+def _scaled2_at(kind: str, form: tuple, read: tuple, scale: Tuple[int, int]) -> List[int]:
+    """2F sv sz of a dual whose action is not zero, from its _key_ints form, at each exact point of a _points_ints read, on the scale (sv, sz).
+
+    Per value one division of 2 (sv / dv) sz by the point's own small
+    denominator (see _scaled2_of). Over one common denominator of the
+    points instead, a value on the tree chain of 1,000 pairs would be a
+    product of two ints of about 1,440 bits, three times the cost.
+    """
+    if kind == EUCLIDEAN:
+        dots = _dot(read[1:], map(repeat, form[1]))
+    else:  # the dual's slope on each point's branch, times the point's ints
+        _, default, slopes = form
+        dots = map(mul, map(slopes.get, read[1], repeat(default)), read[2])
+    sv, sz = scale
+    return list(map(mul, dots, map(floordiv, repeat(2 * (sv // form[0]) * sz), read[0])))
 
 
 def _over(values: Sequence[Scalar]) -> Tuple[int, Tuple[int, ...]]:
     """(den, ints): exact values as ints over the lcm den of their denominators."""
-    den = math.lcm(*[v.denominator for v in values])
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+    dens = [v.denominator for v in values]
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, tuple([v.numerator for v in values])
+    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
 # The bits that a scale's sv sz may have. An exact single transform query
@@ -520,11 +647,11 @@ def _scale(space: SpaceHandle, xds: Iterable[DualVector], zs: Iterable[Point],
         return None
     sv, sz = base
     for xd in xds:
-        if xd.key is None:
+        key = xd.key
+        if key is None:
             return None
-        form = xd._ints
-        if form is not None:
-            sv = math.lcm(sv, form[0])
+        if key:
+            sv = math.lcm(sv, *[v.denominator for v in (key if space.kind == EUCLIDEAN else _slopes(key))])
             if sv.bit_length() > _SCALE_BITS:
                 return None
     for z in zs:
@@ -826,7 +953,7 @@ def _action(xd: DualVector, tol: float) -> tuple:
     if space.kind != HYPERBOLIC:
         return _slopes(_tree_slopes(xd.terms))
     if space.dim == 1:
-        return (sum(c * (math.asinh(bv.head.payload[0]) - math.asinh(bv.tail.payload[0]))
+        return (sum(c * (_asinh(bv.head.payload[0]) - _asinh(bv.tail.payload[0]))
                     for c, bv in xd.terms),)
     points: List[Point] = []
     weights: List[Scalar] = []

@@ -16,18 +16,22 @@ and the agreement is part of the CLI output. A form fills the columns it
 reads with one call of the pairing kernel each: the query dual at a
 query-side point and the graph points, the graph's duals at q.x and, for
 the conjugate form, at p. No value is shared between forms or calls, so
-the check stays a real one. The graph's pairs are member handles
-carrying their self-potentials P_y(y.x), which the OperatorGraph keeps
-after its first query; the conjugate form reads each row's doubled
-coupling as P_y(y.x) - P_y(p), with P_y(p) from the column its term
-reads. On an empty graph all three give -inf. The sup-form term
-(_transform2) also serves level_set_report and roundtrip_check.
+the check stays a real one: what the OperatorGraph keeps after its first
+query (OperatorGraph._frame) are its inputs as the kernel reads them,
+such as the coordinate columns of its hyperboloid points and distinct
+term endpoints, and its pairs' self-potentials P_y(y.x), which no form
+computes. The graph's pairs are member handles carrying them; the
+conjugate form reads each row's doubled coupling as P_y(y.x) - P_y(p),
+with P_y(p) from the column its term reads. On an empty graph all three
+give -inf. The sup-form term (_transform2) also serves level_set_report
+and roundtrip_check.
 
 On exact inputs a query runs on one integer scale (cat0.dual._scale):
 the OperatorGraph keeps D_V and D_Z, the lcms of its keys' and its
-points' denominators, and its self-potentials as ints over D_V D_Z,
-and a query lcm's them with the denominators of q.xd's key, q.x and p
-into its scale (sv, sz), scaling the kept ints to it. The kernel fills
+points' denominators, its self-potentials as ints over D_V D_Z and its
+keys and points as ints, and a query lcm's them with the denominators
+of q.xd's key, q.x and p into its scale (sv, sz), scaling the kept
+self-potentials to it. The kernel fills
 the columns with ints on that scale, the three term expressions run on
 them unchanged, and each form divides once at the end, reporting
 Fraction(best2, 2 sv sz): the value and type that half_of(best2) gives
@@ -55,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from operator import add, getitem
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjugate import (
@@ -70,6 +74,8 @@ from .conjugate import (
 from .dual import (
     _Potentials,
     _check_space,
+    _key_ints,
+    _points_ints,
     _potentials2_at,
     _potentials2_of,
     _scale,
@@ -157,27 +163,36 @@ def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
 
 
 class _Query:
-    """One query's scale, its graph's self-potentials on it, and its halving.
+    """One query's scale, its graph's frame and self-potentials on it, and its halving.
 
     p and q.x are checked against the graph's space here (q.xd lies in
     q.x's), so the kernel calls of the query check nothing again: the
-    graph's pairs were checked when it was built.
+    graph's pairs were checked when it was built. The kernel reads the
+    graph's points and duals as its frame keeps them (OperatorGraph
+    ._frame). On a scale, q.xd's key is read in ints here, once per
+    form, for the scale and the column, and kept nowhere else.
     """
 
-    __slots__ = ("g", "q", "scale", "owns")
+    __slots__ = ("g", "q", "scale", "owns", "form", "xs_read", "xds_read")
 
     def __init__(self, g: OperatorGraph, p: Point, q: PairedPoint):
         for z in (p, q.x):
             _check_space(g.space, z.space)
-        base, owns = g._frame
-        scale = None if base is None else _scale(g.space, (q.xd,), (q.x, p), base)
+        base, owns, _, _, xs_read, xds_read = g._frame
+        form = scale = None
+        if base is not None and q.xd.key is not None:
+            form = _key_ints(q.xd)
+            sv = base[0] if form is None else math.lcm(base[0], form[0])
+            scale = _scale(g.space, (), (q.x, p), (sv, base[1]))
         if scale is not None:
             factor = scale[0] // base[0] * (scale[1] // base[1])
             if factor != 1:
                 owns = [factor * own for own in owns]
         elif base is not None:  # the graph's ints, as the Fractions they stand for
             owns = [Fraction(own, base[0] * base[1]) for own in owns]
-        self.g, self.q, self.scale, self.owns = g, q, scale, owns
+            xs_read = xds_read = None  # on Fractions the kernel reads the pairs themselves
+        self.g, self.q, self.scale, self.owns, self.form = g, q, scale, owns, form
+        self.xs_read, self.xds_read = xs_read, xds_read
 
     def half(self, v2: Scalar) -> Scalar:
         """half_of(v2), or on a scale the Fraction v2 / (2 sv sz) that v2 stands for."""
@@ -187,14 +202,31 @@ class _Query:
         return Fraction(v2, 2 * sv * sz)
 
     def column(self, z: Point, *after: Point) -> List[Scalar]:
-        """P_q at z, then at each graph point, then at the points after."""
-        points = [z, *(y.x for y in self.g.pairs), *after]
-        return _potentials2_at(self.q.xd, points, self.scale, checked=True)
+        """P_q at z, then at each graph point, then at the points after.
+
+        One kernel call reads the query's own points, then the graph's
+        as its frame keeps them (on the hyperboloid a batch of payloads
+        before the kept one; on a scale q.xd's key ints, and the ints of
+        the query's points before the kept ints, column by column), and
+        the values are put back in column order.
+        """
+        own = [z, *after]
+        read = self.xs_read
+        if read is not None:
+            if self.scale is None:
+                read = [[a.payload for a in own], read]
+            elif self.form is not None:  # the zero action reads no point
+                read = self.form, tuple(map(add, _points_ints(self.g.space, own), read))
+            else:
+                read = None, None
+        values = _potentials2_at(self.q.xd, own + list(self.g._frame.xs), self.scale, checked=True, read=read)
+        k = len(own)
+        return [values[0], *values[k:], *values[1:k]]
 
     def members(self, *at: Point) -> Iterator[tuple]:
         """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y."""
-        duals = [y.xd for y in self.g.pairs]
-        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True) for a in at))
+        duals = self.g._frame.xds
+        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True, read=self.xds_read) for a in at))
         return zip(itertools.count(1), columns, self.owns)
 
 

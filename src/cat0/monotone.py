@@ -48,14 +48,23 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import getitem
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
     PairedPoint,
     _PairSet,
 )
-from .dual import DualVector, _Potentials, _potential2, _potentials2_each, _scale
+from .dual import (
+    DualVector,
+    _duals_ints,
+    _Ends,
+    _points_ints,
+    _Potentials,
+    _potential2,
+    _potentials2_each,
+    _scale,
+)
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
@@ -63,6 +72,7 @@ from .spaces import (
     GeometryError,
     Point,
     SpaceHandle,
+    _Blocks,
     geodesic_point,
 )
 
@@ -80,16 +90,32 @@ __all__ = [
 ]
 
 
+class _Frame(NamedTuple):
+    """What the single queries of cat0.fitzpatrick read of an OperatorGraph (see OperatorGraph._frame).
+
+    scale: (D_V, D_Z) or None; owns: P_y(y.x) of each pair, aligned
+    with the pairs; xs, xds: the pairs' points and duals; xs_read,
+    xds_read: the points and the duals as the pairing kernel reads
+    them, or None where it reads xs and xds themselves.
+    """
+
+    scale: Optional[Tuple[int, int]]
+    owns: Tuple[Scalar, ...]
+    xs: Tuple[Point, ...]
+    xds: Tuple[DualVector, ...]
+    xs_read: object
+    xds_read: object
+
+
 @dataclass(frozen=True)
 class OperatorGraph:
     """A finite operator graph over one space.
 
-    Frozen: its frame, the scale of its duals and points and the
-    self-potentials P_y(y.x) of its pairs, is computed at the first
-    single query (fitzpatrick_sup, fitzpatrick_inf,
-    fitzpatrick_via_conjugate), never when the graph is built, and then
-    kept. So is the index of its pairs, _listed, built at the first
-    membership test; each test reads it with its own tol.
+    Frozen: its frame (_Frame), what every single query
+    (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate) reads
+    of it, is computed at the first such query, never when the graph is
+    built, and then kept. So is the index of its pairs, _listed, built
+    at the first membership test; each test reads it with its own tol.
     """
 
     space: SpaceHandle
@@ -101,21 +127,50 @@ class OperatorGraph:
                 raise GeometryError("graph pair from a different space")
 
     @cached_property
-    def _frame(self) -> Tuple[Optional[Tuple[int, int]], Tuple[Scalar, ...]]:
-        """(scale, self-potentials): computed at the first query, then kept.
+    def _frame(self) -> "_Frame":
+        """What every single query reads of the graph: computed at the first query, then kept.
 
-        scale is (D_V, D_Z), the lcms of the denominators of the keys
-        and of the points (cat0.dual._scale), and P_y(y.x) of each pair
-        y, aligned with pairs, is an int over D_V D_Z. With a float or
-        past the scale's cap, scale is None and P_y(y.x) is computed as
-        any potential is. On the hyperboloid, where scale is None, all n
-        come from one _potentials2_each call: one elementwise batch of
-        squared distances, not n one-point calls.
+        The graph's inputs as the pairing kernel reads them, not values
+        of a query, so no value is shared between forms or calls:
+
+        * scale: (D_V, D_Z), the lcms of the denominators of the keys
+          and of the points (cat0.dual._scale); None on the hyperboloid,
+          with a float and past the scale's cap;
+        * owns: P_y(y.x) of each pair y, aligned with pairs, an int over
+          D_V D_Z on a scale;
+        * xs, xds: the pairs' points and duals, which every query
+          passes to the kernel;
+        * on the hyperboloid, xs_read holds the points' payloads with
+          their coordinate columns (cat0.spaces._Blocks), for the query
+          dual's column, and xds_read the duals' distinct term
+          endpoints, kept so too, each term's tail and head positions
+          among them, the coefficients in term order and each dual's
+          term count (cat0.dual._Ends), so a column of the graph's
+          duals computes one squared distance per distinct endpoint;
+          owns come from one _potentials2_each call, one elementwise
+          batch of squared distances;
+        * on a scale, xs_read holds the points' coordinates as ints
+          over each point's own denominator (cat0.dual._points_ints)
+          and xds_read the duals' keys as ints over each key's own
+          (cat0.dual._duals_ints), both in columns, so a query reads no
+          coordinate's numerator and denominator again, and keeps
+          nothing on its own dual;
+        * otherwise both are None and owns are computed as any
+          potential is.
         """
-        if self.space.kind == HYPERBOLIC:
-            return None, tuple(_potentials2_each([q.xd for q in self.pairs], [q.x for q in self.pairs]))
-        scale = _scale(self.space, (q.xd for q in self.pairs), (q.x for q in self.pairs))
-        return scale, tuple(_potential2(q.xd, q.x, scale) for q in self.pairs)
+        xds = tuple(q.xd for q in self.pairs)
+        xs = tuple(q.x for q in self.pairs)
+        kind = self.space.kind
+        if kind == HYPERBOLIC:
+            ends = _Ends(xds, keep=True)
+            owns = _potentials2_each(xds, xs, read=ends)
+            return _Frame(None, tuple(owns), xs, xds, _Blocks([x.payload for x in xs]), ends)
+        scale = _scale(self.space, xds, xs)
+        if scale is None:
+            return _Frame(None, tuple(_potential2(xd, x) for xd, x in zip(xds, xs)), xs, xds, None, None)
+        duals, points = _duals_ints(self.space, xds), _points_ints(self.space, xs)
+        owns = _potentials2_each(xds, xs, scale, (duals, points))
+        return _Frame(scale, tuple(owns), xs, xds, points, duals)
 
     @cached_property
     def _listed(self) -> _PairSet:

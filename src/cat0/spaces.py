@@ -27,7 +27,7 @@ from functools import partial, reduce
 from itertools import compress, count, repeat
 from numbers import Real as _NumbersReal
 from operator import add, eq, mul, neg, sub
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .extreal import Scalar
 
@@ -261,6 +261,19 @@ def _acosh(m: Scalar) -> float:
         return math.log(2 * m.numerator) - math.log(m.denominator)
 
 
+def _asinh(v: Scalar) -> float:
+    """asinh(v); for an exact v too large for a float, sign(v) ln 2|v| from its numerator and denominator.
+
+    asinh(v) = sign(v) (ln 2|v| + ln((1 + sqrt(1 + 1/v^2)) / 2)), and
+    past float range the second term is below 1e-616 in size.
+    """
+    try:
+        return math.asinh(v)
+    except OverflowError:  # an exact v past float range
+        s = math.log(2 * abs(v.numerator)) - math.log(v.denominator)
+        return -s if v < 0 else s
+
+
 def distance(x: Point, y: Point) -> Scalar:
     """Geodesic distance. Exact (int/Fraction preserving) on the rtree."""
     space = _same_space(x, y)
@@ -284,15 +297,41 @@ _BLOCK = 256
 _SHORT = 16
 
 
-def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool = False) -> List[Scalar]:
+def _columns(xs: Sequence[Sequence[Scalar]]) -> Iterator[tuple]:
+    """The coordinate columns of the payloads xs, one tuple of columns per block of _BLOCK, in order."""
+    return (tuple(zip(*xs[lo:lo + _BLOCK])) for lo in range(0, len(xs), _BLOCK))
+
+
+class _Blocks:
+    """Hyperboloid payloads kept with their coordinate columns, for batches read again and again.
+
+    _hyperbolic_dists_sq takes it in place of the payloads and reads the
+    kept columns instead of forming them per call: an OperatorGraph's
+    frame keeps its points and its distinct term endpoints so (see
+    cat0.dual._Ends). Fewer than _SHORT payloads keep no columns, as the
+    loop reads the payloads.
+    """
+
+    __slots__ = ("payloads", "columns")
+
+    def __init__(self, payloads: Sequence[Sequence[Scalar]]):
+        self.payloads = payloads
+        self.columns = list(_columns(payloads)) if len(payloads) >= _SHORT else None
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+
+def _hyperbolic_dists_sq(xs, y: Sequence, each: bool = False) -> List[Scalar]:
     """acosh(-<x,y>)^2 of each hyperboloid payload x of xs against y, in order; the int 0 where x == y.
 
-    y is one payload that every x meets or, with each, a sequence of
-    payloads, one partner per x. The one place the hyperboloid's squared
-    distance is written: dist_sq calls it with one payload, and the
-    pairing kernel of cat0.dual with every payload of one call that
-    meets the same point or term endpoint, or elementwise for a graph's
-    self-potentials.
+    xs is a sequence of payloads or, without each, a _Blocks that keeps
+    their columns. y is one payload that every x meets or, with each, a
+    sequence of payloads, one partner per x. The one place the
+    hyperboloid's squared distance is written: dist_sq calls it with one
+    payload, and the pairing kernel of cat0.dual with every payload of
+    one call that meets the same point or term endpoint, or elementwise
+    for a graph's self-potentials.
 
     -<x,y> is ((x_0 y_0 + x_1 y_1) + ...) - x_n y_n, the loop of
     minkowski_form in its order, snapped up to 1 within ACOSH_SLACK
@@ -300,13 +339,18 @@ def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool
     before the snap, so no value depends on the batching. A batch of
     _SHORT or more payloads, and any batch with each, is formed a block
     of _BLOCK payloads at a time, coordinate column by coordinate column
-    (_dists_sq_block); a shorter batch against one y payload by payload.
-    An exact m too large for a float gives acosh(m) = ln 2m (_acosh).
+    (_dists_sq_block), from the kept columns of a _Blocks; a shorter
+    batch against one y payload by payload. An exact m too large for a
+    float gives acosh(m) = ln 2m (_acosh).
     """
-    if each or len(xs) >= _SHORT:
+    if isinstance(xs, _Blocks):
+        xs, blocks = xs.payloads, xs.columns
+    else:
+        blocks = _columns(xs) if each or len(xs) >= _SHORT else None
+    if blocks is not None:
         out: List[Scalar] = []
-        for lo in range(0, len(xs), _BLOCK):
-            out += _dists_sq_block(xs[lo:lo + _BLOCK], y[lo:lo + _BLOCK] if each else y, each)
+        for lo, columns in zip(range(0, len(xs), _BLOCK), blocks):
+            out += _dists_sq_block(columns, y[lo:lo + _BLOCK] if each else y, each)
         return out
     head, last = y[:-1], y[-1]
     out = []
@@ -326,20 +370,27 @@ def _hyperbolic_dists_sq(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool
     return out
 
 
-def _dists_sq_block(xs: Sequence[Sequence[Scalar]], y: Sequence, each: bool) -> List[Scalar]:
-    """_hyperbolic_dists_sq of one block, with map() over its columns.
+def _dists_sq_block(columns: tuple, y: Sequence, each: bool) -> List[Scalar]:
+    """_hyperbolic_dists_sq of one block, given as its coordinate columns, with map() over them.
 
-    x == y is decided for the whole block first, y's coordinates are
-    read once per block (with each, as columns too), and m, acosh(m)
-    and the squares are each one map() over the block. Only a block
-    where some m at x != y is below 1 snaps its m one by one, and only
-    one with an m past float range takes acosh one by one. The sum
-    starts at x_0 y_0, not at the loop's 0 + x_0 y_0: the two differ
-    only in the sign of a zero, which subtracting x_n y_n > 0 drops.
+    x == y is decided for the whole block first: on the first
+    coordinate column, then on the rest at the positions where it
+    agrees. y's coordinates are read once per block (with each, as
+    columns too), and m, acosh(m) and the squares are each one map()
+    over the block. Only a block where some m at x != y is below 1
+    snaps its m one by one, and only one with an m past float range
+    takes acosh one by one. The sum starts at x_0 y_0, not at the loop's
+    0 + x_0 y_0: the two differ only in the sign of a zero, which
+    subtracting x_n y_n > 0 drops.
     """
-    *heads, last = map(map, repeat(mul), zip(*xs), zip(*y) if each else map(repeat, y))
+    ys = tuple(zip(*y)) if each else y
+    *heads, last = map(map, repeat(mul), columns, ys if each else map(repeat, y))
     ms = list(map(neg, map(sub, reduce(partial(map, add), heads), last)))
-    same = list(compress(count(), map(eq, xs, y if each else repeat(y))))
+    first = compress(count(), map(eq, columns[0], ys[0] if each else repeat(y[0])))
+    if each:
+        same = [i for i in first if all(x[i] == v[i] for x, v in zip(columns, ys))]
+    else:
+        same = [i for i in first if all(x[i] == v for x, v in zip(columns, y))]
     for i in same:
         ms[i] = 1
     if min(ms) < 1:

@@ -31,7 +31,9 @@ from cat0 import (
     zero_dual,
 )
 from cat0.conjugate import _conjugate, _values
-from cat0.dual import _Potentials
+from cat0.dual import _Potentials, _potential2
+from cat0.fitzpatrick import _transform2
+from cat0.monotone import _gaps2
 from cat0.extreal import NEG_INF, ExtReal, Scalar, ext, scale
 from cat0.geometry import half_of
 from cat0.spaces import BoundVector, _snapped_to_one
@@ -91,6 +93,30 @@ def avg_lowerbound_check(
         if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
             return False
     return True
+
+
+def single_queries_per_call(g: OperatorGraph, p: Point, q: PairedPoint) -> Tuple[ExtReal, ExtReal, ExtReal]:
+    """fitzpatrick_sup, fitzpatrick_inf and fitzpatrick_via_conjugate of g at (p, q), every potential apart.
+
+    The reference for the forms that read the graph's kept frame
+    (OperatorGraph._frame): the same term expressions (_transform2,
+    _gaps2, _conjugate) read each potential from its own _potential2
+    call on (point, dual) handles, so nothing is kept, batched, gathered
+    or put on an integer scale. Each potential is still one sum() over
+    its dual's terms in term order, so the bits must agree; on exact
+    inputs half_of gives the Fractions the scale's division gives.
+    """
+    if not g.pairs:
+        return NEG_INF, NEG_INF, NEG_INF
+    P = _potential2
+    members = [(y.x, y.xd, P(y.xd, y.x)) for y in g.pairs]
+    sup = ExtReal(half_of(_transform2(P, p, members, (q.x, q.xd))))
+    a = (q.x, q.xd, P(q.xd, q.x))
+    worst = min(_gaps2(P, zip(itertools.repeat(a), members)))
+    zero = BoundVector(p, q.x).is_zero or not q.xd.terms
+    inf = ExtReal((0 if zero else half_of(a[2] - P(q.xd, p))) - half_of(worst))
+    rows = ((zy, dy, own - P(dy, p)) for zy, dy, own in members)
+    return sup, inf, _conjugate(P, p, rows, (q.x, q.xd))
 
 
 def hyperbolic_dists_sq_loop(xs: Sequence[tuple], y, each: bool = False) -> List[Scalar]:
@@ -318,9 +344,11 @@ def count_potentials(monkeypatch) -> List[int]:
 
     Every potential comes from cat0.dual._potentials2_at (one dual at
     several points), _potentials2_of (several duals at one point) or
-    _potentials2_each (each hyperboloid dual at its own point, for a
-    graph's self-potentials), and _potential2 is the one-point case of
-    _potentials2_of, so each value is counted once. A zero dual's
+    _potentials2_each (each dual at its own point, for a graph's
+    self-potentials), and _potential2 is the one-point case of
+    _potentials2_of, so each value is counted once. The single queries
+    call them with the graph's kept reading (OperatorGraph._frame),
+    which changes what they read, not what they are asked for. A zero dual's
     potential is 0 without any work, so it is not counted: one value
     stands where a one-term dual's potential costs two squared
     distances. The count reads the kernel's first two arguments, so it
@@ -335,7 +363,7 @@ def count_potentials(monkeypatch) -> List[int]:
     calls = count_calls(monkeypatch, "_potentials2_at", modules,
                         lambda xd, zs, *rest: len(zs) if xd.terms else 0)
     count_calls(monkeypatch, "_potentials2_each", (cat0.dual, cat0.monotone),
-                lambda xds, zs: sum(1 for xd in xds if xd.terms), calls)
+                lambda xds, zs, *rest: sum(1 for xd in xds if xd.terms), calls)
     return count_calls(monkeypatch, "_potentials2_of", modules,
                        lambda xds, z, *rest: sum(1 for xd in xds if xd.terms), calls)
 

@@ -39,6 +39,7 @@ from cat0 import (
     scale,
     zero_dual,
 )
+from cat0.conjugate import _PairSet
 from cat0.spaces import BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
@@ -635,6 +636,58 @@ def test_pair_in_needs_both_slots():
     assert pair_in(q0, [near])
     assert not pair_in(q0, [far_point])
     assert not pair_in(q0, [other_dual])
+
+
+def _moved(pt, delta):
+    """pt with its first parameter moved by delta: a coordinate in Euclidean space and on the
+    hyperboloid (staying on the sheet), the position along the branch on the tree."""
+    space, c = pt.space, pt.payload
+    if space.kind == "rtree":
+        return make_point(space, (c[0], c[1] + delta if c[1] + delta <= 1 else c[1] - delta))
+    if space.kind == "hyperbolic":
+        return _hyperboloid_point(c[0] + delta, c[1])
+    return make_point(space, (c[0] + delta, *c[1:]))
+
+
+_PAIR_IN_POINTS = {
+    "euclidean": st.tuples(small_fractions(), small_fractions()).map(lambda c: make_point(E2, c)),
+    "rtree": rtree_points(denom=4),
+    "hyperbolic": st.tuples(st.floats(-1, 1), st.floats(-1, 1)).map(lambda c: _hyperboloid_point(*c)),
+}
+
+
+@st.composite
+def _pair_in_case(draw, kind):
+    """(query, pairs, tol) in one space: exact pairs, pairs holding a float, and the query a
+    pair of the pool, a member, or a member moved by half its tol or by twice it: an exact
+    query matches keyed members by key alone, so one moved exactly by half its tol does not."""
+    pts = draw(st.lists(_PAIR_IN_POINTS[kind], min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pts.append(_moved(pts[0], 0.25))  # a float point where the space has exact ones
+    pick = st.sampled_from(pts)
+    coeff = st.one_of(small_fractions(), st.floats(-2, 2, allow_nan=False))
+    dual = st.one_of(st.just(zero_dual()), st.builds(dual_term, coeff, pick, pick))
+    pool = st.builds(PairedPoint, pick, dual)
+    pairs = draw(st.lists(pool, max_size=5))
+    tol = draw(st.sampled_from([None, 1e-9, 1e-6, 1e-3]))
+    how = draw(st.sampled_from(["pool", "member", "moved"] if pairs else ["pool"]))
+    if how == "pool":
+        return draw(pool), pairs, tol
+    q = draw(st.sampled_from(pairs))
+    if how == "moved":  # by a float, or by an exact Fraction that keeps exact pairs keyed
+        t = q.x.space.default_tol if tol is None else tol
+        exact = draw(st.sampled_from([float, Fraction]))
+        x = _moved(q.x, exact(draw(st.sampled_from([0.5, 2.0])) * t))
+        xd = q.xd if draw(st.booleans()) else dual_scale(1 + exact(draw(st.sampled_from([0.5, 2.0])) * t), q.xd)
+        q = PairedPoint(x, xd)
+    return q, pairs, tol
+
+
+@pytest.mark.parametrize("kind", list(_PAIR_IN_POINTS))
+@given(data=st.data())
+def test_pair_in_scans_as_the_pair_index_finds(kind, data):
+    q, pairs, tol = data.draw(_pair_in_case(kind))
+    assert pair_in(q, pairs, tol) == (_PairSet(pairs).find(q, tol) is not None)
 
 
 # (space, p, x, a, b): a table pair (x, 1 [a->b]) and its basepoint p

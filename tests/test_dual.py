@@ -290,6 +290,20 @@ def test_hyperbolic_line_duals_match_by_arc_length():
     assert not duals_match(ab, dual_term(1.0, _on_curve(h1, 2.0), _on_curve(h1, 3.5)), tol=1e-9)
 
 
+def test_exact_far_points_on_the_hyperbolic_line_have_an_action():
+    # x = (sinh t, cosh t) exactly at t = 400 ln 10: its arc length
+    # asinh(x_0) = t is a float, though x_0 is too large for one
+    n = 10 ** 400
+    h1 = hyperbolic(1)
+    x = make_point(h1, (Fraction(n * n - 1, 2 * n), Fraction(n * n + 1, 2 * n)))
+    apex = make_point(h1, (0, 1))
+    assert not duals_match(dual_term(1, x, apex), zero_dual())
+    far = make_point(h1, (-x.payload[0], x.payload[1]))
+    assert duals_match(dual_term(1, far, apex), dual_term(1, apex, x))
+    assert not duals_match(dual_term(2, far, x), dual_term(1, apex, x))
+    assert duals_match(dual_term(Fraction(1, 2), far, x), dual_term(1, apex, x))
+
+
 def test_hyperbolic_plane_duals_differ_by_where_they_sit():
     # the same two duals on one geodesic of H^2 act differently
     h2 = hyperbolic(2)

@@ -51,7 +51,7 @@ from cat0 import (
 )
 from cat0.dual import _scale
 from cat0.geometry import half_of, quasilinearization
-from cat0.spaces import BoundVector
+from cat0.spaces import _BLOCK, _SHORT, BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
@@ -62,6 +62,7 @@ from helpers import (
     greedy_monotone_subset,
     maximal_relative_graph,
     random_graph,
+    single_queries_per_call,
     small_universe,
     transform_table,
     vector_dual,
@@ -395,15 +396,72 @@ def test_exact_queries_give_the_same_reprs_on_both_paths(kind, past_cap, data):
     with mock.patch.object(cat0.dual, "_SCALE_BITS", 0):
         fractions = [repr(form(OperatorGraph(p.space, pairs), p, q)) for form in forms]
     assert scaled == fractions
+    assert scaled == [repr(v) for v in single_queries_per_call(OperatorGraph(p.space, pairs), p, q)]
     sup = max(_ref_pair(q.xd, BoundVector(p, y.x)) - _ref_pair(y.xd, BoundVector(q.x, y.x)) for y in pairs)
     assert all(r == repr(ExtReal(half_of(2 * sup))) for r in scaled)
 
 
+# a float point and the same point with exact coordinates, equal payloads
+# of other coordinate types, which the kept endpoints keep apart: from an
+# exact point off the float grid, such as the third, their squared
+# distances differ in the last bits
+_TWINS = ((0.75, 0.0, 1.25), (Fraction(3, 4), 0, Fraction(5, 4)), (Fraction(4, 3), 0, Fraction(5, 3)))
+
+
+def _kept_path_case(seed, n, pool_size):
+    """(graph, basepoint, query) on H^2: n pairs over a pool of points, drawn with random.Random(seed).
+
+    Duals share endpoints with their own points, with other duals and
+    within themselves (a term from a point to itself, a point in two
+    terms); some are zero, some have three terms. The query dual is
+    sometimes zero, and some points are exact (_TWINS).
+    """
+    rng = random.Random(seed)
+    pool = [random_point(H2, rng, spread=1.5) for _ in range(pool_size)]
+    pool += [make_point(H2, c) for c in _TWINS]
+    pick = lambda: rng.choice(pool)
+
+    def dual(own):
+        if rng.random() < 0.15:
+            return zero_dual()
+        terms = []
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            tail = own if rng.random() < 0.5 else pick()
+            head = tail if rng.random() < 0.1 else (terms[-1][1].tail if terms and rng.random() < 0.3 else pick())
+            terms.append((rng.uniform(-2, 2), BoundVector(tail, head)))
+        return dual_vector(terms)
+
+    pairs = []
+    for _ in range(n):
+        x = pick()
+        pairs.append(PairedPoint(x, dual(x)))
+    x = pick() if rng.random() < 0.5 else random_point(H2, rng)
+    q = PairedPoint(x, zero_dual() if rng.random() < 0.2 else dual(x))
+    return OperatorGraph(H2, tuple(pairs)), pick(), q
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.sampled_from([1, 2, _SHORT - 1, _SHORT, _SHORT + 1, _BLOCK - 1, _BLOCK + 1]),
+       pool_size=st.sampled_from([1, 4, _SHORT, _BLOCK + 1, 2 * _BLOCK]))
+def test_kept_hyperbolic_frames_give_the_bits_of_the_per_call_reference(seed, n, pool_size):
+    # graph sizes below _SHORT and across _BLOCK, and distinct endpoints
+    # from a handful to more than a block: two queries on one graph, the
+    # second on its kept frame
+    g, p, q = _kept_path_case(seed, n, pool_size)
+    forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
+    want = list(map(repr, single_queries_per_call(g, p, q)))
+    for _ in range(2):
+        assert [repr(form(g, p, q)) for form in forms] == want
+
+
 def _single_query_instances():
-    """(graph, basepoint, query, squared distances per potential evaluation) on each space.
+    """(graph, basepoint, query, squared distances per potential evaluation, per member column) on each space.
 
     Every dual has one term. The exact instances read each potential
-    from its form; the H^2 one sums two squared distances per potential.
+    from its form; the H^2 one sums two squared distances per potential
+    of the query dual and per self-potential, and computes a column of
+    the graph duals from one squared distance per distinct term
+    endpoint: its duals chain consecutive curve points, so 6 for 5 pairs.
     """
     one_term = [q for q in small_universe(side=3) if len(q.xd.terms) == 1]
     euclid = OperatorGraph(E2, greedy_monotone_subset(random.Random(3), one_term, 9))
@@ -417,9 +475,9 @@ def _single_query_instances():
     hyp_q = PairedPoint(make_point(H2, (0.0, 0.0, 1.0)), dual_term(1.0, curve[1], curve[3]))
     hyp_p = make_point(H2, (1.0, -1.0, math.sqrt(3.0)))
     return [
-        (euclid, ORIGIN2, one_term[40], 0),
-        (tree, make_point(T, (2, Fraction(1, 4))), tree_q, 0),
-        (hyp, hyp_p, hyp_q, 2),
+        (euclid, ORIGIN2, one_term[40], 0, 0),
+        (tree, make_point(T, (2, Fraction(1, 4))), tree_q, 0, 0),
+        (hyp, hyp_p, hyp_q, 2, len(curve)),
     ]
 
 
@@ -486,7 +544,7 @@ def test_single_queries_keep_their_bits_on_a_curve_graph():
 def test_single_queries_count_their_squared_distances(monkeypatch):
     potentials = count_potentials(monkeypatch)
     squares = count_dist_sq(monkeypatch)
-    for g, p, q, per_read in _single_query_instances():
+    for g, p, q, per_read, per_column in _single_query_instances():
         h = FunctionTable(p, tuple((y, ExtReal(coupling_pi(p, y))) for y in g.pairs))
         n = len(g.pairs)
         # the query's potential at p is read once per call. The graph's
@@ -495,18 +553,36 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
         # the same two, plus P_q(q) and P_q(p) once, from which it also
         # takes the query's coupling; the conjugate form P_q(y), P_y(q) and P_y(p), which serves both y's
         # coupling (P_y(y.x) is kept) and the conjugate term;
-        # fenchel_conjugate_p three.
-        for query, reads in (
-            (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n),
-            (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n),
-            (lambda: fitzpatrick_inf(g, p, q), 2 + 2 * n),
-            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 3 * n),
-            (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n),
+        # fenchel_conjugate_p three. The graph duals' values at one point
+        # (one member column: n of the reads above) cost per_column
+        # squared distances together; fenchel_conjugate_p reads each pair
+        # apart, per_read squared distances a potential.
+        for query, reads, columns in (
+            (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n, 1),
+            (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n, 1),
+            (lambda: fitzpatrick_inf(g, p, q), 2 + 2 * n, 1),
+            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 3 * n, 2),
+            (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n, 0),
         ):
             potentials[0] = squares[0] = 0
             query()
             assert potentials[0] == reads
-            assert squares[0] == per_read * reads
+            assert squares[0] == per_read * (reads - columns * n) + per_column * columns
+
+
+def test_a_member_column_costs_one_squared_distance_per_distinct_endpoint(monkeypatch):
+    # on the 200-pair curve graph each dual 1.0 [c(t) -> c(t + 1)] starts
+    # at its own graph point, and t + 1 lands on a grid point or next to
+    # one: a column of the graph duals at q.x computes each distinct
+    # endpoint's squared distance once, not two per dual
+    squares = count_dist_sq(monkeypatch)
+    g, p, q = _pinned_curve_queries()[1]
+    fitzpatrick_sup(g, p, q)  # builds the frame
+    ends = {pt.payload for y in g.pairs for _, bv in y.xd.terms for pt in (bv.tail, bv.head)}
+    assert len(g.pairs) < len(ends) < 2 * len(g.pairs)
+    squares[0] = 0
+    fitzpatrick_sup(g, p, q)
+    assert squares[0] == len(ends) + 2 * len(q.xd.terms) * (len(g.pairs) + 1)
 
 
 def test_a_query_past_the_scale_cap_counts_as_on_integers(monkeypatch):
@@ -515,7 +591,7 @@ def test_a_query_past_the_scale_cap_counts_as_on_integers(monkeypatch):
     # cap, so that the query runs on Fractions: both read what the pin
     # above counts
     potentials = count_potentials(monkeypatch)
-    _, (g, p, q, _), _ = _single_query_instances()
+    _, (g, p, q, _, _), _ = _single_query_instances()
     far = make_point(g.space, (2, Fraction(1, 2**5000 + 1)))
     duals, points = [y.xd for y in g.pairs] + [q.xd], [y.x for y in g.pairs] + [q.x]
     assert _scale(g.space, duals, points + [p]) is not None
@@ -562,7 +638,7 @@ def test_building_a_graph_evaluates_no_potential(monkeypatch):
     # the self-potentials are paid at the first query, not when the graph
     # is built (a benchmark's set-up time does not absorb them)
     potentials = count_potentials(monkeypatch)
-    for g, p, q, _ in _single_query_instances():
+    for g, p, q, _, _ in _single_query_instances():
         potentials[0] = 0
         g = OperatorGraph(g.space, g.pairs)
         assert potentials[0] == 0

@@ -21,7 +21,7 @@ from cat0 import (
     rtree,
     sample_points,
 )
-from cat0.spaces import ACOSH_SLACK, _BLOCK, _SHORT, _hyperbolic_dists_sq
+from cat0.spaces import ACOSH_SLACK, _BLOCK, _SHORT, _Blocks, _hyperbolic_dists_sq
 from conftest import rtree_points
 from helpers import hyperbolic_dists_sq_loop
 
@@ -145,14 +145,17 @@ _KERNEL_SIZES = sorted({0, 1, 2, _SHORT - 1, _SHORT, _SHORT + 1, _BLOCK - 1, _BL
 @given(size=st.sampled_from(_KERNEL_SIZES), seed=st.integers(0, 2 ** 32 - 1), each=st.booleans())
 def test_hyperbolic_kernel_keeps_the_bits_of_the_loop(dim, size, seed, each):
     # float and exact payloads, repeats (the int 0), a pair in the snap
-    # band, one shared y or a partner per x; batch sizes around the
-    # loop's cut and the block size
+    # band, one shared y or a partner per x, the payloads given as such or
+    # with their columns kept; batch sizes around the loop's cut and the
+    # block size
     rng = random.Random(seed)
     pool = _kernel_pool(dim, rng)
     xs = [rng.choice(pool) for _ in range(size)]
     y = [rng.choice(pool) for _ in range(size)] if each else rng.choice(pool)
-    got = _hyperbolic_dists_sq(xs, y, each=each)
-    assert list(map(_bits, got)) == list(map(_bits, hyperbolic_dists_sq_loop(xs, y, each)))
+    want = list(map(_bits, hyperbolic_dists_sq_loop(xs, y, each)))
+    assert list(map(_bits, _hyperbolic_dists_sq(xs, y, each=each))) == want
+    if not each:  # the same payloads with their columns kept, as a graph's frame keeps them
+        assert list(map(_bits, _hyperbolic_dists_sq(_Blocks(xs), y))) == want
 
 
 @pytest.mark.parametrize("branch", [math.inf, -math.inf, math.nan])
