@@ -387,6 +387,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # a float formed from an exact input too large for one
+        print(f"error: a value is past float range: {exc}", file=sys.stderr)
+        return 2
     text = encode_csv(tree) if args.fmt == "csv" else encode_json(tree)
     sys.stdout.write(text)
     return 0 if ok else 1

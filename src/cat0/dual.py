@@ -17,9 +17,10 @@ call checks the spaces in one pass, unless its caller has checked them
 was built), and reads once what its values share: the point's payload
 and exactness, or the dual's key or term payloads. What it reads of an
 OperatorGraph's own duals and points, the single queries pass as the
-graph keeps it (read; see OperatorGraph._frame), and every other call
-builds it. On the hyperboloid every squared distance comes from
-cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
+graph keeps it (read; see OperatorGraph._frame); on the hyperboloid
+every other call builds it, and on an integer scale (below) every call
+is passed its reads. On the hyperboloid every squared distance comes
+from cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches, which it forms in blocks of coordinate
 columns, once per distinct term endpoint of a sequence of duals
 (_Ends), and assembles the potentials with map() over the terms'
@@ -49,15 +50,19 @@ at points with a float coordinate.
 A single transform query on exact inputs runs on one integer scale
 (_scale): with sv the lcm of the denominators of the keys and sz that
 of the points' coordinates, 2F sv sz is an int for every dual at every
-point, since 2F is bilinear in the key and the point. Called with the
-scale, the kernel gives these ints, from keys and points read as ints
-over their own denominators (_key_ints, _duals_ints, _points_ints).
-Potentials count only up to a constant and are linear in the key, so
-scaling them all by one positive int keeps every formula exact: a
-formula sums ints, and its value is divided by sv sz once, when it is
-reported (see cat0.fitzpatrick). Past
-_SCALE_BITS bits of sv sz, where ints that long cost more than reducing
-small Fractions, the query runs on Fractions as above.
+point, since 2F is bilinear in the key and the point. Keys and points
+are read in one shape, as ints over each one's own denominator, in
+columns (_duals_ints, _points_ints); sv and sz are the lcms of their
+denominator columns. Called with the scale, the kernel gives these ints
+through one elementwise formula, _scaled2: the dot product of a key's
+ints and a point's ints times 2 sv sz / (dv dz), a one-item read of a
+dual or a point standing for it at every position. Potentials count
+only up to a constant and are linear in the key, so scaling them all by
+one positive int keeps every formula exact: a formula sums ints, and
+its value is divided by sv sz once, when it is reported (see
+cat0.fitzpatrick). Past _SCALE_BITS bits of sv sz, where ints that long
+cost more than reducing small Fractions, the query runs on Fractions as
+above.
 
 The hyperboloid and duals with a float coefficient or coordinate keep
 the sum of squared distances, so their values are those of the sum bit
@@ -113,7 +118,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -317,16 +322,18 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     return _potentials2_of((xd,), z)[0]
 
 
-# What the kernel reads of its duals and points, built by each call or,
-# for an OperatorGraph's own duals and points, kept by its frame and
-# passed as read (OperatorGraph._frame):
+# What the kernel reads of its duals and points, passed as read; an
+# OperatorGraph's frame keeps its own duals' and points' (OperatorGraph
+# ._frame):
 # * on the hyperboloid, a sequence of duals as its _Ends, and the points
 #   one dual meets as a list of payload batches, each a list or a kept
-#   spaces._Blocks;
-# * on a scale, a sequence of duals as their keys in ints (_duals_ints),
-#   and the points one dual meets as their coordinates in ints
-#   (_points_ints), both in columns.
-# The batches or columns of a read concatenate to the points of the call.
+#   spaces._Blocks, which concatenate to the points of the call; a call
+#   without read (a sweep, pair) builds them;
+# * on a scale, duals as their keys in ints (_duals_ints) and points as
+#   their coordinates in ints (_points_ints), both in columns, a side
+#   that holds one dual or one point as a one-item read: every call on a
+#   scale is passed them (a single query reads its own dual and points
+#   once per form, see cat0.fitzpatrick).
 
 
 class _Ends:
@@ -362,12 +369,12 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[i
     """2F of each dual of xds at the one point z, in order (see _potential2).
 
     The point is read once per call: its space and kind, its payload and
-    whether it is exact, or on a scale (sv, sz) (see _scale) its
-    coordinates as ints, and the values are the ints 2F sv sz. On the
-    hyperboloid one batched call gives the squared distances from every
-    distinct term endpoint of xds to it. read: what the kernel reads of
-    xds (their _Ends, or on a scale _duals_ints), kept by a graph's
-    frame; built here when None. checked: the caller has checked that
+    whether it is exact. On the hyperboloid one batched call gives the
+    squared distances from every distinct term endpoint of xds to it,
+    from read, the _Ends of xds, kept by a graph's frame or built here
+    when None. On a scale (sv, sz) (see _scale) the values are the ints
+    2F sv sz of _scaled2, and read is the _duals_ints of xds with the
+    _points_ints of z. checked: the caller has checked that
     the duals lie in z's space (a graph's duals, for a point checked
     against the graph's space), so the call does not check them again.
     """
@@ -380,7 +387,7 @@ def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[i
     if kind == HYPERBOLIC:
         return _hyperbolic2(_Ends(xds) if read is None else read, zp)
     if scale is not None:
-        return _scaled2_of(kind, _duals_ints(space, xds) if read is None else read, z, scale)
+        return _scaled2(kind, *read, scale)
     exact = is_exact(zp)
     return [_sum2(xd.terms, z) if xd.key is None else _form2(kind, xd.key, zp, exact) for xd in xds]
 
@@ -389,16 +396,15 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[i
                     checked: bool = False, read=None) -> List[Scalar]:
     """2F of the dual xd at each point of zs, in order (see _potential2).
 
-    The dual is read once per call: its space and kind, its key (on a
-    scale, as ints), and on the hyperboloid its terms' payloads (two
-    batched calls per term and batch of points give the squared
-    distances from its tail and its head to every point). read: what
-    the kernel reads, in part kept by a graph's frame: on the
-    hyperboloid batches of the payloads of zs, on a scale the
-    _key_ints of xd and the _points_ints of zs (None for the zero
-    action, which reads no point); built here when None. checked: the caller has checked that the points lie in the
-    dual's space, as for a graph's points and a query checked against
-    it.
+    The dual is read once per call: its space and kind, its key, and on
+    the hyperboloid its terms' payloads (two batched calls per term and
+    batch of points give the squared distances from its tail and its
+    head to every point), with read the batches of the payloads of zs,
+    a graph's frame keeping its own, or one batch built here when None.
+    On a scale (sv, sz) the values are the ints 2F sv sz of _scaled2,
+    and read is the _duals_ints of xd with the _points_ints of zs.
+    checked: the caller has checked that the points lie in the dual's
+    space, as for a graph's points and a query checked against it.
     """
     space = xd.space
     if space is None:
@@ -417,43 +423,32 @@ def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[i
                 for c, bv in xd.terms]
         return list(map(sum, zip(*cols)))
     if scale is not None:
-        form, points = (_key_ints(xd), None) if read is None else read
-        if form is None:  # the zero action
-            return [0] * len(zs)
-        return _scaled2_at(kind, form, _points_ints(space, zs) if points is None else points, scale)
+        return _scaled2(kind, *read, scale)
     key = xd.key
     if key is None:
         return [_sum2(xd.terms, z) for z in zs]
     return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
 
 
-def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
-                      read=None) -> List[Scalar]:
+def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point], read,
+                      scale: Optional[Tuple[int, int]] = None) -> List[Scalar]:
     """2F of each dual of xds at its own point of zs, in order: a graph's self-potentials (see _potential2).
 
     On the hyperboloid one elementwise _hyperbolic_dists_sq call gives
     the squared distance from every term endpoint to its dual's point,
     and read is the duals' _Ends. Elsewhere the pairs are exact and on
-    the scale (sv, sz), read is (_duals_ints, _points_ints) of the pairs,
-    and the values are ints as in _potentials2_of, column by column.
-    Either is built here when None. The caller has checked the spaces:
-    these are a graph's pairs (OperatorGraph._frame).
+    the scale (sv, sz), read is (_duals_ints, _points_ints) of the
+    pairs, and the values are the ints of _scaled2. The caller, the
+    frame of a graph (OperatorGraph._frame), keeps the reads and has
+    checked the spaces.
     """
     if not zs:
         return []
-    space = zs[0].space
-    if space.kind == HYPERBOLIC:
-        ends = _Ends(xds) if read is None else read
-        partners = [z.payload for n, z in zip(ends.counts or repeat(1), zs) for _ in range(2 * n)]
-        return _hyperbolic2(ends, partners, each=True)
-    duals, points = (_duals_ints(space, xds), _points_ints(space, zs)) if read is None else read
-    if space.kind == EUCLIDEAN:
-        dots = _dot(duals[1:], points[1:])
-    else:  # each dual's slope on its own point's branch, times the point's ints
-        dots = map(mul, map(dict.get, duals[2], points[1], duals[1]), points[2])
-    sv, sz = scale
-    ts = map(floordiv, map(mul, map(floordiv, repeat(sv), duals[0]), repeat(2 * sz)), points[0])
-    return list(map(mul, dots, ts))
+    kind = zs[0].space.kind
+    if kind == HYPERBOLIC:
+        partners = [z.payload for n, z in zip(read.counts or repeat(1), zs) for _ in range(2 * n)]
+        return _hyperbolic2(read, partners, each=True)
+    return _scaled2(kind, *read, scale)
 
 
 def _hyperbolic2(ends: _Ends, y, each: bool = False) -> List[Scalar]:
@@ -509,69 +504,37 @@ def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
     return 2 * sum([float(v) * x for v, x in zip(vs, xs)])
 
 
-def _key_ints(xd: DualVector) -> Optional[tuple]:
-    """The exact key of xd as ints over one denominator, as the kernel reads it on a scale.
-
-    (dv, ints) in Euclidean space, v = ints / dv; (dv, default,
-    {branch: slope}) on the tree, every slope an int over dv. None for
-    the zero action. Computed per call: a graph's frame keeps its own
-    duals' in columns (_duals_ints), a query reads its dual's once per
-    form.
-    """
-    key = xd.key
-    if not key:
-        return None
-    if xd.space.kind == EUCLIDEAN:
-        return _over(key)
-    default, branches = key
-    dv = math.lcm(default.denominator, *[s.denominator for _, s in branches])
-    return (dv, default.numerator * (dv // default.denominator),
-            {k: s.numerator * (dv // s.denominator) for k, s in branches})
-
-
-def _point_ints(kind: str, z: Point) -> tuple:
-    """The exact point z in ints over its own denominator dz: (dz, ints) in Euclidean space, (dz, k, s dz) at z = (k, s) on the tree."""
-    if kind == EUCLIDEAN:
-        return _over(z.payload)
-    k, s = z.payload
-    return s.denominator, k, s.numerator
-
-
 def _duals_ints(space: SpaceHandle, xds: Sequence[DualVector]) -> tuple:
-    """The keys of the exact duals xds in ints (_key_ints), in columns, as the kernel reads them on a scale.
+    """The exact keys of the duals xds in ints over each key's own denominator dv, in columns, as the kernel reads them on a scale.
 
     (dvs, column of the vectors' first ints, ..., column of their last)
-    in Euclidean space, (dvs, default slopes, {branch: slope} dicts) on
-    the tree; the zero action as dv 1 with zero slopes. Columns of ints
-    take less memory than a tuple per dual, the kernel reads them with
-    map(), and two reads concatenate column by column.
+    in Euclidean space, v = ints / dv; (dvs, default slopes, {branch:
+    slope} dicts) on the tree, every slope an int over dv. The zero
+    action reads as dv 1 with zero slopes. Columns of ints take less
+    memory than a tuple per dual, and the kernel reads them with map().
     """
     if space.kind == EUCLIDEAN:
-        zero = (1, (0,) * space.dim)
-        forms = [_key_ints(xd) or zero for xd in xds]
-        return (tuple([dv for dv, _ in forms]), *_transposed([vs for _, vs in forms], space.dim))
-    forms = [_key_ints(xd) or (1, 0, {}) for xd in xds]
+        return tuple(zip(*[_over(xd.key or (0,) * space.dim) for xd in xds])) or ((),) * (space.dim + 1)
+    forms = []
+    for xd in xds:
+        default, branches = xd.key or (0, ())
+        dv = math.lcm(default.denominator, *[s.denominator for _, s in branches])
+        forms.append((dv, default.numerator * (dv // default.denominator),
+                      {k: s.numerator * (dv // s.denominator) for k, s in branches}))
     return tuple(zip(*forms)) or ((), (), ())
 
 
 def _points_ints(space: SpaceHandle, zs: Sequence[Point]) -> tuple:
-    """The exact points zs in ints over their own denominators (_point_ints), in columns.
+    """The exact points zs in ints over each point's own denominator dz, in columns.
 
     (dzs, column of the first coordinates' ints, ..., column of the
-    last) in Euclidean space, (dzs, branches, ints) on the tree. Two
-    reads concatenate column by column (see _Query.column in
-    cat0.fitzpatrick).
+    last) in Euclidean space, (dzs, branches, ints) at z = (k, s) on
+    the tree, s = int / dz. Two reads concatenate column by column (see
+    _Query.column in cat0.fitzpatrick).
     """
     if space.kind == EUCLIDEAN:
-        forms = [_over(z.payload) for z in zs]
-        return (tuple([dz for dz, _ in forms]), *_transposed([xs for _, xs in forms], space.dim))
-    ss = [z.payload[1] for z in zs]
-    return tuple([s.denominator for s in ss]), tuple([z.payload[0] for z in zs]), tuple([s.numerator for s in ss])
-
-
-def _transposed(rows: Sequence[tuple], width: int) -> List[tuple]:
-    """The columns of rows of the given width: width empty columns for no rows."""
-    return list(zip(*rows)) if rows else [()] * width
+        return tuple(zip(*[_over(z.payload) for z in zs])) or ((),) * (space.dim + 1)
+    return tuple(zip(*[(s.denominator, k, s.numerator) for k, s in [z.payload for z in zs]])) or ((), (), ())
 
 
 def _dot(columns: Sequence[Sequence[int]], others) -> Iterator[int]:
@@ -579,47 +542,43 @@ def _dot(columns: Sequence[Sequence[int]], others) -> Iterator[int]:
     return reduce(partial(map, add), map(map, repeat(mul), columns, others))
 
 
-def _scaled2_of(kind: str, read: tuple, z: Point, scale: Tuple[int, int]) -> List[int]:
-    """2F sv sz of each exact dual at the exact point z, on the scale (sv, sz), from the duals' _duals_ints.
+def _scaled2(kind: str, duals: tuple, points: tuple, scale: Tuple[int, int]) -> List[int]:
+    """2F sv sz of each exact dual at its exact point on the scale (sv, sz), from a _duals_ints and a _points_ints read.
 
-    A key is read as ints over its own denominator dv and the point as
-    ints over its own dz, so a value is the product of the small ints
-    times 2 sv sz / (dv dz): one product of big factors per call, and
-    per value one division by a small denominator.
+    Elementwise, column by column: the j-th dual at the j-th point, a
+    read of one dual or one point standing for it at every position.
+    A key is read as ints over its own denominator dv and a point as
+    ints over its own dz, so a value is the dot product of the small
+    ints times 2 sv sz / (dv dz): per value one division of the scale by
+    a small int, the denominator of a one-item side dividing it once.
+    Over one common denominator of the points instead, a value on the
+    tree chain of 1,000 pairs would be a product of two ints of about
+    1,440 bits, three times the cost.
     """
-    zform = _point_ints(kind, z)
-    if kind == EUCLIDEAN:
-        dots = _dot(read[1:], map(repeat, zform[1]))
-    else:  # each dual's slope on z's branch, times z's ints
-        dots = map(mul, map(dict.get, read[2], repeat(zform[1]), read[1]), repeat(zform[2]))
     sv, sz = scale
-    return list(map(mul, dots, map(floordiv, repeat(2 * sv * (sz // zform[0])), read[0])))
-
-
-def _scaled2_at(kind: str, form: tuple, read: tuple, scale: Tuple[int, int]) -> List[int]:
-    """2F sv sz of a dual whose action is not zero, from its _key_ints form, at each exact point of a _points_ints read, on the scale (sv, sz).
-
-    Per value one division of 2 (sv / dv) sz by the point's own small
-    denominator (see _scaled2_of). Over one common denominator of the
-    points instead, a value on the tree chain of 1,000 pairs would be a
-    product of two ints of about 1,440 bits, three times the cost.
-    """
+    t, dvs, dzs = 2 * sv * sz, duals[0], points[0]
+    if len(dvs) == 1:  # one dual at every point
+        t //= dvs[0]
+        duals, dens = list(map(repeat, next(zip(*duals)))), dzs
+    elif len(dzs) == 1:  # every dual at one point
+        t //= dzs[0]
+        points, dens = list(map(repeat, next(zip(*points)))), dvs
+    else:
+        dens = map(mul, dvs, dzs)
     if kind == EUCLIDEAN:
-        dots = _dot(read[1:], map(repeat, form[1]))
-    else:  # the dual's slope on each point's branch, times the point's ints
-        _, default, slopes = form
-        dots = map(mul, map(slopes.get, read[1], repeat(default)), read[2])
-    sv, sz = scale
-    return list(map(mul, dots, map(floordiv, repeat(2 * (sv // form[0]) * sz), read[0])))
+        dots = _dot(duals[1:], points[1:])
+    else:  # each dual's slope on its point's branch, times the point's ints
+        dots = map(mul, map(dict.get, duals[2], points[1], duals[1]), points[2])
+    return list(map(mul, dots, map(floordiv, repeat(t), dens)))
 
 
-def _over(values: Sequence[Scalar]) -> Tuple[int, Tuple[int, ...]]:
-    """(den, ints): exact values as ints over the lcm den of their denominators."""
+def _over(values: Sequence[Scalar]) -> Tuple[int, ...]:
+    """(den, *ints): exact values as ints over the lcm den of their denominators."""
     dens = [v.denominator for v in values]
     den = math.lcm(*dens)
     if den == 1:
-        return 1, tuple([v.numerator for v in values])
-    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
+        return (1, *[v.numerator for v in values])
+    return (den, *[v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
 # The bits that a scale's sv sz may have. An exact single transform query
@@ -629,38 +588,27 @@ def _over(values: Sequence[Scalar]) -> Tuple[int, Tuple[int, ...]]:
 _SCALE_BITS = 4096
 
 
-def _scale(space: SpaceHandle, xds: Iterable[DualVector], zs: Iterable[Point],
-           base: Tuple[int, int] = (1, 1)) -> Optional[Tuple[int, int]]:
-    """The scale (sv, sz) on which the kernel gives 2F of the duals xds at the points zs as ints.
+def _scale(dvs: Iterable[int], dzs: Iterable[int]) -> Optional[Tuple[int, int]]:
+    """The scale (sv, sz) on which the kernel gives 2F of exact duals at exact points as ints.
 
-    sv is the lcm of base[0] and the denominators of the duals' keys, sz
-    of base[1] and the points' coordinates, so 2F sv sz is an int for
-    every dual at every point (2F is bilinear in the key and the point).
-    Potentials count only up to a constant and are linear in the key
-    (Theta(x*) = F + const), so scaling them all by sv sz keeps every
-    formula exact; a value v2 on the scale stands for v2 / (sv sz).
-    None on the hyperboloid, where a dual has no key or a point holds a
-    float, and where sv sz would have more than _SCALE_BITS bits (the
-    lcms stop at the first step past it).
+    sv is the lcm of the keys' denominators dvs and sz of the points'
+    dzs, the first columns of their _duals_ints and _points_ints reads,
+    so 2F sv sz is an int for every dual at every point (2F is bilinear
+    in the key and the point). Potentials count only up to a constant
+    and are linear in the key (Theta(x*) = F + const), so scaling them
+    all by sv sz keeps every formula exact; a value v2 on the scale
+    stands for v2 / (sv sz). None where sv sz would have more than
+    _SCALE_BITS bits (each lcm stops at the first step past them). The
+    callers read only duals with a key and points without a float.
     """
-    if space.kind == HYPERBOLIC:
-        return None
-    sv, sz = base
-    for xd in xds:
-        key = xd.key
-        if key is None:
-            return None
-        if key:
-            sv = math.lcm(sv, *[v.denominator for v in (key if space.kind == EUCLIDEAN else _slopes(key))])
-            if sv.bit_length() > _SCALE_BITS:
+    scale = []
+    for ds in (dvs, dzs):
+        for lcm in accumulate(ds, math.lcm, initial=1):
+            if lcm >> _SCALE_BITS:  # more than _SCALE_BITS bits
                 return None
-    for z in zs:
-        if not is_exact(z.payload):
-            return None
-        sz = math.lcm(sz, *[v.denominator for v in z.payload])
-        if sz.bit_length() > _SCALE_BITS:
-            return None
-    return (sv, sz) if (sv * sz).bit_length() <= _SCALE_BITS else None
+        scale.append(lcm)
+    sv, sz = scale
+    return None if (sv * sz) >> _SCALE_BITS else (sv, sz)
 
 
 def _slopes(key: tuple) -> tuple:

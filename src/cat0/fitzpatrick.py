@@ -27,13 +27,14 @@ give -inf. The sup-form term (_transform2) also serves level_set_report
 and roundtrip_check.
 
 On exact inputs a query runs on one integer scale (cat0.dual._scale):
-the OperatorGraph keeps D_V and D_Z, the lcms of its keys' and its
-points' denominators, its self-potentials as ints over D_V D_Z and its
-keys and points as ints, and a query lcm's them with the denominators
-of q.xd's key, q.x and p into its scale (sv, sz), scaling the kept
-self-potentials to it. The kernel fills
-the columns with ints on that scale, the three term expressions run on
-them unchanged, and each form divides once at the end, reporting
+the OperatorGraph keeps its keys and points as int columns, D_V and
+D_Z, the lcms of their denominators, and its self-potentials as ints
+over D_V D_Z. A query reads q.xd's key and the points q.x and p in the
+same shape, once per form, lcm's their denominators with D_V and D_Z
+into its scale (sv, sz), and scales the kept self-potentials to it.
+The kernel fills the columns with ints on that scale through one
+formula (cat0.dual._scaled2), the three term expressions run on them
+unchanged, and each form divides once at the end, reporting
 Fraction(best2, 2 sv sz): the value and type that half_of(best2) gives
 on Fractions. On the hyperboloid, with a float, or past the kernel's
 cap on the scale's bits, a query runs on floats or on Fractions
@@ -74,7 +75,7 @@ from .conjugate import (
 from .dual import (
     _Potentials,
     _check_space,
-    _key_ints,
+    _duals_ints,
     _points_ints,
     _potentials2_at,
     _potentials2_of,
@@ -82,6 +83,7 @@ from .dual import (
     dual_add,
     dual_scale,
     dual_term,
+    is_exact,
     pair,
 )
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
@@ -169,29 +171,33 @@ class _Query:
     q.x's), so the kernel calls of the query check nothing again: the
     graph's pairs were checked when it was built. The kernel reads the
     graph's points and duals as its frame keeps them (OperatorGraph
-    ._frame). On a scale, q.xd's key is read in ints here, once per
-    form, for the scale and the column, and kept nowhere else.
+    ._frame). On a scale, q.xd's key, q.x and p are read in ints here,
+    once per form, each as a one-item read in columns (cat0.dual
+    ._duals_ints and _points_ints): their denominators, with the graph's
+    D_V and D_Z, give the scale, and the kernel calls read them as they
+    are, the key at the graph's points and the query's own, the graph's
+    duals at each of q.x and p. They are kept nowhere else.
     """
 
-    __slots__ = ("g", "q", "scale", "owns", "form", "xs_read", "xds_read")
+    __slots__ = ("g", "q", "scale", "owns", "xs_read", "xds_read", "form", "at")
 
     def __init__(self, g: OperatorGraph, p: Point, q: PairedPoint):
         for z in (p, q.x):
             _check_space(g.space, z.space)
         base, owns, _, _, xs_read, xds_read = g._frame
-        form = scale = None
-        if base is not None and q.xd.key is not None:
-            form = _key_ints(q.xd)
-            sv = base[0] if form is None else math.lcm(base[0], form[0])
-            scale = _scale(g.space, (), (q.x, p), (sv, base[1]))
+        scale = form = at = None
+        if base is not None and q.xd.key is not None and is_exact(q.x.payload + p.payload):
+            form = _duals_ints(g.space, (q.xd,))
+            at = _points_ints(g.space, (q.x,)), _points_ints(g.space, (p,))
+            scale = _scale((base[0], *form[0]), (base[1], *at[0][0], *at[1][0]))
         if scale is not None:
-            factor = scale[0] // base[0] * (scale[1] // base[1])
-            if factor != 1:
+            if scale != base:  # the graph's self-potentials, on the query's scale
+                factor = scale[0] // base[0] * (scale[1] // base[1])
                 owns = [factor * own for own in owns]
         elif base is not None:  # the graph's ints, as the Fractions they stand for
             owns = [Fraction(own, base[0] * base[1]) for own in owns]
             xs_read = xds_read = None  # on Fractions the kernel reads the pairs themselves
-        self.g, self.q, self.scale, self.owns, self.form = g, q, scale, owns, form
+        self.g, self.q, self.scale, self.owns, self.form, self.at = g, q, scale, owns, form, at
         self.xs_read, self.xds_read = xs_read, xds_read
 
     def half(self, v2: Scalar) -> Scalar:
@@ -201,32 +207,38 @@ class _Query:
         sv, sz = self.scale
         return Fraction(v2, 2 * sv * sz)
 
+    def _ints(self, a: Point) -> tuple:
+        """The read of the query-side point a, q.x or p, on a scale: its ints as one-item columns."""
+        return self.at[0 if a is self.q.x else 1]
+
     def column(self, z: Point, *after: Point) -> List[Scalar]:
         """P_q at z, then at each graph point, then at the points after.
 
-        One kernel call reads the query's own points, then the graph's
-        as its frame keeps them (on the hyperboloid a batch of payloads
-        before the kept one; on a scale q.xd's key ints, and the ints of
-        the query's points before the kept ints, column by column), and
-        the values are put back in column order.
+        One kernel call over the points in that order, the graph's as
+        its frame keeps them between the query's own: on the hyperboloid
+        batches of payloads around the kept one; on a scale q.xd's
+        one-item read against the query's points' ints around the kept
+        ints, column by column.
         """
-        own = [z, *after]
         read = self.xs_read
-        if read is not None:
-            if self.scale is None:
-                read = [[a.payload for a in own], read]
-            elif self.form is not None:  # the zero action reads no point
-                read = self.form, tuple(map(add, _points_ints(self.g.space, own), read))
-            else:
-                read = None, None
-        values = _potentials2_at(self.q.xd, own + list(self.g._frame.xs), self.scale, checked=True, read=read)
-        k = len(own)
-        return [values[0], *values[k:], *values[1:k]]
+        if self.scale is not None:
+            cols = map(add, self._ints(z), read)
+            for a in after:
+                cols = map(add, cols, self._ints(a))
+            read = self.form, list(cols)
+        elif read is not None:
+            read = [[z.payload], read, *[[a.payload] for a in after]]
+        return _potentials2_at(self.q.xd, [z, *self.g._frame.xs, *after], self.scale, checked=True, read=read)
 
     def members(self, *at: Point) -> Iterator[tuple]:
-        """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y."""
-        duals = self.g._frame.xds
-        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True, read=self.xds_read) for a in at))
+        """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y.
+
+        On a scale the kernel reads the graph's duals as the frame keeps
+        them and each point a as its one-item read.
+        """
+        duals, read = self.g._frame.xds, self.xds_read
+        reads = [read] * len(at) if self.scale is None else [(read, self._ints(a)) for a in at]
+        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True, read=r) for a, r in zip(at, reads)))
         return zip(itertools.count(1), columns, self.owns)
 
 

@@ -64,6 +64,7 @@ from .dual import (
     _potential2,
     _potentials2_each,
     _scale,
+    is_exact,
 )
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
@@ -96,7 +97,8 @@ class _Frame(NamedTuple):
     scale: (D_V, D_Z) or None; owns: P_y(y.x) of each pair, aligned
     with the pairs; xs, xds: the pairs' points and duals; xs_read,
     xds_read: the points and the duals as the pairing kernel reads
-    them, or None where it reads xs and xds themselves.
+    them (on a scale their ints in columns, the one read shape of the
+    kernel on a scale), or None where it reads xs and xds themselves.
     """
 
     scale: Optional[Tuple[int, int]]
@@ -133,9 +135,10 @@ class OperatorGraph:
         The graph's inputs as the pairing kernel reads them, not values
         of a query, so no value is shared between forms or calls:
 
-        * scale: (D_V, D_Z), the lcms of the denominators of the keys
-          and of the points (cat0.dual._scale); None on the hyperboloid,
-          with a float and past the scale's cap;
+        * scale: (D_V, D_Z), the lcms of the denominator columns of the
+          int reads below (cat0.dual._scale); None on the hyperboloid,
+          where a dual has no key or a point holds a float, and past
+          the scale's cap;
         * owns: P_y(y.x) of each pair y, aligned with pairs, an int over
           D_V D_Z on a scale;
         * xs, xds: the pairs' points and duals, which every query
@@ -152,25 +155,26 @@ class OperatorGraph:
         * on a scale, xs_read holds the points' coordinates as ints
           over each point's own denominator (cat0.dual._points_ints)
           and xds_read the duals' keys as ints over each key's own
-          (cat0.dual._duals_ints), both in columns, so a query reads no
-          coordinate's numerator and denominator again, and keeps
-          nothing on its own dual;
+          (cat0.dual._duals_ints), both in columns: the keys and points
+          are read once, for the scale and for owns, which come from
+          one _potentials2_each call (cat0.dual._scaled2), and a query
+          reads no coordinate's numerator and denominator again;
         * otherwise both are None and owns are computed as any
           potential is.
         """
         xds = tuple(q.xd for q in self.pairs)
         xs = tuple(q.x for q in self.pairs)
-        kind = self.space.kind
-        if kind == HYPERBOLIC:
+        if self.space.kind == HYPERBOLIC:
             ends = _Ends(xds, keep=True)
-            owns = _potentials2_each(xds, xs, read=ends)
+            owns = _potentials2_each(xds, xs, ends)
             return _Frame(None, tuple(owns), xs, xds, _Blocks([x.payload for x in xs]), ends)
-        scale = _scale(self.space, xds, xs)
-        if scale is None:
-            return _Frame(None, tuple(_potential2(xd, x) for xd, x in zip(xds, xs)), xs, xds, None, None)
-        duals, points = _duals_ints(self.space, xds), _points_ints(self.space, xs)
-        owns = _potentials2_each(xds, xs, scale, (duals, points))
-        return _Frame(scale, tuple(owns), xs, xds, points, duals)
+        if all(xd.key is not None for xd in xds) and all(is_exact(x.payload) for x in xs):
+            duals, points = _duals_ints(self.space, xds), _points_ints(self.space, xs)
+            scale = _scale(duals[0], points[0])
+            if scale is not None:
+                owns = _potentials2_each(xds, xs, (duals, points), scale)
+                return _Frame(scale, tuple(owns), xs, xds, points, duals)
+        return _Frame(None, tuple(_potential2(xd, x) for xd, x in zip(xds, xs)), xs, xds, None, None)
 
     @cached_property
     def _listed(self) -> _PairSet:

@@ -280,7 +280,10 @@ def distance(x: Point, y: Point) -> Scalar:
     if x == y:
         return 0
     if space.kind == EUCLIDEAN:
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x.payload, y.payload)))
+        try:
+            return math.sqrt(sum((a - b) ** 2 for a, b in zip(x.payload, y.payload)))
+        except OverflowError:  # the square past float range, not always the distance
+            return math.hypot(*(a - b for a, b in zip(x.payload, y.payload)))
     if space.kind == RTREE:
         n, t = x.payload
         m, s = y.payload

@@ -508,6 +508,26 @@ def test_exact_far_hyperbolic_point_has_a_distance(tmp_path):
     assert res.stdout == '{\n  "value": 921.034037198\n}\n'
 
 
+_E1 = {"kind": "euclidean", "dim": 1}
+_FAR_DUAL = {"terms": [{"coeff": "1e400", "a": [0], "b": [1]}]}  # exact, past float range
+
+
+@pytest.mark.parametrize("command, inst", [
+    ("distance", {"space": _E1, "x": ["1e400"], "y": [0]}),
+    ("pair", {"space": _E1, "xd": _FAR_DUAL, "x": [0.0], "y": [1.0]}),
+    ("fitz", {"space": _E1, "graph": {"pairs": [{"x": [0.5], "xd": _FAR_DUAL}]},
+              "p": [0], "query": {"x": [1], "xd": {"terms": []}}}),
+    ("monotone-check", {"space": _E1, "pairs": [{"x": [0.5], "xd": _FAR_DUAL},
+                                                {"x": [0], "xd": {"terms": []}}]}),
+], ids=["distance", "pair", "fitz", "monotone-check"])
+def test_a_value_past_float_range_is_an_input_error(tmp_path, capsys, command, inst):
+    # a float formed from an exact input too large for one
+    assert cli.main([command, write(tmp_path, "far.json", inst)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_space_mismatch_between_universe_and_instance(tmp_path):
     upath = write(tmp_path, "u.json", {
         "space": {"kind": "rtree"},

@@ -42,7 +42,17 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
-from cat0.dual import _Potentials, _combined_key, _potential2, _potentials2_at, _potentials2_of
+from cat0.dual import (
+    _duals_ints,
+    _points_ints,
+    _Potentials,
+    _combined_key,
+    _potential2,
+    _potentials2_at,
+    _potentials2_each,
+    _potentials2_of,
+    _scale,
+)
 from cat0.spaces import ACOSH_SLACK, _BLOCK, BoundVector, dist_sq
 from conftest import euclid_points, rtree_points, small_fractions
 from helpers import bound_vectors_between, chain_split_check, count_dist_sq, hilbert_inner
@@ -655,6 +665,70 @@ def test_hyperbolic_guards_hold_through_the_batch():
         _potentials2_at(xd, [o] * _BLOCK + [off_sheet])
     with pytest.raises(PointValidationError, match=message):
         _potentials2_of([xd, dual_term(1.0, off_sheet, x)], o)
+
+
+# ---------------------------------------------------------------------------
+# the kernel on an integer scale
+
+
+@st.composite
+def _scaled_instance(draw, kind):
+    """(duals, points), as many of each, exact, the coefficients over larger denominators than the coordinates.
+
+    Coordinates over 1, 2 or 3 and coefficients over 1, 5, 7 or 35, or
+    ints alone; zero duals, stalled terms and zero actions among the
+    duals, whose endpoints are drawn from the points and a few more.
+    """
+    ints = draw(st.booleans())
+
+    def number(dens, lo=-6, hi=6):
+        d = draw(st.sampled_from((1,) if ints else dens))
+        v = Fraction(draw(st.integers(lo * d, hi * d)), d)
+        return int(v) if v.denominator == 1 and draw(st.booleans()) else v
+
+    space = euclidean(2) if kind == "euclidean" else rtree()
+
+    def point():
+        if kind == "euclidean":
+            return make_point(space, (number((1, 2, 3)), number((1, 2, 3))))
+        return make_point(space, (draw(st.integers(1, 4)), number((1, 2, 3, 6), 0, 1)))
+
+    zs = [point() for _ in range(draw(st.integers(1, 5)))]
+    ends = st.sampled_from(zs + [point() for _ in range(draw(st.integers(0, 2)))])
+    duals = []
+    for _ in zs:
+        terms = [(number((1, 5, 7, 35)), BoundVector(draw(ends), draw(ends)))
+                 for _ in range(draw(st.integers(0, 3)))]
+        how = draw(st.sampled_from(("plain", "stalled", "zero_action")))
+        if how == "stalled":
+            a = draw(ends)
+            terms.append((number((1, 5, 7, 35)), BoundVector(a, a)))
+        elif how == "zero_action":
+            terms += [(c, BoundVector(bv.head, bv.tail)) for c, bv in terms]
+        duals.append(dual_vector(terms))
+    return duals, zs
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree"])
+@given(data=st.data())
+def test_the_kernel_on_a_scale_gives_the_potentials_times_the_scale(kind, data):
+    # each kernel function on the scale (sv, sz) of its duals and points,
+    # reading them as int columns, one side a one-item read where it
+    # holds one: 2F sv sz of each dual at each point, as ints,
+    # _potential2's value times sv sz exactly
+    xds, zs = data.draw(_scaled_instance(kind))
+    duals, points = _duals_ints(zs[0].space, xds), _points_ints(zs[0].space, zs)
+    scale = _scale(duals[0], points[0])
+    sv, sz = scale
+    want = [[_potential2(xd, z) * sv * sz for z in zs] for xd in xds]
+    for i, (xd, row) in enumerate(zip(xds, want)):
+        got = _potentials2_at(xd, zs, scale, read=([col[i:i + 1] for col in duals], points))
+        assert got == row and all(type(v) is int for v in got)
+    for j, z in enumerate(zs):
+        got = _potentials2_of(xds, z, scale, read=(duals, [col[j:j + 1] for col in points]))
+        assert got == [row[j] for row in want] and all(type(v) is int for v in got)
+    got = _potentials2_each(xds, zs, (duals, points), scale)
+    assert got == [row[j] for j, row in enumerate(want)] and all(type(v) is int for v in got)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from cat0 import (
     worked_examples,
     zero_dual,
 )
-from cat0.dual import _scale
+from cat0.dual import _duals_ints, _points_ints, _scale
 from cat0.geometry import half_of, quasilinearization
 from cat0.spaces import _BLOCK, _SHORT, BoundVector
 from conftest import rtree_points, small_fractions
@@ -380,6 +380,11 @@ def _exact_query(draw, kind, past_cap):
     return pairs, p, q
 
 
+def _scale_of(space, duals, points):
+    """The scale of exact duals and points, from their int columns as the kernel reads them."""
+    return _scale(_duals_ints(space, duals)[0], _points_ints(space, points)[0])
+
+
 @pytest.mark.parametrize("past_cap", [False, True], ids=["under-cap", "past-cap"])
 @pytest.mark.parametrize("kind", ["euclidean", "rtree"])
 @given(data=st.data())
@@ -390,7 +395,7 @@ def test_exact_queries_give_the_same_reprs_on_both_paths(kind, past_cap, data):
     # four-distance reference
     pairs, p, q = data.draw(_exact_query(kind, past_cap))
     duals, points = [y.xd for y in pairs] + [q.xd], [y.x for y in pairs] + [q.x, p]
-    assert (_scale(p.space, duals, points) is None) == past_cap
+    assert (_scale_of(p.space, duals, points) is None) == past_cap
     forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
     scaled = [repr(form(OperatorGraph(p.space, pairs), p, q)) for form in forms]
     with mock.patch.object(cat0.dual, "_SCALE_BITS", 0):
@@ -594,8 +599,8 @@ def test_a_query_past_the_scale_cap_counts_as_on_integers(monkeypatch):
     _, (g, p, q, _, _), _ = _single_query_instances()
     far = make_point(g.space, (2, Fraction(1, 2**5000 + 1)))
     duals, points = [y.xd for y in g.pairs] + [q.xd], [y.x for y in g.pairs] + [q.x]
-    assert _scale(g.space, duals, points + [p]) is not None
-    assert _scale(g.space, duals, points + [far]) is None
+    assert _scale_of(g.space, duals, points + [p]) is not None
+    assert _scale_of(g.space, duals, points + [far]) is None
     n = len(g.pairs)
     for basepoint in (p, far):
         fresh = OperatorGraph(g.space, g.pairs)

@@ -110,6 +110,18 @@ def test_exact_far_hyperboloid_points_have_a_distance():
     assert _hyperbolic_dists_sq(batch, apex.payload) == [dist_sq(x, apex), 0] * _BLOCK
 
 
+@pytest.mark.parametrize("x, y, want", [
+    ((1e200,), (0,), 1e200),
+    ((1e200, 0.0), (0, 0.5), math.hypot(1e200, 0.5)),
+    ((10 ** 200, Fraction(1, 3)), (0, 0), 1e200),
+])
+def test_far_euclidean_points_have_a_distance(x, y, want):
+    # the squared distance is past float range, the distance is not
+    space = euclidean(len(x))
+    a, b = make_point(space, x), make_point(space, y)
+    assert distance(a, b) == distance(b, a) == want
+
+
 def _rational_sheet_point(u):
     """(2u, 1 + |u|^2) / (1 - |u|^2): an exact hyperboloid payload for rational u, |u| < 1."""
     s = sum(v * v for v in u)
