@@ -51,6 +51,7 @@ from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
 from .dual import (
     DualVector,
     _Potentials,
+    _check_space,
     _combined_key,
     _potential2,
     dual_add,
@@ -170,8 +171,9 @@ class FunctionTable:
     equals a listed pair as _PairSet compares them: by key on exact
     inputs, within the space's default_tol by point and dual action
     otherwise, so a value never depends on how the dual is written. No
-    two listed pairs may be equal. Their index, _listed, is built once
-    with the table; every check reads it with its own tol.
+    two listed pairs may be equal, and every one lies in p's space. Their
+    index, _listed, is built once with the table; every check reads it
+    with its own tol.
     """
 
     p: Point
@@ -179,6 +181,7 @@ class FunctionTable:
 
     def __post_init__(self):
         for i, q in enumerate(self.domain):
+            _check_space(self.p.space, q.x.space)
             j = self._listed.find(q)
             if j != i:
                 raise GeometryError(f"entry {i} repeats entry {j}")
@@ -257,7 +260,13 @@ def fenchel_conjugate_p(
 
 
 def _values(h: FunctionTable, pairs: Sequence[PairedPoint], tol: Optional[float] = None) -> list:
-    """h at each pair, matched within tol (+inf where none matches); -inf raises."""
+    """h at each pair, matched within tol (+inf where none matches); -inf raises.
+
+    A pair from another space than h's basepoint raises: it would match
+    no entry and be read as +inf.
+    """
+    for q in pairs:
+        _check_space(h.p.space, q.x.space)
     found = (h._listed.find(q, tol) for q in pairs)
     values = [POS_INF if i is None else h.entries[i][1] for i in found]
     if any(v.is_neg_inf for v in values):

@@ -8,28 +8,28 @@ on a bound vector ab-> by
 
 where w_x, the net weight at x, is the sum of the coefficients of the
 terms with tail x minus those of the terms with head x. Every action is
-computed from 2F as the pairing kernel gives it: _potentials2_at (one
-dual at a sequence of points), _potentials2_of (a sequence of duals at
-one point) and _potential2, the one-point case, and _potentials2_each
-(each dual at its own point, for a graph's self-potentials). A kernel
-call checks the spaces in one pass, unless its caller has checked them
-(the single transform queries, whose graph checked its pairs when it
-was built), and reads once what its values share: the point's payload
-and exactness, or the dual's key or term payloads. What it reads of an
-OperatorGraph's own duals and points, the single queries pass as the
-graph keeps it (read; see OperatorGraph._frame); on the hyperboloid
-every other call builds it, and on an integer scale (below) every call
-is passed its reads. On the hyperboloid every squared distance comes
-from cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
+computed from 2F as the pairing kernel gives it, in one call,
+_potentials2(xds, zs): the j-th dual at the j-th point, a side of one
+item standing for it at every position, so one dual at a sequence of
+points, a sequence of duals at one point and each dual at its own point
+(a graph's self-potentials) are one function; _potential2 is its
+one-value path. A call reads its inputs once, in one shape on every
+space: (the duals' read, a list of batches of the points' reads),
+built by _reads. An OperatorGraph keeps its own pairs' read
+(OperatorGraph._frame), a single query reads its dual, q.x and p, and
+a call without read (a sweep, pair) reads the duals and points
+themselves. The kernel checks no space, as its callers have. On the
+hyperboloid every squared distance comes from
+cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
 kernel calls it in batches, which it forms in blocks of coordinate
-columns, once per distinct term endpoint of a sequence of duals
-(_Ends), and assembles the potentials with map() over the terms'
-columns, each one sum() over its dual's terms in term order, so no
-value depends on the batching. Every
-formula reads the values it needs through one reader, getitem on a
-dual's values: a column of a single query, by point position, or a row
-of the potential table of a whole-set sweep (_Potentials), keyed by
-point number and holding the values the kernel computed for the sweep.
+columns, once per distinct term endpoint of its duals (_Ends), and
+assembles the potentials with map() over the terms' columns, each one
+sum() over its dual's terms in term order, so no value depends on the
+batching. Every formula reads the values it needs through one reader,
+getitem on a dual's values: a column of a single query, by point
+position, or a row of the potential table of a whole-set sweep
+(_Potentials), keyed by point number and holding the values the kernel
+computed for the sweep.
 
 Every formula reads a dual's potential only as a difference of two of
 that dual's own values, so F matters only up to a constant, as the
@@ -56,7 +56,8 @@ columns (_duals_ints, _points_ints); sv and sz are the lcms of their
 denominator columns. Called with the scale, the kernel gives these ints
 through one elementwise formula, _scaled2: the dot product of a key's
 ints and a point's ints times 2 sv sz / (dv dz), a one-item read of a
-dual or a point standing for it at every position. Potentials count
+dual or a point standing for it at every position, the batches of the
+points' reads concatenated column by column. Potentials count
 only up to a constant and are linear in the key, so scaling them all by
 one positive int keeps every formula exact: a formula sums ints, and
 its value is divided by sv sz once, when it is reported (see
@@ -293,20 +294,18 @@ def _combined_key(space: SpaceHandle, lam: Scalar, a: tuple, b: tuple) -> tuple:
 def _potential2(xd: DualVector, z: Point) -> Scalar:
     """2F(z) = sum_i c_i (d(t_i, z)^2 - d(h_i, z)^2) of the dual xd = sum_i c_i [t_i h_i->].
 
-    The one-point case of the pairing kernel, _potentials2_of,
-    _potentials2_at and _potentials2_each, which are the only code that
-    computes a dual's action. That is F up to a constant, which every
-    pairing cancels. A dual with an exact key is read from it at every
-    point (see _form2): 2 <v, z> in Euclidean space, 2 slope_k s on the
-    tree, in exact arithmetic at exact points and in floats elsewhere.
-    Other duals take the sum of squared distances above; on the
-    hyperboloid the kernel computes them in batches, by
-    cat0.spaces._hyperbolic_dists_sq: one call over the distinct term
-    endpoints of a _potentials2_of call (_Ends, _hyperbolic2), two per
-    term and batch of points for _potentials2_at, one elementwise call
-    for _potentials2_each. Each value is one sum() over its dual's terms
-    in term order, as here. A nonzero dual at a
-    point from another space raises; a zero dual is 0 at every point.
+    The one-value path of the pairing kernel, _potentials2, which with
+    it is the only code that computes a dual's action: the same
+    formulas, without the kernel's shapes and reads. That is F up to a
+    constant, which every pairing cancels. A dual with an exact key is
+    read from it at every point (see _value2): 2 <v, z> in Euclidean
+    space, 2 slope_k s on the tree, in exact arithmetic at exact points
+    and in floats elsewhere. Other duals take the sum of squared
+    distances above, on the hyperboloid from
+    cat0.spaces._hyperbolic_dists_sq over the dual's distinct term
+    endpoints (_hyperbolic2), one sum() over the terms in term order,
+    as in every kernel value. It checks its own pair: a nonzero dual at
+    a point from another space raises; a zero dual is 0 at every point.
 
     Formulas in doubled potentials take (point, dual) handles and a
     reader P(dual, point) = 2F: _potential2 itself on (Point,
@@ -316,158 +315,141 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     fills in one call for a single transform query, by point position
     (see cat0.fitzpatrick). A graph member's handle also carries its own
     doubled potential P_y(y.x): kept by the OperatorGraph for a single
-    query (OperatorGraph._frame, from one _potentials2_each call), read
+    query (OperatorGraph._frame, from one elementwise kernel call), read
     from its row for a sweep (_Potentials.members).
     """
-    return _potentials2_of((xd,), z)[0]
+    space = xd.space
+    if space is None:
+        return 0
+    _check_space(space, z.space)
+    if space.kind == HYPERBOLIC:
+        return _hyperbolic2((xd,), (z,), None)[0]
+    return _value2(space.kind, xd, z)
 
 
-# What the kernel reads of its duals and points, passed as read; an
-# OperatorGraph's frame keeps its own duals' and points' (OperatorGraph
-# ._frame):
-# * on the hyperboloid, a sequence of duals as its _Ends, and the points
-#   one dual meets as a list of payload batches, each a list or a kept
-#   spaces._Blocks, which concatenate to the points of the call; a call
-#   without read (a sweep, pair) builds them;
-# * on a scale, duals as their keys in ints (_duals_ints) and points as
-#   their coordinates in ints (_points_ints), both in columns, a side
-#   that holds one dual or one point as a one-item read: every call on a
-#   scale is passed them (a single query reads its own dual and points
-#   once per form, see cat0.fitzpatrick).
+def _potentials2(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
+                 read=None) -> List[Scalar]:
+    """2F of the j-th dual of xds at the j-th point of zs, in order, a side of one item standing for it at every position (see _potential2).
+
+    So one dual at a sequence of points (1 x n, a query's column), a
+    sequence of duals at one point (n x 1, a member column or a table's
+    rows at one point), each dual at its own point (n x n, a graph's
+    self-potentials) and one dual at one point. read is what the call
+    reads of its inputs, in one shape on every space: (the duals' read,
+    a list of batches of the points' reads, which concatenate to zs),
+    from _reads; with read None the kernel reads xds and zs themselves.
+
+    * On a scale (sv, sz) (see _scale) read is given: the _duals_ints of
+      xds and the _points_ints of each batch, whose columns concatenate
+      column by column, and _scaled2 gives the ints 2F sv sz once.
+    * On the hyperboloid read holds the duals' _Ends and a spaces
+      ._Blocks per batch (_hyperbolic2).
+    * Otherwise each value is _value2's: from the dual's key, or the
+      sum of squared distances.
+
+    The kernel checks no space: _potential2 checks its own pair, a
+    _Potentials table rejects a point from another space and every
+    row's dual belongs to a pair at one of its points, a graph checked
+    its pairs when it was built, and a single query checks p and q.x.
+    """
+    if not zs or len(xds) == 1 and not xds[0].terms:  # the zero dual is 0 at every point
+        return [0] * len(zs)
+    kind = zs[0].space.kind
+    if scale is not None:
+        duals, batches = read
+        return _scaled2(kind, duals, list(reduce(partial(map, add), batches)), scale)
+    if kind == HYPERBOLIC:
+        return _hyperbolic2(xds, zs, read)
+    if len(xds) == 1:
+        xds = repeat(xds[0])
+    elif len(zs) == 1:
+        zs = repeat(zs[0])
+    return list(map(_value2, repeat(kind), xds, zs))
+
+
+def _reads(space: SpaceHandle, base: Optional[Tuple[int, int]], xds: Sequence[DualVector],
+           *batches: Sequence[Point]) -> tuple:
+    """(scale, read): the duals xds and each batch of points as _potentials2 reads them.
+
+    * On the hyperboloid: (None, (the _Ends of xds, [a spaces._Blocks
+      of each batch's payloads])), so a column of xds computes one
+      squared distance per distinct term endpoint, and a column of one
+      dual at the batches reads their kept coordinate columns.
+    * Where every dual has a key and every point is exact: (the scale
+      (sv, sz) of _scale over base's denominators and the reads', and
+      (the _duals_ints of xds, [the _points_ints of each batch])), ints
+      over each key's and each point's own denominator, in columns.
+    * Otherwise, and past the scale's cap: (None, None).
+
+    An OperatorGraph's frame reads its pairs once, from base (1, 1)
+    (OperatorGraph._frame); a single query reads its dual with q.x and
+    p as two batches, from the graph's scale (cat0.fitzpatrick._Query).
+    """
+    if space.kind == HYPERBOLIC:
+        return None, (_Ends(xds), [_Blocks([z.payload for z in zs]) for zs in batches])
+    if None not in [xd.key for xd in xds] and is_exact(chain.from_iterable([z.payload for zs in batches for z in zs])):
+        duals, points = _duals_ints(space, xds), [_points_ints(space, zs) for zs in batches]
+        scale = _scale((base[0], *duals[0]), (base[1], *chain.from_iterable([read[0] for read in points])))
+        if scale is not None:
+            return scale, (duals, points)
+    return None, None
 
 
 class _Ends:
     """The term endpoints of a sequence of hyperboloid duals, as _hyperbolic2 reads them.
 
-    payloads: the distinct endpoint payloads, in order of first
-    appearance (payloads that are equal and hold coordinates of the same
-    types are one: their squared distances have the same bits); points:
-    the same, as a spaces._Blocks where a graph's frame keeps them;
-    index: the positions among them of each term's tail, then its head,
-    in term order, as an array of 4-byte ints (a list would take 8 bytes
-    an entry and an int object per position); coeffs: the terms'
+    points: the distinct endpoint payloads, in order of first
+    appearance, kept with their coordinate columns as a spaces._Blocks
+    (payloads that are equal and hold coordinates of the same types are
+    one: their squared distances have the same bits); index: the
+    positions among them of each term's tail, then its head, in term
+    order, as an array of 4-byte ints (a list would take 8 bytes an
+    entry and an int object per position); coeffs: the terms'
     coefficients in term order; counts: each dual's number of terms, or
     None where every dual has one.
     """
 
-    __slots__ = ("payloads", "points", "index", "coeffs", "counts")
+    __slots__ = ("points", "index", "coeffs", "counts")
 
-    def __init__(self, xds: Sequence[DualVector], keep: bool = False):
+    def __init__(self, xds: Sequence[DualVector]):
         at: Dict[tuple, int] = {}
         index = [at.setdefault((p, *map(type, p)), len(at))
                  for xd in xds for _, bv in xd.terms for p in (bv.tail.payload, bv.head.payload)]
-        self.payloads = [key[0] for key in at]
-        self.points = _Blocks(self.payloads) if keep else self.payloads
+        self.points = _Blocks([key[0] for key in at])
         self.index = array('i', index)
         self.coeffs = [c for xd in xds for c, _ in xd.terms]
         counts = [len(xd.terms) for xd in xds]
         self.counts = None if counts.count(1) == len(counts) else counts
 
 
-def _potentials2_of(xds: Sequence[DualVector], z: Point, scale: Optional[Tuple[int, int]] = None,
-                    checked: bool = False, read=None) -> List[Scalar]:
-    """2F of each dual of xds at the one point z, in order (see _potential2).
+def _hyperbolic2(xds: Sequence[DualVector], zs: Sequence[Point], read) -> List[Scalar]:
+    """_potentials2 on the hyperboloid, from read, or from the _Ends of xds and one batch of zs when None.
 
-    The point is read once per call: its space and kind, its payload and
-    whether it is exact. On the hyperboloid one batched call gives the
-    squared distances from every distinct term endpoint of xds to it,
-    from read, the _Ends of xds, kept by a graph's frame or built here
-    when None. On a scale (sv, sz) (see _scale) the values are the ints
-    2F sv sz of _scaled2, and read is the _duals_ints of xds with the
-    _points_ints of z. checked: the caller has checked that
-    the duals lie in z's space (a graph's duals, for a point checked
-    against the graph's space), so the call does not check them again.
+    Every dual at one point: one _hyperbolic_dists_sq call from the
+    distinct endpoints to it, and ends.index gathers each term's tail
+    and head from them. Each dual at its own point: one elementwise
+    call, from every term's tail, then its head, to its dual's point.
+    One dual at several points: one call per distinct endpoint, over
+    every batch of the points, and a column c_i (d(t_i)^2 - d(h_i)^2)
+    per term. Each value is one sum() over its dual's terms in term
+    order: from Python 3.12 on sum() compensates float rounding, so a
+    running total could differ from it. Duals of one term each take the
+    sum() of a 1-tuple, and one dual the whole column, which spares the
+    islice that splits it among several.
     """
-    space, zp = z.space, z.payload
-    if not checked:
-        for xd in xds:
-            if xd.terms:
-                _check_space(xd.space, space)
-    kind = space.kind
-    if kind == HYPERBOLIC:
-        return _hyperbolic2(_Ends(xds) if read is None else read, zp)
-    if scale is not None:
-        return _scaled2(kind, *read, scale)
-    exact = is_exact(zp)
-    return [_sum2(xd.terms, z) if xd.key is None else _form2(kind, xd.key, zp, exact) for xd in xds]
-
-
-def _potentials2_at(xd: DualVector, zs: Sequence[Point], scale: Optional[Tuple[int, int]] = None,
-                    checked: bool = False, read=None) -> List[Scalar]:
-    """2F of the dual xd at each point of zs, in order (see _potential2).
-
-    The dual is read once per call: its space and kind, its key, and on
-    the hyperboloid its terms' payloads (two batched calls per term and
-    batch of points give the squared distances from its tail and its
-    head to every point), with read the batches of the payloads of zs,
-    a graph's frame keeping its own, or one batch built here when None.
-    On a scale (sv, sz) the values are the ints 2F sv sz of _scaled2,
-    and read is the _duals_ints of xd with the _points_ints of zs.
-    checked: the caller has checked that the points lie in the dual's
-    space, as for a graph's points and a query checked against it.
-    """
-    space = xd.space
-    if space is None:
-        return [0] * len(zs)
-    if not checked:
-        for z in zs:
-            _check_space(space, z.space)
-    kind = space.kind
-    if kind == HYPERBOLIC:  # a column c_i (d(t_i, z)^2 - d(h_i, z)^2) per term, one sum() per point
-        batches = [_Blocks([z.payload for z in zs])] if read is None else read
-
-        def dists(y):
-            return chain.from_iterable(map(_hyperbolic_dists_sq, batches, repeat(y)))
-
-        cols = [map(mul, repeat(c), map(sub, dists(bv.tail.payload), dists(bv.head.payload)))
-                for c, bv in xd.terms]
-        return list(map(sum, zip(*cols)))
-    if scale is not None:
-        return _scaled2(kind, *read, scale)
-    key = xd.key
-    if key is None:
-        return [_sum2(xd.terms, z) for z in zs]
-    return [_form2(kind, key, z.payload, is_exact(z.payload)) for z in zs]
-
-
-def _potentials2_each(xds: Sequence[DualVector], zs: Sequence[Point], read,
-                      scale: Optional[Tuple[int, int]] = None) -> List[Scalar]:
-    """2F of each dual of xds at its own point of zs, in order: a graph's self-potentials (see _potential2).
-
-    On the hyperboloid one elementwise _hyperbolic_dists_sq call gives
-    the squared distance from every term endpoint to its dual's point,
-    and read is the duals' _Ends. Elsewhere the pairs are exact and on
-    the scale (sv, sz), read is (_duals_ints, _points_ints) of the
-    pairs, and the values are the ints of _scaled2. The caller, the
-    frame of a graph (OperatorGraph._frame), keeps the reads and has
-    checked the spaces.
-    """
-    if not zs:
-        return []
-    kind = zs[0].space.kind
-    if kind == HYPERBOLIC:
-        partners = [z.payload for n, z in zip(read.counts or repeat(1), zs) for _ in range(2 * n)]
-        return _hyperbolic2(read, partners, each=True)
-    return _scaled2(kind, *read, scale)
-
-
-def _hyperbolic2(ends: _Ends, y, each: bool = False) -> List[Scalar]:
-    """2F of each hyperboloid dual at the payload y, or with each at its partners y, from the duals' _Ends.
-
-    One _hyperbolic_dists_sq call gives the squared distance from every
-    distinct endpoint to y, and ends.index gathers each term's tail and
-    head from them; with each, from every term's tail, then its head,
-    to its own partner. Each value is one sum() over its dual's terms
-    c_i (d(t_i)^2 - d(h_i)^2), in term order: from Python 3.12 on sum()
-    compensates float rounding, so a running total could differ from
-    it. Duals of one term each take the sum() of a 1-tuple, and one
-    dual the whole column, which spares the islice that splits it among
-    several.
-    """
-    if each:
-        d2 = iter(_hyperbolic_dists_sq(list(map(ends.payloads.__getitem__, ends.index)), y, each))
+    ends, batches = read or (_Ends(xds), None)
+    if len(zs) == 1:
+        d2 = map(_hyperbolic_dists_sq(ends.points, zs[0].payload).__getitem__, ends.index)
+    elif len(xds) > 1:
+        partners = [z.payload for n, z in zip(ends.counts or repeat(1), zs) for _ in range(2 * n)]
+        d2 = iter(_hyperbolic_dists_sq(list(map(ends.points.payloads.__getitem__, ends.index)), partners, True))
     else:
-        d2 = map(_hyperbolic_dists_sq(ends.points, y).__getitem__, ends.index)
+        batches = batches or [_Blocks([z.payload for z in zs])]
+        at = [list(chain.from_iterable(map(_hyperbolic_dists_sq, batches, repeat(y))))
+              for y in ends.points.payloads]
+        ts = iter(ends.index)  # each term's tail, then its head
+        cols = [map(mul, repeat(c), map(sub, at[t], at[h])) for c, t, h in zip(ends.coeffs, ts, ts)]
+        return list(map(sum, zip(*cols)))
     products = map(mul, ends.coeffs, map(sub, d2, d2))
     if ends.counts is None:  # one term a dual: the sum() of its one product
         return list(map(sum, zip(products)))
@@ -481,25 +463,25 @@ def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
         raise SpaceMismatchError(f"points live in different spaces: {dual_space} vs {point_space}")
 
 
-def _sum2(terms, z: Point) -> Scalar:
-    """2F at z as the sum of squared distances, for a dual without a key off the hyperboloid."""
-    return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in terms)
+def _value2(kind: str, xd: DualVector, z: Point) -> Scalar:
+    """2F(z) of a dual off the hyperboloid: from its exact key where it has one, else the sum of squared distances.
 
-
-def _form2(kind: str, key: tuple, zp: tuple, exact: bool) -> Scalar:
-    """2F at the payload zp of a dual whose exact key is key (see DualVector.key).
-
-    2 <v, z> in Euclidean space, 2 slope_k s at z = (k, s) on the tree:
-    exact when zp is, in floats otherwise. 0 for the zero action.
+    From the key (see DualVector.key): 2 <v, z> in Euclidean space,
+    2 slope_k s at z = (k, s) on the tree, exact when z is and in floats
+    otherwise; 0 for the zero action.
     """
+    key = xd.key
+    if key is None:
+        return sum(c * (dist_sq(bv.tail, z) - dist_sq(bv.head, z)) for c, bv in xd.terms)
     if not key:
         return 0
+    zp = z.payload
     if kind == EUCLIDEAN:
         vs, xs = key, zp
     else:
         default, branches = key
         vs, xs = (next((v for k, v in branches if k == zp[0]), default),), zp[1:]
-    if exact:
+    if is_exact(zp):
         return _affine2(vs, xs)
     return 2 * sum([float(v) * x for v, x in zip(vs, xs)])
 
@@ -530,7 +512,7 @@ def _points_ints(space: SpaceHandle, zs: Sequence[Point]) -> tuple:
     (dzs, column of the first coordinates' ints, ..., column of the
     last) in Euclidean space, (dzs, branches, ints) at z = (k, s) on
     the tree, s = int / dz. Two reads concatenate column by column (see
-    _Query.column in cat0.fitzpatrick).
+    _potentials2).
     """
     if space.kind == EUCLIDEAN:
         return tuple(zip(*[_over(z.payload) for z in zs])) or ((),) * (space.dim + 1)
@@ -655,8 +637,9 @@ class _Potentials:
 
     A value is computed once, by the kernel call that fills it, when the
     step that reads it is reached: fill() fills rows at points, one
-    _potentials2_at call per row, and fill_at() fills rows at one point
-    with one _potentials2_of call; each skips what a row already holds.
+    _potentials2 call of one dual at several points per row, and
+    fill_at() fills rows at one point with one call of several duals at
+    it; each skips what a row already holds.
     A row holds exactly the values computed for it, so the call
     evaluates exactly the potentials it reads. The first point numbered
     fixes the space: a point from another space raises, as a pairing
@@ -709,18 +692,18 @@ class _Potentials:
         return [row[z] for z, row in handles]
 
     def fill(self, rows: Iterable[_Row], zs: Sequence[int]) -> None:
-        """Fill each row at the points zs where it holds nothing, one _potentials2_at call a row."""
+        """Fill each row at the points zs where it holds nothing, one kernel call a row."""
         zs = list(dict.fromkeys(zs))
         for row in {id(row): row for row in rows}.values():
             need = [z for z in zs if z not in row]
             if need:
-                row.update(zip(need, _potentials2_at(row.dual, [self._points[z] for z in need])))
+                row.update(zip(need, _potentials2((row.dual,), [self._points[z] for z in need])))
 
     def fill_at(self, rows: Iterable[_Row], z: int) -> None:
-        """Fill each row at the point z if it holds nothing there: one _potentials2_of call."""
+        """Fill each row at the point z if it holds nothing there: one kernel call."""
         need = list({id(row): row for row in rows if z not in row}.values())
         if need:
-            for row, v in zip(need, _potentials2_of([row.dual for row in need], self._points[z])):
+            for row, v in zip(need, _potentials2([row.dual for row in need], (self._points[z],))):
                 row[z] = v
 
     def pairs(self, a: tuple, bs: Iterable[tuple]) -> Iterator[Tuple[tuple, tuple]]:

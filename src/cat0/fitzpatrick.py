@@ -60,7 +60,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, getitem
+from operator import getitem
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjugate import (
@@ -75,15 +75,11 @@ from .conjugate import (
 from .dual import (
     _Potentials,
     _check_space,
-    _duals_ints,
-    _points_ints,
-    _potentials2_at,
-    _potentials2_of,
-    _scale,
+    _potentials2,
+    _reads,
     dual_add,
     dual_scale,
     dual_term,
-    is_exact,
     pair,
 )
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
@@ -170,35 +166,33 @@ class _Query:
     p and q.x are checked against the graph's space here (q.xd lies in
     q.x's), so the kernel calls of the query check nothing again: the
     graph's pairs were checked when it was built. The kernel reads the
-    graph's points and duals as its frame keeps them (OperatorGraph
-    ._frame). On a scale, q.xd's key, q.x and p are read in ints here,
-    once per form, each as a one-item read in columns (cat0.dual
-    ._duals_ints and _points_ints): their denominators, with the graph's
-    D_V and D_Z, give the scale, and the kernel calls read them as they
-    are, the key at the graph's points and the query's own, the graph's
-    duals at each of q.x and p. They are kept nowhere else.
+    graph's points and duals as its frame keeps them (read, see
+    OperatorGraph._frame), and q.xd with q.x and p as this query reads
+    them, once per form and in the same shape (mine, from
+    cat0.dual._reads, q.x and p a batch each): on a scale their
+    denominators, with the graph's D_V and D_Z, give the scale, and the
+    kernel calls read them as they are, the dual at the graph's points
+    and the query's own, the graph's duals at each of q.x and p. They
+    are kept nowhere else. Where the graph's frame has no read (a graph
+    with a float, or past the scale's cap), or the query has none on
+    the graph's scale, the kernel reads the pairs themselves.
     """
 
-    __slots__ = ("g", "q", "scale", "owns", "xs_read", "xds_read", "form", "at")
+    __slots__ = ("g", "q", "scale", "owns", "read", "mine")
 
     def __init__(self, g: OperatorGraph, p: Point, q: PairedPoint):
         for z in (p, q.x):
             _check_space(g.space, z.space)
-        base, owns, _, _, xs_read, xds_read = g._frame
-        scale = form = at = None
-        if base is not None and q.xd.key is not None and is_exact(q.x.payload + p.payload):
-            form = _duals_ints(g.space, (q.xd,))
-            at = _points_ints(g.space, (q.x,)), _points_ints(g.space, (p,))
-            scale = _scale((base[0], *form[0]), (base[1], *at[0][0], *at[1][0]))
-        if scale is not None:
-            if scale != base:  # the graph's self-potentials, on the query's scale
+        base, owns, _, _, read = g._frame
+        scale, mine = _reads(g.space, base, (q.xd,), (q.x,), (p,)) if read is not None else (None, None)
+        if base is not None:
+            if scale is None:  # the graph's ints, as the Fractions they stand for
+                owns = [Fraction(own, base[0] * base[1]) for own in owns]
+                read = mine = None
+            elif scale != base:  # the graph's self-potentials, on the query's scale
                 factor = scale[0] // base[0] * (scale[1] // base[1])
                 owns = [factor * own for own in owns]
-        elif base is not None:  # the graph's ints, as the Fractions they stand for
-            owns = [Fraction(own, base[0] * base[1]) for own in owns]
-            xs_read = xds_read = None  # on Fractions the kernel reads the pairs themselves
-        self.g, self.q, self.scale, self.owns, self.form, self.at = g, q, scale, owns, form, at
-        self.xs_read, self.xds_read = xs_read, xds_read
+        self.g, self.q, self.scale, self.owns, self.read, self.mine = g, q, scale, owns, read, mine
 
     def half(self, v2: Scalar) -> Scalar:
         """half_of(v2), or on a scale the Fraction v2 / (2 sv sz) that v2 stands for."""
@@ -207,38 +201,27 @@ class _Query:
         sv, sz = self.scale
         return Fraction(v2, 2 * sv * sz)
 
-    def _ints(self, a: Point) -> tuple:
-        """The read of the query-side point a, q.x or p, on a scale: its ints as one-item columns."""
-        return self.at[0 if a is self.q.x else 1]
+    def _at(self, a: Point) -> object:
+        """The read of the query-side point a, q.x or p: its one-item batch."""
+        return self.mine[1][0 if a is self.q.x else 1]
 
     def column(self, z: Point, *after: Point) -> List[Scalar]:
         """P_q at z, then at each graph point, then at the points after.
 
-        One kernel call over the points in that order, the graph's as
-        its frame keeps them between the query's own: on the hyperboloid
-        batches of payloads around the kept one; on a scale q.xd's
-        one-item read against the query's points' ints around the kept
-        ints, column by column.
+        One kernel call over the points in that order, their reads the
+        graph's batch, as its frame keeps it, between the query's own.
         """
-        read = self.xs_read
-        if self.scale is not None:
-            cols = map(add, self._ints(z), read)
-            for a in after:
-                cols = map(add, cols, self._ints(a))
-            read = self.form, list(cols)
-        elif read is not None:
-            read = [[z.payload], read, *[[a.payload] for a in after]]
-        return _potentials2_at(self.q.xd, [z, *self.g._frame.xs, *after], self.scale, checked=True, read=read)
+        read = self.read and (self.mine[0], [self._at(z), *self.read[1], *map(self._at, after)])
+        return _potentials2((self.q.xd,), [z, *self.g._frame.xs, *after], self.scale, read)
 
     def members(self, *at: Point) -> Iterator[tuple]:
         """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y.
 
-        On a scale the kernel reads the graph's duals as the frame keeps
-        them and each point a as its one-item read.
+        One kernel call per point a, the graph's duals read as the
+        frame keeps them and a as its one-item batch.
         """
-        duals, read = self.g._frame.xds, self.xds_read
-        reads = [read] * len(at) if self.scale is None else [(read, self._ints(a)) for a in at]
-        columns = zip(*(_potentials2_of(duals, a, self.scale, checked=True, read=r) for a, r in zip(at, reads)))
+        duals, read = self.g._frame.xds, self.read
+        columns = zip(*(_potentials2(duals, (a,), self.scale, read and (read[0], [self._at(a)])) for a in at))
         return zip(itertools.count(1), columns, self.owns)
 
 
@@ -263,7 +246,7 @@ def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     column = run.column(q.x, p)
     a = (0, column, column[0])
     worst = min(_gaps2(getitem, zip(itertools.repeat(a), run.members(q.x))))
-    zero = BoundVector(p, q.x).is_zero or not q.xd.terms
+    zero = p == q.x or not q.xd.terms
     coupling = 0 if zero else run.half(column[0] - column[-1])
     return ExtReal(coupling - run.half(worst))
 

@@ -57,23 +57,17 @@ from .conjugate import (
 )
 from .dual import (
     DualVector,
-    _duals_ints,
-    _Ends,
-    _points_ints,
     _Potentials,
     _potential2,
-    _potentials2_each,
-    _scale,
-    is_exact,
+    _potentials2,
+    _reads,
 )
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
 from .spaces import (
-    HYPERBOLIC,
     GeometryError,
     Point,
     SpaceHandle,
-    _Blocks,
     geodesic_point,
 )
 
@@ -95,18 +89,17 @@ class _Frame(NamedTuple):
     """What the single queries of cat0.fitzpatrick read of an OperatorGraph (see OperatorGraph._frame).
 
     scale: (D_V, D_Z) or None; owns: P_y(y.x) of each pair, aligned
-    with the pairs; xs, xds: the pairs' points and duals; xs_read,
-    xds_read: the points and the duals as the pairing kernel reads
-    them (on a scale their ints in columns, the one read shape of the
-    kernel on a scale), or None where it reads xs and xds themselves.
+    with the pairs; xs, xds: the pairs' points and duals; read: the
+    duals and the points as the pairing kernel reads them, in its one
+    read shape (the duals' read, [the points' read]), or None where it
+    reads xds and xs themselves (cat0.dual._reads).
     """
 
     scale: Optional[Tuple[int, int]]
     owns: Tuple[Scalar, ...]
     xs: Tuple[Point, ...]
     xds: Tuple[DualVector, ...]
-    xs_read: object
-    xds_read: object
+    read: object
 
 
 @dataclass(frozen=True)
@@ -133,48 +126,35 @@ class OperatorGraph:
         """What every single query reads of the graph: computed at the first query, then kept.
 
         The graph's inputs as the pairing kernel reads them, not values
-        of a query, so no value is shared between forms or calls:
+        of a query, so no value is shared between forms or calls. One
+        cat0.dual._reads call reads the pairs once:
 
         * scale: (D_V, D_Z), the lcms of the denominator columns of the
           int reads below (cat0.dual._scale); None on the hyperboloid,
           where a dual has no key or a point holds a float, and past
           the scale's cap;
-        * owns: P_y(y.x) of each pair y, aligned with pairs, an int over
-          D_V D_Z on a scale;
         * xs, xds: the pairs' points and duals, which every query
           passes to the kernel;
-        * on the hyperboloid, xs_read holds the points' payloads with
-          their coordinate columns (cat0.spaces._Blocks), for the query
-          dual's column, and xds_read the duals' distinct term
-          endpoints, kept so too, each term's tail and head positions
-          among them, the coefficients in term order and each dual's
-          term count (cat0.dual._Ends), so a column of the graph's
-          duals computes one squared distance per distinct endpoint;
-          owns come from one _potentials2_each call, one elementwise
-          batch of squared distances;
-        * on a scale, xs_read holds the points' coordinates as ints
-          over each point's own denominator (cat0.dual._points_ints)
-          and xds_read the duals' keys as ints over each key's own
-          (cat0.dual._duals_ints), both in columns: the keys and points
-          are read once, for the scale and for owns, which come from
-          one _potentials2_each call (cat0.dual._scaled2), and a query
-          reads no coordinate's numerator and denominator again;
-        * otherwise both are None and owns are computed as any
-          potential is.
+        * read: on the hyperboloid the duals' distinct term endpoints
+          kept with their coordinate columns, each term's tail and head
+          positions among them, the coefficients in term order and each
+          dual's term count (cat0.dual._Ends), so a column of the
+          graph's duals computes one squared distance per distinct
+          endpoint, and the points' payloads kept so too
+          (cat0.spaces._Blocks), for the query dual's column; on a
+          scale the keys as ints over each key's own denominator
+          (cat0.dual._duals_ints) and the points' coordinates as ints
+          over each point's own (cat0.dual._points_ints), both in
+          columns, so a query reads no coordinate's numerator and
+          denominator again; otherwise None;
+        * owns: P_y(y.x) of each pair y, aligned with pairs, from one
+          elementwise kernel call on that read (an int over D_V D_Z on
+          a scale).
         """
         xds = tuple(q.xd for q in self.pairs)
         xs = tuple(q.x for q in self.pairs)
-        if self.space.kind == HYPERBOLIC:
-            ends = _Ends(xds, keep=True)
-            owns = _potentials2_each(xds, xs, ends)
-            return _Frame(None, tuple(owns), xs, xds, _Blocks([x.payload for x in xs]), ends)
-        if all(xd.key is not None for xd in xds) and all(is_exact(x.payload) for x in xs):
-            duals, points = _duals_ints(self.space, xds), _points_ints(self.space, xs)
-            scale = _scale(duals[0], points[0])
-            if scale is not None:
-                owns = _potentials2_each(xds, xs, (duals, points), scale)
-                return _Frame(scale, tuple(owns), xs, xds, points, duals)
-        return _Frame(None, tuple(_potential2(xd, x) for xd, x in zip(xds, xs)), xs, xds, None, None)
+        scale, read = _reads(self.space, (1, 1), xds, xs)
+        return _Frame(scale, tuple(_potentials2(xds, xs, scale, read)), xs, xds, read)
 
     @cached_property
     def _listed(self) -> _PairSet:
@@ -352,14 +332,17 @@ def f_property_check(
     dom = list(dict.fromkeys(q.x for q in pairs))
     pot = _Potentials()
     zp = pot.point(p)
+    # one row per dual; numbering the pairs' points rejects one from
+    # another space, even where the grid lands nowhere
+    rows = {id(row): row for _, row in pot.handles(pairs)}.values()
     # (x, y, lam) with the table numbers of x, y and their landing point
     segments = [(x, y, lam, pot.point(x), pot.point(y), pot.point(geodesic_point(x, y, lam)))
                 for x in dom for y in dom for lam in lambda_grid]
     read = [zp, *(z for segment in segments for z in segment[3:])]
     lower_w: Optional[dict] = None
     upper_w: Optional[dict] = None
-    for xd in dict.fromkeys(q.xd for q in pairs):
-        row = pot.row(xd)
+    for row in rows:
+        xd = row.dual
         pot.fill((row,), read)
         at_p = row[zp]
         for x, y, lam, zx, zy, zm in segments:

@@ -240,10 +240,12 @@ def _cosh_of_distance(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     """-<x,y> for hyperboloid payloads, snapped up to 1 when rounding dips below.
 
     The loop of minkowski_form, in its order, without its length checks:
-    payloads of one space have one length.
+    payloads of one space have one length. The one place a single
+    pair's -<x,y> is written: distance, hyperbolic_geodesic and the
+    short batches of _hyperbolic_dists_sq read it.
     """
     total = 0
-    for a, b in zip(x[:-1], y[:-1]):
+    for a, b in zip(x, y[:-1]):  # stops at the end of y[:-1], before the last coordinate
         total += a * b
     m = -(total - x[-1] * y[-1])
     return _snapped_to_one(m) if m < 1 else m
@@ -343,8 +345,9 @@ def _hyperbolic_dists_sq(xs, y: Sequence, each: bool = False) -> List[Scalar]:
     _SHORT or more payloads, and any batch with each, is formed a block
     of _BLOCK payloads at a time, coordinate column by coordinate column
     (_dists_sq_block), from the kept columns of a _Blocks; a shorter
-    batch against one y payload by payload. An exact m too large for a
-    float gives acosh(m) = ln 2m (_acosh).
+    batch against one y payload by payload, each pair read as distance
+    reads it, through _cosh_of_distance and _acosh. An exact m too
+    large for a float gives acosh(m) = ln 2m (_acosh).
     """
     if isinstance(xs, _Blocks):
         xs, blocks = xs.payloads, xs.columns
@@ -355,22 +358,8 @@ def _hyperbolic_dists_sq(xs, y: Sequence, each: bool = False) -> List[Scalar]:
         for lo, columns in zip(range(0, len(xs), _BLOCK), blocks):
             out += _dists_sq_block(columns, y[lo:lo + _BLOCK] if each else y, each)
         return out
-    head, last = y[:-1], y[-1]
-    out = []
-    for x in xs:
-        if x == y:
-            out.append(0)
-            continue
-        total = 0
-        for a, b in zip(x, head):  # stops at head's end, before the last coordinate
-            total += a * b
-        m = -(total - x[-1] * last)
-        try:
-            d = math.acosh(_snapped_to_one(m) if m < 1 else m)
-        except OverflowError:  # an exact m past float range
-            d = _acosh(m)
-        out.append(d * d)
-    return out
+    ds = [0 if x == y else _acosh(_cosh_of_distance(x, y)) for x in xs]
+    return list(map(mul, ds, ds))
 
 
 def _dists_sq_block(columns: tuple, y: Sequence, each: bool) -> List[Scalar]:

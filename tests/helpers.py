@@ -21,7 +21,6 @@ from cat0 import (
     Point,
     SpaceHandle,
     dual_term,
-    dual_vector,
     euclidean,
     fitzpatrick_sup,
     make_point,
@@ -342,30 +341,29 @@ def count_calls(monkeypatch, name: str, modules, counts=lambda *args: True, call
 def count_potentials(monkeypatch) -> List[int]:
     """Count the potential values of nonzero duals that the pairing kernel yields.
 
-    Every potential comes from cat0.dual._potentials2_at (one dual at
-    several points), _potentials2_of (several duals at one point) or
-    _potentials2_each (each dual at its own point, for a graph's
-    self-potentials), and _potential2 is the one-point case of
-    _potentials2_of, so each value is counted once. The single queries
-    call them with the graph's kept reading (OperatorGraph._frame),
-    which changes what they read, not what they are asked for. A zero dual's
+    Every potential comes from cat0.dual._potentials2, the j-th dual at
+    the j-th point with a side of one item standing for it at every
+    position: one dual at n points yields n values, n duals at one
+    point or each at its own point n. Its one-value path, _potential2,
+    yields one. Neither calls the other, so each value is counted once.
+    The single queries call the kernel with the reads of the graph's
+    frame and their own (cat0.dual._reads, OperatorGraph._frame),
+    which changes what it reads, not what it is asked for. A zero dual's
     potential is 0 without any work, so it is not counted: one value
     stands where a one-term dual's potential costs two squared
     distances. The count reads the kernel's first two arguments, so it
     is the same with or without a scale (ints on the scale are the same
     potentials).
     """
+    import cat0.conjugate
     import cat0.dual
     import cat0.fitzpatrick
     import cat0.monotone
 
-    modules = (cat0.dual, cat0.fitzpatrick)
-    calls = count_calls(monkeypatch, "_potentials2_at", modules,
-                        lambda xd, zs, *rest: len(zs) if xd.terms else 0)
-    count_calls(monkeypatch, "_potentials2_each", (cat0.dual, cat0.monotone),
-                lambda xds, zs, *rest: sum(1 for xd in xds if xd.terms), calls)
-    return count_calls(monkeypatch, "_potentials2_of", modules,
-                       lambda xds, z, *rest: sum(1 for xd in xds if xd.terms), calls)
+    calls = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick, cat0.monotone),
+                        lambda xds, zs, *rest: sum(1 for xd in xds if xd.terms) * (len(zs) if len(xds) == 1 else 1))
+    return count_calls(monkeypatch, "_potential2", (cat0.dual, cat0.monotone, cat0.conjugate),
+                       lambda xd, z: 1 if xd.terms else 0, calls)
 
 
 def count_dist_sq(monkeypatch) -> List[int]:

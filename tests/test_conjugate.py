@@ -18,6 +18,7 @@ from cat0 import (
     OperatorGraph,
     PairedPoint,
     RepresentationPreconditionError,
+    SpaceMismatchError,
     coupling_pi,
     dual_add,
     dual_scale,
@@ -99,6 +100,21 @@ def test_properness():
     assert _table([(q1, 1), (q2, POS_INF)]).is_proper()
     assert not _table([(q1, POS_INF)]).is_proper()
     assert not _table([(q1, 1), (q2, NEG_INF)]).is_proper()
+
+
+def test_pairs_from_another_space_are_rejected_not_read_as_plus_infinity():
+    # an E^1 table and a universe of one E^2 pair: a pair of another space
+    # matches no entry, so it was read as +inf and dropped from every sup
+    E1 = euclidean(1)
+    p, a, b = (make_point(E1, (c,)) for c in (0, 1, 2))
+    h = function_table(p, [(a, dual_term(1, a, b), 0)])
+    universe = [_pp((0, 0), (1, 0))]
+    with pytest.raises(SpaceMismatchError):
+        fenchel_conjugate_p(h, p, universe, dual_term(1, a, b), a)
+    with pytest.raises(SpaceMismatchError):
+        gamma_p_membership(h, p, universe)
+    with pytest.raises(SpaceMismatchError):
+        function_table(ORIGIN2, [(a, dual_term(1, a, b), 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cat0 import (
     SpaceMismatchError,
     canonical_hilbert,
     coupling_pi,
-    distance,
     dual_add,
     dual_norm_approx,
     dual_scale,
@@ -48,9 +47,8 @@ from cat0.dual import (
     _Potentials,
     _combined_key,
     _potential2,
-    _potentials2_at,
-    _potentials2_each,
-    _potentials2_of,
+    _potentials2,
+    _reads,
     _scale,
 )
 from cat0.spaces import ACOSH_SLACK, _BLOCK, BoundVector, dist_sq
@@ -520,7 +518,7 @@ def test_duals_with_one_key_have_one_potential(kind, data):
         assert yd.key == xd.key
         for z in zs:
             assert repr(_potential2(yd, z)) == repr(_potential2(xd, z))
-        assert list(map(repr, _potentials2_at(yd, zs))) == list(map(repr, _potentials2_at(xd, zs)))
+        assert list(map(repr, _potentials2((yd,), zs))) == list(map(repr, _potentials2((xd,), zs)))
 
 
 # An exact dual at points with float coordinates: a graph member sits at a
@@ -600,9 +598,35 @@ def test_batched_kernel_equals_the_one_point_potential(kind, data):
     zs = data.draw(st.lists(points, min_size=1, max_size=4))
     zs += [bv.tail for xd in duals for _, bv in xd.terms][:2]
     for xd in duals:
-        assert list(map(repr, _potentials2_at(xd, zs))) == [repr(_potential2(xd, z)) for z in zs]
+        assert list(map(repr, _potentials2((xd,), zs))) == [repr(_potential2(xd, z)) for z in zs]
     for z in zs:
-        assert list(map(repr, _potentials2_of(duals, z))) == [repr(_potential2(xd, z)) for xd in duals]
+        assert list(map(repr, _potentials2(duals, (z,)))) == [repr(_potential2(xd, z)) for xd in duals]
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_POINTS))
+@given(data=st.data())
+def test_every_call_shape_gives_the_one_point_potential(kind, data):
+    # one dual at n points, n duals at one point, each dual at its own
+    # point and one dual at one point, with exact, float and zero duals
+    # at exact and float points; the kernel reads them itself, or their
+    # reads with the points in two batches: each value is _potential2's,
+    # type included, or on a scale its value times sv sz as an int
+    exact = KERNEL_POINTS[kind]
+    points = st.one_of(exact, exact.map(_floated))
+    n = data.draw(st.integers(2, 4))
+    duals = st.one_of(st.just(zero_dual()), _duals(points), _float_duals(points))
+    xds = data.draw(st.lists(duals, min_size=n, max_size=n))
+    zs = data.draw(st.lists(points, min_size=n, max_size=n))
+    cut = data.draw(st.integers(0, n))
+    for ds, ps in (((xds[0],), zs), (xds, (zs[0],)), (xds, zs), ((xds[0],), (zs[0],))):
+        want = [_potential2(ds[j % len(ds)], ps[j % len(ps)]) for j in range(max(len(ds), len(ps)))]
+        assert list(map(repr, _potentials2(ds, ps))) == list(map(repr, want))
+        scale, read = _reads(zs[0].space, (1, 1), ds, ps[:cut], ps[cut:])
+        got = _potentials2(ds, ps, scale, read)
+        if scale is None:
+            assert list(map(repr, got)) == list(map(repr, want))
+        else:
+            assert got == [v * scale[0] * scale[1] for v in want] and all(type(v) is int for v in got)
 
 
 def _acosh_sq(x, z):
@@ -637,9 +661,9 @@ def test_hyperbolic_potentials_sum_their_terms_in_order(dim):
             duals.append(dual_vector(terms))
     zs = pool + [random_point(space, rng) for _ in range(4)]  # every endpoint among them
     for xd in duals:
-        assert [v.hex() for v in _potentials2_at(xd, zs)] == [_reference2(xd, z).hex() for z in zs]
+        assert [v.hex() for v in _potentials2((xd,), zs)] == [_reference2(xd, z).hex() for z in zs]
     for z in zs:
-        assert [v.hex() for v in _potentials2_of(duals, z)] == [_reference2(xd, z).hex() for xd in duals]
+        assert [v.hex() for v in _potentials2(duals, (z,))] == [_reference2(xd, z).hex() for xd in duals]
 
 
 def test_hyperbolic_guards_hold_through_the_batch():
@@ -651,8 +675,8 @@ def test_hyperbolic_guards_hold_through_the_batch():
     assert x != y and 1 - ACOSH_SLACK <= m < 1
     xd = dual_term(1.0, o, x)
     assert dist_sq(x, y) == dist_sq(y, x) == 0.0
-    assert _potentials2_at(xd, [y]) == _potentials2_of([xd], y) == [dist_sq(o, y)]
-    assert _potentials2_at(dual_term(1.0, x, o), [y] * _BLOCK) == [-dist_sq(o, y)] * _BLOCK  # in a block
+    assert _potentials2((xd,), [y]) == _potentials2([xd], (y,)) == [dist_sq(o, y)]
+    assert _potentials2((dual_term(1.0, x, o),), [y] * _BLOCK) == [-dist_sq(o, y)] * _BLOCK  # in a block
 
     off_sheet = Point(space, (0.0, 0.0, 0.5))  # -<off_sheet, o> = 0.5
     message = re.escape("arccosh argument 0.5 below 1 by more than 1e-12; "
@@ -660,11 +684,11 @@ def test_hyperbolic_guards_hold_through_the_batch():
     with pytest.raises(PointValidationError, match=message):
         dist_sq(off_sheet, o)
     with pytest.raises(PointValidationError, match=message):
-        _potentials2_at(xd, [o, off_sheet])
+        _potentials2((xd,), [o, off_sheet])
     with pytest.raises(PointValidationError, match=message):
-        _potentials2_at(xd, [o] * _BLOCK + [off_sheet])
+        _potentials2((xd,), [o] * _BLOCK + [off_sheet])
     with pytest.raises(PointValidationError, match=message):
-        _potentials2_of([xd, dual_term(1.0, off_sheet, x)], o)
+        _potentials2([xd, dual_term(1.0, off_sheet, x)], (o,))
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +736,7 @@ def _scaled_instance(draw, kind):
 @pytest.mark.parametrize("kind", ["euclidean", "rtree"])
 @given(data=st.data())
 def test_the_kernel_on_a_scale_gives_the_potentials_times_the_scale(kind, data):
-    # each kernel function on the scale (sv, sz) of its duals and points,
+    # each call shape of the kernel on the scale (sv, sz) of its duals and points,
     # reading them as int columns, one side a one-item read where it
     # holds one: 2F sv sz of each dual at each point, as ints,
     # _potential2's value times sv sz exactly
@@ -722,12 +746,12 @@ def test_the_kernel_on_a_scale_gives_the_potentials_times_the_scale(kind, data):
     sv, sz = scale
     want = [[_potential2(xd, z) * sv * sz for z in zs] for xd in xds]
     for i, (xd, row) in enumerate(zip(xds, want)):
-        got = _potentials2_at(xd, zs, scale, read=([col[i:i + 1] for col in duals], points))
+        got = _potentials2((xd,), zs, scale, ([col[i:i + 1] for col in duals], [points]))
         assert got == row and all(type(v) is int for v in got)
     for j, z in enumerate(zs):
-        got = _potentials2_of(xds, z, scale, read=(duals, [col[j:j + 1] for col in points]))
+        got = _potentials2(xds, (z,), scale, (duals, [[col[j:j + 1] for col in points]]))
         assert got == [row[j] for row in want] and all(type(v) is int for v in got)
-    got = _potentials2_each(xds, zs, (duals, points), scale)
+    got = _potentials2(xds, zs, scale, (duals, [points]))
     assert got == [row[j] for j, row in enumerate(want)] and all(type(v) is int for v in got)
 
 

@@ -23,7 +23,6 @@ from cat0.jsonio import (
     parse_extended,
     parse_graph,
     parse_grid,
-    parse_pairs,
     parse_point,
     parse_scalar,
     parse_space,

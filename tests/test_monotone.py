@@ -11,7 +11,6 @@ from cat0 import (
     OperatorGraph,
     SpaceMismatchError,
     PairedPoint,
-    distance,
     dist_sq,
     dual_scale,
     dual_term,
@@ -41,8 +40,6 @@ from helpers import (
     greedy_monotone_subset,
     grid_points,
     maximal_relative_graph,
-    polar_complete,
-    product_universe,
     small_universe,
     vector_dual,
 )
@@ -165,6 +162,10 @@ def test_sweeps_reject_points_from_another_space():
         monotone_polar([a], [b])
     with pytest.raises(SpaceMismatchError):
         is_monotone([a, b])
+    # with an empty grid no segment numbers the pair's point
+    c = PairedPoint(make_point(E2, (1, 2)), dual_term(1, a.x, make_point(E2, (1, 2))))
+    with pytest.raises(SpaceMismatchError):
+        f_property_check([c], b.x, ())
 
 
 def _grid_point(space):
