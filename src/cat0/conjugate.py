@@ -51,7 +51,6 @@ from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
 from .dual import (
     DualVector,
     _Potentials,
-    _check_space,
     _combined_key,
     _potential2,
     dual_add,
@@ -66,7 +65,7 @@ from .spaces import (
     BoundVector,
     GeometryError,
     Point,
-    SpaceMismatchError,
+    _check_space,
     _check_unit_interval,
     distance,
     geodesic_point,
@@ -109,8 +108,7 @@ class PairedPoint:
     xd: DualVector
 
     def __post_init__(self):
-        if self.xd.space is not None and self.xd.space != self.x.space:
-            raise SpaceMismatchError("paired point mixes spaces")
+        _check_space(self.x.space, self.xd.space)
 
     @cached_property
     def _key(self) -> Optional[tuple]:
@@ -201,6 +199,7 @@ class FunctionTable:
         return []
 
     def value(self, q: PairedPoint) -> ExtReal:
+        _check_space(self.p.space, q.x.space)
         i = self._listed.find(q)
         return POS_INF if i is None else self.entries[i][1]
 

@@ -14,22 +14,22 @@ item standing for it at every position, so one dual at a sequence of
 points, a sequence of duals at one point and each dual at its own point
 (a graph's self-potentials) are one function; _potential2 is its
 one-value path. A call reads its inputs once, in one shape on every
-space: (the duals' read, a list of batches of the points' reads),
-built by _reads. An OperatorGraph keeps its own pairs' read
-(OperatorGraph._frame), a single query reads its dual, q.x and p, and
-a call without read (a sweep, pair) reads the duals and points
-themselves. The kernel checks no space, as its callers have. On the
-hyperboloid every squared distance comes from
-cat0.spaces._hyperbolic_dists_sq, which dist_sq calls there too; the
-kernel calls it in batches, which it forms in blocks of coordinate
-columns, once per distinct term endpoint of its duals (_Ends), and
-assembles the potentials with map() over the terms' columns, each one
-sum() over its dual's terms in term order, so no value depends on the
-batching. Every formula reads the values it needs through one reader,
-getitem on a dual's values: a column of a single query, by point
-position, or a row of the potential table of a whole-set sweep
-(_Potentials), keyed by point number and holding the values the kernel
-computed for the sweep.
+space: (the duals' read, a list of batches of the points' reads), built
+by _reads. An OperatorGraph keeps its own pairs' read
+(OperatorGraph._frame), a single query reads its dual, q.x and p, and a
+call without read (a sweep, pair) reads the duals and points
+themselves. The kernel checks no space, as its callers have, each
+through cat0.spaces._check_space. On the hyperboloid every squared
+distance comes from cat0.spaces._hyperbolic_dists_sq, which dist_sq
+calls there too; the kernel calls it in batches, which it forms in
+blocks of coordinate columns, once per distinct term endpoint of its
+duals (_Ends), and assembles the potentials with map() over the terms'
+columns, each one sum() over its dual's terms in term order, so no
+value depends on the batching. Every formula reads the values it needs
+through one reader, getitem on a dual's values: a column of a single
+query, by point position, or a row of the potential table of a
+whole-set sweep (_Potentials), keyed by point number and holding the
+values the kernel computed for the sweep.
 
 Every formula reads a dual's potential only as a difference of two of
 that dual's own values, so F matters only up to a constant, as the
@@ -132,9 +132,9 @@ from .spaces import (
     GeometryError,
     Point,
     SpaceHandle,
-    SpaceMismatchError,
     _asinh,
     _Blocks,
+    _check_space,
     _hyperbolic_dists_sq,
     dist_sq,
     distance,
@@ -170,9 +170,8 @@ class DualVector:
     terms: Tuple[Tuple[Scalar, BoundVector], ...]
 
     def __post_init__(self):
-        spaces = {bv.space for _, bv in self.terms}
-        if len(spaces) > 1:
-            raise SpaceMismatchError("dual vector mixes terms from different spaces")
+        for _, bv in self.terms:  # each term against the first
+            _check_space(self.terms[0][1].space, bv.space)
         # the kept hash's place, made first: duals whose __dict__ keys come
         # in one order share one key table, so hashing adds no memory
         object.__setattr__(self, "_hash", None)
@@ -347,7 +346,8 @@ def _potentials2(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional
     * Otherwise each value is _value2's: from the dual's key, or the
       sum of squared distances.
 
-    The kernel checks no space: _potential2 checks its own pair, a
+    The kernel checks no space: its callers have, each through
+    cat0.spaces._check_space. _potential2 checks its own pair, a
     _Potentials table rejects a point from another space and every
     row's dual belongs to a pair at one of its points, a graph checked
     its pairs when it was built, and a single query checks p and q.x.
@@ -456,11 +456,6 @@ def _hyperbolic2(xds: Sequence[DualVector], zs: Sequence[Point], read) -> List[S
     if len(ends.counts) == 1:
         return [sum(products)]
     return list(map(sum, map(islice, repeat(products), ends.counts)))
-
-
-def _check_space(dual_space: SpaceHandle, point_space: SpaceHandle):
-    if point_space is not dual_space and point_space != dual_space:
-        raise SpaceMismatchError(f"points live in different spaces: {dual_space} vs {point_space}")
 
 
 def _value2(kind: str, xd: DualVector, z: Point) -> Scalar:
@@ -642,29 +637,37 @@ class _Potentials:
     it; each skips what a row already holds.
     A row holds exactly the values computed for it, so the call
     evaluates exactly the potentials it reads. The first point numbered
-    fixes the space: a point from another space raises, as a pairing
-    across spaces would (a zero dual alone evaluates nothing, so this
-    check is not left to the kernel).
+    fixes the space: a point from another space raises
+    (cat0.spaces._check_space), as a pairing across spaces would (a zero
+    dual alone evaluates nothing, so this check is not left to the
+    kernel). A point equal to a numbered one but holding coordinates of
+    other types (a float for an int) is numbered apart, as _Ends keeps
+    such payloads apart, so its values are computed in its own
+    arithmetic. The key stays the payload: only a hit whose payload is
+    not the numbered point's own object compares the coordinate types,
+    against those kept for its number.
     """
 
     def __init__(self):
         self._space: Optional[SpaceHandle] = None
         self._point_ids: Dict[tuple, int] = {}  # by payload: the points share one space
         self._points: List[Point] = []
+        self._types: List[tuple] = []  # the coordinate types of each point, by number
         self._rows: Dict[DualVector, _Row] = {}
 
     def point(self, x: Point) -> int:
-        i = self._point_ids.get(x.payload)
+        key = x.payload
+        i = self._point_ids.get(key)
+        if i is not None and self._points[i].payload is not key and self._types[i] != tuple(map(type, key)):
+            key = (key, *map(type, key))  # an equal payload of other coordinate types
+            i = self._point_ids.get(key)
         if i is None or x.space is not self._space:
-            if self._space is None:
-                self._space = x.space
-            elif x.space != self._space:
-                raise SpaceMismatchError(
-                    f"points live in different spaces: {self._space} vs {x.space}"
-                )
+            _check_space(self._space, x.space)
+            self._space = self._space or x.space
             if i is None:
-                i = self._point_ids[x.payload] = len(self._points)
+                i = self._point_ids[key] = len(self._points)
                 self._points.append(x)
+                self._types.append(tuple(map(type, x.payload)))
         return i
 
     def row(self, xd: DualVector) -> _Row:
@@ -741,16 +744,9 @@ def zero_dual() -> DualVector:
     return DualVector(())
 
 
-def _compatible(space_a: Optional[SpaceHandle], space_b: Optional[SpaceHandle]) -> bool:
-    return space_a is None or space_b is None or space_a == space_b
-
-
 def pair(xd: DualVector, on: BoundVector) -> Scalar:
     """The action <xd, on> = F(on.head) - F(on.tail) (see _potential2)."""
-    if not _compatible(xd.space, on.space):
-        raise SpaceMismatchError(
-            f"dual over {xd.space} cannot act on a bound vector over {on.space}"
-        )
+    _check_space(xd.space, on.space)
     if on.is_zero or not xd.terms:
         return 0
     return half_of(_potential2(xd, on.head) - _potential2(xd, on.tail))
@@ -758,8 +754,7 @@ def pair(xd: DualVector, on: BoundVector) -> Scalar:
 
 def dual_add(xd: DualVector, yd: DualVector) -> DualVector:
     """Formal sum; the action is the sum of the actions."""
-    if not _compatible(xd.space, yd.space):
-        raise SpaceMismatchError("cannot add duals over different spaces")
+    _check_space(xd.space, yd.space)
     return DualVector(xd.terms + yd.terms)
 
 
@@ -907,7 +902,7 @@ def duals_match(xd: DualVector, yd: DualVector, tol: Optional[float] = None) -> 
     slopes, the H^1 slope, or merged net weights on H^n, n >= 2) is at
     most tol in size.
     """
-    if not _compatible(xd.space, yd.space):
+    if xd.space is not None and yd.space is not None and xd.space != yd.space:
         return False
     if xd.key is not None and yd.key is not None:
         return xd.key == yd.key

@@ -74,7 +74,6 @@ from .conjugate import (
 )
 from .dual import (
     _Potentials,
-    _check_space,
     _potentials2,
     _reads,
     dual_add,
@@ -91,6 +90,7 @@ from .monotone import (
     _monotone_report,
     _polar_indices,
     _require_graph_in,
+    _twice,
     f_property_check,
     relatedness_gap,
 )
@@ -99,6 +99,7 @@ from .spaces import (
     GeometryError,
     Point,
     SpaceHandle,
+    _check_space,
     geodesic_point,
     hyperbolic,
     make_point,
@@ -175,7 +176,8 @@ class _Query:
     and the query's own, the graph's duals at each of q.x and p. They
     are kept nowhere else. Where the graph's frame has no read (a graph
     with a float, or past the scale's cap), or the query has none on
-    the graph's scale, the kernel reads the pairs themselves.
+    the graph's scale, the kernel reads the pairs themselves. Every
+    space check here and at the graph is cat0.spaces._check_space.
     """
 
     __slots__ = ("g", "q", "scale", "owns", "read", "mine")
@@ -328,12 +330,10 @@ def level_set_report(
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
-    # |gap| <= tol is decided on the doubled gap against 2 tol, which is
-    # exact on ints and Fractions and builds no Fraction; a float gap is
-    # compared as reported, since halving a float can round
-    tol2 = 2 * tol
-    if math.isinf(tol2) and not math.isinf(tol):
-        tol2 = 2 * Fraction(tol)
+    # |gap| <= tol is decided on the doubled gap against 2 tol (_twice),
+    # which is exact on ints and Fractions and builds no Fraction; a float
+    # gap is compared as reported, since halving a float can round
+    tol2 = _twice(tol)
     for i, (g2, gap) in enumerate(zip(doubled, gaps)):
         v, band = (gap.raw, tol) if isinstance(g2, float) else (g2, tol2)
         if abs(v) <= band:

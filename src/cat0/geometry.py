@@ -26,7 +26,7 @@ from .extreal import Scalar
 from .spaces import (
     BoundVector,
     Point,
-    SpaceMismatchError,
+    _check_space,
     dist_sq,
     distance,
     geodesic_point,
@@ -51,10 +51,7 @@ def half_of(v: Scalar) -> Scalar:
 
 def quasilinearization(xy: BoundVector, uv: BoundVector) -> Scalar:
     """The pairing <xy, uv>; symmetric, antisymmetric under flips."""
-    if xy.space != uv.space:
-        raise SpaceMismatchError(
-            f"pairing arguments live in different spaces: {xy.space} vs {uv.space}"
-        )
+    _check_space(xy.space, uv.space)
     if xy.is_zero or uv.is_zero:
         return 0
     x, y = xy.tail, xy.head

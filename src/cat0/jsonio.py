@@ -36,8 +36,6 @@ from .dual import DualVector, dual_vector
 from .extreal import ExtReal, NEG_INF, POS_INF, Scalar
 from .monotone import OperatorGraph
 from .spaces import (
-    EUCLIDEAN,
-    HYPERBOLIC,
     RTREE,
     BoundVector,
     GeometryError,
@@ -121,20 +119,19 @@ def parse_extended(v, where: str, errs: Errors) -> Optional[ExtReal]:
 
 
 def parse_space(obj, where: str, errs: Errors) -> Optional[SpaceHandle]:
+    """The space an object names; SpaceHandle validates it, and its GeometryError is the schema error.
+
+    The tree reads no dim. Only that obj is an object is checked here.
+    """
     if not isinstance(obj, dict):
         errs.add(where, f"space must be an object, got {type(obj).__name__}")
         return None
     kind = obj.get("kind")
-    if kind not in (EUCLIDEAN, RTREE, HYPERBOLIC):
-        errs.add(where, f"unknown space kind {kind!r}")
+    try:
+        return SpaceHandle(kind) if kind == RTREE else SpaceHandle(kind, obj.get("dim"))
+    except GeometryError as exc:
+        errs.add(where, str(exc))
         return None
-    if kind == RTREE:
-        return SpaceHandle(RTREE)
-    dim = obj.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        errs.add(where, f"{kind} space needs an integer dim >= 1, got {dim!r}")
-        return None
-    return SpaceHandle(kind, dim)
 
 
 def parse_point(space: SpaceHandle, v, where: str, errs: Errors) -> Optional[Point]:

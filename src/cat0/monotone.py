@@ -44,7 +44,9 @@ cat0.fitzpatrick (see OperatorGraph).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import getitem
@@ -68,6 +70,7 @@ from .spaces import (
     GeometryError,
     Point,
     SpaceHandle,
+    _check_space,
     geodesic_point,
 )
 
@@ -118,8 +121,7 @@ class OperatorGraph:
 
     def __post_init__(self):
         for q in self.pairs:
-            if q.x.space != self.space:
-                raise GeometryError("graph pair from a different space")
+            _check_space(self.space, q.x.space)
 
     @cached_property
     def _frame(self) -> "_Frame":
@@ -206,11 +208,21 @@ def monotonically_related(
     return relatedness_gap(q1, q2) >= -tol
 
 
-# The sweeps compare doubled gaps with -2 tol: doubling is exact on
-# ints, Fractions and floats, so each verdict is the one the halved gap
-# would give, without building a Fraction per comparison. A tol of None
-# is the default_tol of the potential table's space. They read the
-# table's rows through getitem (see cat0.dual._Potentials).
+# The sweeps compare doubled gaps with -2 tol (_twice), so each verdict
+# is the one the halved gap would give, without building a Fraction per
+# comparison. A tol of None is the default_tol of the potential table's
+# space. They read the table's rows through getitem (see
+# cat0.dual._Potentials).
+
+
+def _twice(tol: float) -> Scalar:
+    """2 tol, exactly: 2 * tol, or the Fraction 2 tol where a finite float tol doubles to inf.
+
+    Compared with inf rather than passed to math.isinf, which cannot
+    take an int or Fraction beyond the float range.
+    """
+    tol2 = 2 * tol
+    return 2 * Fraction(tol) if abs(tol2) == math.inf and abs(tol) != math.inf else tol2
 
 
 def _monotone_report(
@@ -220,7 +232,7 @@ def _monotone_report(
 
     Pair by pair, so a failing pair leaves the later ones unevaluated.
     """
-    floor = -2 * pot.tol(tol)
+    floor = -_twice(pot.tol(tol))
     for i in range(len(members)):
         gaps = _gaps2(getitem, pot.pairs(members[i], members[i + 1:]))
         for j, gap2 in enumerate(gaps, i + 1):
@@ -242,7 +254,7 @@ def _polar_indices(
     still in are filled at the next member, so each is evaluated
     against the members a test in member order reaches.
     """
-    floor = -2 * pot.tol(tol)
+    floor = -_twice(pot.tol(tol))
     alive = list(range(len(us)))
     for b in members:
         hs = [us[i] for i in alive]

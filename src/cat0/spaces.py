@@ -11,7 +11,10 @@ Supported models:
   R^(n+1) with the Minkowski bilinear form <x,y> = sum_i x_i y_i -
   x_last y_last and distance d(x,y) = arccosh(-<x,y>).
 
-Points are immutable and tagged with their space; mixing spaces raises
+Points are immutable and tagged with their space. SpaceHandle is the one
+validator of a space: its kind, and an integer dim >= 1 off the tree.
+_check_space is the one same-space check: every object and function of
+the package that takes two spaces calls it, and it alone raises
 ``SpaceMismatchError``. Coordinates may be exact (``int``/``Fraction``)
 or float. Every formula that is rational in its inputs (Euclidean
 squared distances, all R-tree arithmetic, affine geodesics) preserves
@@ -27,7 +30,7 @@ from functools import partial, reduce
 from itertools import compress, count, repeat
 from numbers import Real as _NumbersReal
 from operator import add, eq, mul, neg, sub
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .extreal import Scalar
 
@@ -70,8 +73,8 @@ class SpaceHandle:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise GeometryError(f"unknown space kind {self.kind!r}")
-        if self.kind != RTREE and self.dim < 1:
-            raise GeometryError(f"{self.kind} space needs dim >= 1, got {self.dim}")
+        if self.kind != RTREE and (isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1):
+            raise GeometryError(f"{self.kind} space needs an integer dim >= 1, got {self.dim!r}")
 
     @property
     def coord_len(self) -> int:
@@ -116,11 +119,7 @@ class BoundVector:
     head: Point
 
     def __post_init__(self):
-        if self.tail.space != self.head.space:
-            raise SpaceMismatchError(
-                f"bound vector endpoints live in different spaces: "
-                f"{self.tail.space} vs {self.head.space}"
-            )
+        _check_space(self.tail.space, self.head.space)
 
     @property
     def space(self) -> SpaceHandle:
@@ -220,9 +219,19 @@ def minkowski_form(x: Sequence[Scalar], y: Sequence[Scalar]) -> Scalar:
     return total - x[-1] * y[-1]
 
 
+def _check_space(a: Optional[SpaceHandle], b: Optional[SpaceHandle]) -> None:
+    """Raise SpaceMismatchError unless a and b are one space; None, the zero dual's space, fits every space.
+
+    The one same-space check of the package, and the only code that
+    constructs a SpaceMismatchError. a is b is tested first: it is the
+    case of every hot caller.
+    """
+    if a is not b and a is not None and b is not None and a != b:
+        raise SpaceMismatchError(f"points live in different spaces: {a} vs {b}")
+
+
 def _same_space(x: Point, y: Point) -> SpaceHandle:
-    if x.space is not y.space and x.space != y.space:
-        raise SpaceMismatchError(f"points live in different spaces: {x.space} vs {y.space}")
+    _check_space(x.space, y.space)
     return x.space
 
 

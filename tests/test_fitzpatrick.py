@@ -924,3 +924,16 @@ def test_worked_examples_rows_carry_extended_values():
     for r in rows:
         assert isinstance(r.computed, ExtReal)
         assert isinstance(r.expected, ExtReal)
+
+
+def test_level_set_gaps_keep_a_float_point_apart_from_an_equal_exact_one():
+    # the potential table numbered (1.0, 0.0) as the graph's (1, 0), so its
+    # gap was read at the exact point, as Fraction(0, 1)
+    x = make_point(E2, (1, 0))
+    g = OperatorGraph(E2, (PairedPoint(x, dual_term(1, ORIGIN2, x)),))
+    fx = make_point(E2, (1.0, 0.0))
+    universe = [g.pairs[0], PairedPoint(fx, dual_term(1, ORIGIN2, fx))]
+    report = level_set_report(g, ORIGIN2, universe)
+    direct = [fitzpatrick_sup(g, ORIGIN2, q) - coupling_pi(ORIGIN2, q) for q in universe]
+    assert [(type(v.raw), v.raw) for v in report.gaps] == [(type(v.raw), v.raw) for v in direct]
+    assert type(report.gaps[1].raw) is float

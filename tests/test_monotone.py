@@ -464,3 +464,25 @@ def test_hyperbolic_is_not_flat():
     z = make_point(space, (1.0, 0.0, math.sqrt(2.0)))
     rep = flatness_check(space, [(x, y, z)], (Fraction(1, 2),))
     assert not rep.holds
+
+
+def test_sweeps_keep_a_tol_whose_double_overflows():
+    # on E^1 the relatedness gap of q1 and q2 is -2 c b^2 = -1.5e308, past
+    # -tol = -1e308 but not past -2 tol, which overflows a float to -inf
+    e1 = euclidean(1)
+    a, b = make_point(e1, (0,)), make_point(e1, (10 ** 150,))
+    c = 75 * 10 ** 6
+    q1, q2 = PairedPoint(a, dual_term(c, a, b)), PairedPoint(b, dual_term(c, b, a))
+    tol = 1e308
+    assert -2 * tol < relatedness_gap(q1, q2) < -tol
+    assert not monotonically_related(q1, q2, tol)
+    rep = is_monotone([q1, q2], tol)
+    assert not rep.holds and rep.witness["gap"] == relatedness_gap(q1, q2)
+    assert monotone_polar([q1], [q2], tol) == ()
+    g = OperatorGraph(e1, (q1,))
+    assert is_maximal_relative(g, [q1, q2], tol).holds
+    report = level_set_report(g, a, [q1, q2], tol)
+    assert report.checks["at_most_coupling_equals_polar"]
+    # an exact tol past the float range doubles as it is
+    assert monotone_polar([q1], [q2], 10 ** 400) == (q2,)
+    assert level_set_report(g, a, [q1, q2], 10 ** 400).checks["at_most_coupling_equals_polar"]
