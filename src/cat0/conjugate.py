@@ -102,13 +102,23 @@ class ImproperTableError(GeometryError):
 
 @dataclass(frozen=True)
 class PairedPoint:
-    """A point together with a dual vector; the atom of the analysis."""
+    """A point together with a dual vector; the atom of the analysis.
+
+    Two values derived from the pair alone are kept in its __dict__, not
+    as fields: _key (below), and _own, its own doubled potential
+    P_q(q.x) = 2F_{q.xd}(q.x) (see cat0.dual._potential2), None until
+    the first whole-set sweep that reads it (cat0.dual._Potentials
+    .members) and then read by every later one.
+    """
 
     x: Point
     xd: DualVector
 
     def __post_init__(self):
         _check_space(self.x.space, self.xd.space)
+        # the kept own potential's place, made first: pairs whose __dict__
+        # keys come in one order share one key table
+        object.__setattr__(self, "_own", None)
 
     @cached_property
     def _key(self) -> Optional[tuple]:
@@ -308,7 +318,7 @@ def fenchel_young_check(
     conj = fenchel_conjugate_p(h, p, h.domain, q2.xd, q2.x)
     lhs = _values(h, [q1], tol)[0] + conj
     rhs = pair(q2.xd, BoundVector(p, q1.x)) + pair(q1.xd, BoundVector(p, q2.x))
-    return lhs >= rhs - tol
+    return lhs - rhs >= -tol
 
 
 @dataclass(frozen=True)
@@ -386,7 +396,7 @@ def _convexity_scan(
                     continue
                 val = h.entries[match][1]
                 bound = scale(1 - lam, v1) + scale(lam, v2)
-                if witness is None and not val <= bound + tol:
+                if witness is None and not val - bound <= tol:
                     witness = {
                         "pair_a": q1,
                         "pair_b": q2,
@@ -406,20 +416,23 @@ def _fixed_point_defect(
     reads, a conjugate term four, halved once. Each universe pair's
     capped value is looked up once, matched within tol.
     """
-    pot = _Potentials()
-    zp = pot.point(p)
     finite = [(u, v) for u, v in zip(pairs, _values(h, pairs, tol)) if v.is_finite]
-    us = pot.members([u for u, _ in finite])
+    pot = _Potentials()
+    us, qs = pot.handles([u for u, _ in finite]), pot.handles(h.domain)
+    zp = pot.point(p)
+    pot.start([v.value for _, v in h.entries if v.is_finite])
+    us = pot.members([u for u, _ in finite], us)
     pot.fill([row for _, row, _ in us], [zp])
-    # (point, row, doubled value) where h <= pi_p + tol
-    capped = [(z, row, 2 * v.value) for (z, row, own), (_, v) in zip(us, finite)
-              if v <= half_of(own - row[zp]) + tol]
-    qs = pot.handles(h.domain)
+    # (point, row, doubled value) where h - pi_p <= tol, decided on the
+    # doubled difference against the table's bound of 2 tol
+    bound = pot.bound(tol)
+    doubled = [pot.on_scale(2 * v.value) for _, v in finite]
+    capped = [(z, row, v2) for (z, row, own), v2 in zip(us, doubled) if v2 - (own - row[zp]) <= bound]
     pot.fill([row for _, row in qs], [z for z, _, _ in capped] + [zp])
     pot.fill([row for _, row, _ in capped], [z for z, _ in qs])
     worst = 0.0
     for (q, v), zq in zip(h.entries, qs):
-        back = _conjugate(getitem, zp, capped, zq)
+        back = _conjugate(getitem, zp, capped, zq, pot.half)
         if v.is_finite and back.is_finite:
             defect = abs(float(v.value - back.value))
         elif v == back:

@@ -29,7 +29,8 @@ value depends on the batching. Every formula reads the values it needs
 through one reader, getitem on a dual's values: a column of a single
 query, by point position, or a row of the potential table of a
 whole-set sweep (_Potentials), keyed by point number and holding the
-values the kernel computed for the sweep.
+values the kernel computed for the sweep. A table keys an exact dual's
+row by its key (below), so duals that act alike share one row.
 
 Every formula reads a dual's potential only as a difference of two of
 that dual's own values, so F matters only up to a constant, as the
@@ -47,22 +48,24 @@ Each drops the constant 2F(origin) or 2F(root), so duals with one key
 have one potential. It is exact at exact points and computed in floats
 at points with a float coordinate.
 
-A single transform query on exact inputs runs on one integer scale
-(_scale): with sv the lcm of the denominators of the keys and sz that
-of the points' coordinates, 2F sv sz is an int for every dual at every
-point, since 2F is bilinear in the key and the point. Keys and points
-are read in one shape, as ints over each one's own denominator, in
-columns (_duals_ints, _points_ints); sv and sz are the lcms of their
-denominator columns. Called with the scale, the kernel gives these ints
-through one elementwise formula, _scaled2: the dot product of a key's
-ints and a point's ints times 2 sv sz / (dv dz), a one-item read of a
-dual or a point standing for it at every position, the batches of the
-points' reads concatenated column by column. Potentials count
-only up to a constant and are linear in the key, so scaling them all by
-one positive int keeps every formula exact: a formula sums ints, and
-its value is divided by sv sz once, when it is reported (see
-cat0.fitzpatrick). Past _SCALE_BITS bits of sv sz, where ints that long
-cost more than reducing small Fractions, the query runs on Fractions as
+A single transform query and a whole-set sweep on exact inputs run on
+one integer scale per call (_scale): with sv the lcm of the
+denominators of the keys and sz that of the points' coordinates, 2F sv
+sz is an int for every dual at every point, since 2F is bilinear in the
+key and the point. Keys and points are read in one shape, as ints over
+each one's own denominator, in columns (_duals_ints, _points_ints); sv
+and sz are the lcms of their denominator columns. Called with the
+scale, the kernel gives these ints through one elementwise formula,
+_scaled2: the dot product of a key's ints and a point's ints times
+2 sv sz / (dv dz), a one-item read of a dual or a point standing for it
+at every position, the batches of the points' reads concatenated column
+by column. Potentials count only up to a constant and are linear in the
+key, so scaling them all by one positive int keeps every formula exact:
+a formula sums ints, every tol comparison of the call is against one
+exact bound, the floor of 2 tol sv sz, and a value is divided by sv sz
+once, when it is reported (_half; see cat0.fitzpatrick and
+_Potentials). Past _SCALE_BITS bits of sv sz, where ints that long cost
+more than reducing small Fractions, the call runs on Fractions as
 above.
 
 The hyperboloid and duals with a float coefficient or coordinate keep
@@ -314,8 +317,9 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     fills in one call for a single transform query, by point position
     (see cat0.fitzpatrick). A graph member's handle also carries its own
     doubled potential P_y(y.x): kept by the OperatorGraph for a single
-    query (OperatorGraph._frame, from one elementwise kernel call), read
-    from its row for a sweep (_Potentials.members).
+    query (OperatorGraph._frame, from one elementwise kernel call), and
+    for a sweep kept by the pair itself after the first sweep that
+    reads it (_Potentials.members).
     """
     space = xd.space
     if space is None:
@@ -609,10 +613,36 @@ def _affine2(vs: Sequence[Scalar], xs: Sequence[Scalar]) -> Scalar:
     return num if den == 1 else Fraction(num, den)
 
 
-class _Row(dict):
-    """One dual's doubled potentials, keyed by point number: the values computed so far."""
+def _twice(tol: float) -> Scalar:
+    """2 tol, exactly: 2 * tol, or the Fraction 2 tol where a finite float tol doubles to inf.
 
-    __slots__ = ("dual",)
+    Compared with inf rather than passed to math.isinf, which cannot
+    take an int or Fraction beyond the float range.
+    """
+    tol2 = 2 * tol
+    return 2 * Fraction(tol) if abs(tol2) == math.inf and abs(tol) != math.inf else tol2
+
+
+def _half(v2: Scalar, scale: Optional[Tuple[int, int]]) -> Scalar:
+    """half_of(v2), or on a scale (sv, sz) the Fraction v2 / (2 sv sz) that v2 stands for.
+
+    The one division of a call on a scale, when it reports a value: the
+    value and type that half_of gives on the Fractions v2 stands for.
+    """
+    if scale is None:
+        return half_of(v2)
+    sv, sz = scale
+    return Fraction(v2, 2 * sv * sz)
+
+
+class _Row(dict):
+    """One dual's doubled potentials, keyed by point number: the values computed so far.
+
+    n: the row's position in its table's key columns, when the table
+    has a scale.
+    """
+
+    __slots__ = ("dual", "n")
 
     def __init__(self, dual: DualVector):
         super().__init__()
@@ -624,28 +654,48 @@ class _Potentials:
 
     A whole-set computation builds one table per call. point() numbers
     the call's points (by payload: a table holds one space) and row()
-    gives each dual one row (by structural equality, once per pair,
-    never per pairing), a dict keyed by point number. Sweeps read a row
-    through getitem, row[z], the reader the single queries of
-    cat0.fitzpatrick use on their columns; a handle is (point number,
-    row), a member handle also carries its own potential.
+    gives each dual one row, a dict keyed by point number: by the exact
+    key of its action (DualVector.key) where it has one, since duals
+    with one key have one potential, and by structural equality
+    otherwise (the hyperboloid, a float); once per pair, never per
+    pairing. Sweeps read a row through getitem, row[z], the reader the
+    single queries of cat0.fitzpatrick use on their columns; a handle is
+    (point number, row), a member handle also carries its own potential.
+
+    A call numbers every pair and point it reads (handles(), point())
+    before it evaluates anything, then fixes the table's scale (start):
+
+    * where every row has a key and every point is exact, the scale
+      (sv, sz) of cat0.dual._scale over the rows' _duals_ints and the
+      points' _points_ints columns, the denominators of the call's
+      other exact values (a fixed point's table values) joining sz.
+      Every value in a row is then the int 2F sv sz, each kernel call
+      reads the table's columns, and the call divides once, when it
+      reports a value (half). Where sv sz is 1, as on integer grids,
+      the plain kernel already gives those ints, and no column is read;
+    * on the hyperboloid, with a float and past _SCALE_BITS: no scale,
+      and the rows hold the kernel's floats or Fractions.
+
+    Every tol comparison of the call is against one bound (bound): the
+    exact floor of 2 tol sv sz on a scale, 2 tol (_twice) otherwise.
 
     A value is computed once, by the kernel call that fills it, when the
     step that reads it is reached: fill() fills rows at points, one
     _potentials2 call of one dual at several points per row, and
     fill_at() fills rows at one point with one call of several duals at
-    it; each skips what a row already holds.
-    A row holds exactly the values computed for it, so the call
-    evaluates exactly the potentials it reads. The first point numbered
-    fixes the space: a point from another space raises
-    (cat0.spaces._check_space), as a pairing across spaces would (a zero
-    dual alone evaluates nothing, so this check is not left to the
-    kernel). A point equal to a numbered one but holding coordinates of
-    other types (a float for an int) is numbered apart, as _Ends keeps
-    such payloads apart, so its values are computed in its own
-    arithmetic. The key stays the payload: only a hit whose payload is
-    not the numbered point's own object compares the coordinate types,
-    against those kept for its number.
+    it; each skips what a row already holds. A row holds exactly the
+    values computed for it, so the call evaluates exactly the potentials
+    it reads. The own potentials P_q(q.x) of members are the exception
+    (members): a pair keeps its own after its first sweep, and later
+    sweeps read it. The first point numbered fixes the space: a point
+    from another space raises (cat0.spaces._check_space), as a pairing
+    across spaces would (a zero dual alone evaluates nothing, so this
+    check is not left to the kernel). A point equal to a numbered one
+    but holding coordinates of other types (a float for an int) is
+    numbered apart, as _Ends keeps such payloads apart, so its values
+    are computed in its own arithmetic. The key stays the payload: only
+    a hit whose payload is not the numbered point's own object compares
+    the coordinate types, against those kept for its number.
     """
 
     def __init__(self):
@@ -653,7 +703,10 @@ class _Potentials:
         self._point_ids: Dict[tuple, int] = {}  # by payload: the points share one space
         self._points: List[Point] = []
         self._types: List[tuple] = []  # the coordinate types of each point, by number
-        self._rows: Dict[DualVector, _Row] = {}
+        self._rows: Dict[object, _Row] = {}  # by key, or by the dual where it has none
+        self._exact = True  # every row keyed and every point exact, so far
+        self.scale: Optional[Tuple[int, int]] = None
+        self._read = None  # (key columns, point columns) on a scale past (1, 1)
 
     def point(self, x: Point) -> int:
         key = x.payload
@@ -668,31 +721,108 @@ class _Potentials:
                 i = self._point_ids[key] = len(self._points)
                 self._points.append(x)
                 self._types.append(tuple(map(type, x.payload)))
+                self._exact = self._exact and is_exact(x.payload)
         return i
 
     def row(self, xd: DualVector) -> _Row:
-        row = self._rows.get(xd)
+        key = xd.key
+        row = self._rows.get(xd if key is None else key)
         if row is None:
-            row = self._rows[xd] = _Row(xd)
+            row = self._rows[xd if key is None else key] = _Row(xd)
+            self._exact = self._exact and key is not None
         return row
 
     def handles(self, pairs: Sequence) -> List[Tuple[int, _Row]]:
         """(point number, row) of each (point, dual) pair."""
         return [(self.point(q.x), self.row(q.xd)) for q in pairs]
 
-    def members(self, pairs: Sequence) -> List[Tuple[int, _Row, Scalar]]:
-        """Member handles (point number, row, own doubled potential) of the pairs."""
-        hs = self.handles(pairs)
-        return [(z, row, own) for (z, row), own in zip(hs, self.owns(hs))]
+    def start(self, values: Sequence[Scalar] = ()) -> None:
+        """Fix the table's scale, once every pair and point the call reads is numbered.
 
-    def owns(self, handles: Sequence[Tuple[int, _Row]]) -> List[Scalar]:
-        """P_u(u.x) of each handle u, in order: one fill_at call per point."""
-        at: Dict[int, List[_Row]] = {}
-        for z, row in handles:
-            at.setdefault(z, []).append(row)
-        for z, rows in at.items():
-            self.fill_at(rows, z)
-        return [row[z] for z, row in handles]
+        values: other exact values the call puts on the scale (see
+        on_scale); a float among them leaves the table without one.
+        """
+        space = self._space
+        if space is None or space.kind == HYPERBOLIC or not self._exact or not is_exact(values):
+            return
+        rows = list(self._rows.values())
+        keys = [row.dual.key for row in rows]
+        slopes = keys if space.kind == EUCLIDEAN else map(_slopes, filter(None, keys))
+        if all(v.denominator == 1 for v in chain(values, *slopes, *[z.payload for z in self._points])):
+            self.scale = _scale((), ())  # (1, 1) under the cap: the plain kernel gives the ints
+            return
+        duals, points = _duals_ints(space, [row.dual for row in rows]), _points_ints(space, self._points)
+        self.scale = _scale(duals[0], chain(points[0], [v.denominator for v in values]))
+        if self.scale is not None:
+            for n, row in enumerate(rows):
+                row.n = n
+            self._read = duals, points
+
+    def on_scale(self, v: Scalar) -> Scalar:
+        """The exact value v on the table's scale, v sv sz, an int; v itself without a scale."""
+        if self.scale is None:
+            return v
+        sv, sz = self.scale
+        return sv * sz // v.denominator * v.numerator
+
+    def half(self, v2: Scalar) -> Scalar:
+        """The value that the doubled value v2 in a row stands for (_half on the table's scale)."""
+        return _half(v2, self.scale)
+
+    def bound(self, tol: Optional[float], den: int = 1) -> Scalar:
+        """2 tol den on the table's scale, against which the call compares its doubled values.
+
+        A tol of None is the default_tol of the table's space (0.0 for a
+        table without points, which compares nothing). On a scale the
+        int floor of 2 tol den sv sz, from Fraction(tol), so an int
+        compares with it as with the exact product; otherwise, and for a
+        non-finite tol, 2 tol (_twice).
+        """
+        if tol is None:
+            tol = self._space.default_tol if self._space is not None else 0.0
+        if self.scale is None or isinstance(tol, float) and not math.isfinite(tol):
+            return _twice(tol)
+        sv, sz = self.scale
+        return math.floor(2 * sv * sz * den * Fraction(tol))
+
+    def members(self, pairs: Sequence, handles: Sequence[Tuple[int, _Row]]) -> List[Tuple[int, _Row, Scalar]]:
+        """Member handles (point number, row, own doubled potential P_u(u.x)) of the pairs, given their handles.
+
+        A pair keeps its own potential after its first sweep (_own, see
+        cat0.conjugate.PairedPoint), as the kernel gives it without a
+        scale, and a later sweep reads it. A pair that lacks one takes
+        it from its row where the row holds it, and otherwise from one
+        kernel call per point over the rows that lack it, as a graph's
+        frame computes its own; the value goes into the row, on the
+        table's scale, only where the row lacks it, so no sweep
+        evaluates a potential the table held.
+        """
+        at: Dict[int, Dict[int, _Row]] = {}
+        for q, (z, row) in zip(pairs, handles):
+            if z not in row:
+                if q._own is None:
+                    at.setdefault(z, {})[id(row)] = row
+                else:
+                    row[z] = self.on_scale(q._own)
+        for z, need in at.items():
+            rows = [row for row in need.values() if z not in row]
+            for row, v in zip(rows, _potentials2([row.dual for row in rows], (self._points[z],))):
+                row[z] = self.on_scale(v)
+        s = 1 if self.scale is None else self.scale[0] * self.scale[1]
+        for q, (z, row) in zip(pairs, handles):
+            if q._own is None:  # the value its row's int stands for
+                object.__setattr__(q, "_own", row[z] if s == 1 else Fraction(row[z], s))
+        return [(z, row, row[z]) for z, row in handles]
+
+    def _kernel(self, rows: Sequence[_Row], zs: Sequence[int]) -> List[Scalar]:
+        """_potentials2 of the rows' duals at the points zs (one row, or one point), on the table's scale."""
+        points = [self._points[z] for z in zs]
+        if self._read is None:
+            return _potentials2([row.dual for row in rows], points)
+        duals, cols = self._read
+        ns = [row.n for row in rows]
+        read = ([list(map(c.__getitem__, ns)) for c in duals], [[list(map(c.__getitem__, zs)) for c in cols]])
+        return _potentials2([row.dual for row in rows], points, self.scale, read)
 
     def fill(self, rows: Iterable[_Row], zs: Sequence[int]) -> None:
         """Fill each row at the points zs where it holds nothing, one kernel call a row."""
@@ -700,13 +830,13 @@ class _Potentials:
         for row in {id(row): row for row in rows}.values():
             need = [z for z in zs if z not in row]
             if need:
-                row.update(zip(need, _potentials2((row.dual,), [self._points[z] for z in need])))
+                row.update(zip(need, self._kernel((row,), need)))
 
     def fill_at(self, rows: Iterable[_Row], z: int) -> None:
         """Fill each row at the point z if it holds nothing there: one kernel call."""
         need = list({id(row): row for row in rows if z not in row}.values())
         if need:
-            for row, v in zip(need, _potentials2([row.dual for row in need], (self._points[z],))):
+            for row, v in zip(need, self._kernel(need, (z,))):
                 row[z] = v
 
     def pairs(self, a: tuple, bs: Iterable[tuple]) -> Iterator[Tuple[tuple, tuple]]:
@@ -719,16 +849,10 @@ class _Potentials:
         for b in bs:
             zb, rb = b[0], b[1]
             if zb not in ra:
-                ra[zb] = _potential2(ra.dual, self._points[zb])
+                (ra[zb],) = self._kernel((ra,), (zb,))
             if za not in rb:
-                rb[za] = _potential2(rb.dual, self._points[za])
+                (rb[za],) = self._kernel((rb,), (za,))
             yield a, b
-
-    def tol(self, tol: Optional[float]) -> float:
-        """tol, or the default_tol of the table's space; a table without points compares nothing."""
-        if tol is None:
-            return self._space.default_tol if self._space is not None else 0.0
-        return tol
 
 
 def dual_vector(terms: Iterable[Tuple[Scalar, BoundVector]]) -> DualVector:

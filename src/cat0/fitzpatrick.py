@@ -24,7 +24,11 @@ computes. The graph's pairs are member handles carrying them; the
 conjugate form reads each row's doubled coupling as P_y(y.x) - P_y(p),
 with P_y(p) from the column its term reads. On an empty graph all three
 give -inf. The sup-form term (_transform2) also serves level_set_report
-and roundtrip_check.
+and roundtrip_check. Across the whole-set sweeps the same exemption
+holds for a pair's own potential P_q(q.x), which the PairedPoint keeps
+after the first sweep that reads it (cat0.dual._Potentials.members);
+every gap, cross potential, sup-form term and conjugate term is still
+evaluated by the call that reads it.
 
 On exact inputs a query runs on one integer scale (cat0.dual._scale):
 the OperatorGraph keeps its keys and points as int columns, D_V and
@@ -38,7 +42,9 @@ unchanged, and each form divides once at the end, reporting
 Fraction(best2, 2 sv sz): the value and type that half_of(best2) gives
 on Fractions. On the hyperboloid, with a float, or past the kernel's
 cap on the scale's bits, a query runs on floats or on Fractions
-reduced at every step, as any pairing does.
+reduced at every step, as any pairing does. level_set_report and
+roundtrip_check run on one scale per call likewise, through their
+potential table (cat0.dual._Potentials), and report the same values.
 
 On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
@@ -74,6 +80,7 @@ from .conjugate import (
 )
 from .dual import (
     _Potentials,
+    _half,
     _potentials2,
     _reads,
     dual_add,
@@ -82,7 +89,6 @@ from .dual import (
     pair,
 )
 from .extreal import ExtReal, NEG_INF, Scalar, agree, ext
-from .geometry import half_of
 from .monotone import (
     OperatorGraph,
     PropertyReport,
@@ -90,7 +96,6 @@ from .monotone import (
     _monotone_report,
     _polar_indices,
     _require_graph_in,
-    _twice,
     f_property_check,
     relatedness_gap,
 )
@@ -197,11 +202,8 @@ class _Query:
         self.g, self.q, self.scale, self.owns, self.read, self.mine = g, q, scale, owns, read, mine
 
     def half(self, v2: Scalar) -> Scalar:
-        """half_of(v2), or on a scale the Fraction v2 / (2 sv sz) that v2 stands for."""
-        if self.scale is None:
-            return half_of(v2)
-        sv, sz = self.scale
-        return Fraction(v2, 2 * sv * sz)
+        """The value that v2 on the query's scale stands for (cat0.dual._half)."""
+        return _half(v2, self.scale)
 
     def _at(self, a: Point) -> object:
         """The read of the query-side point a, q.x or p: its one-item batch."""
@@ -315,9 +317,10 @@ def level_set_report(
     _require_graph_in(universe, g, tol)
 
     pot = _Potentials()
-    gms = pot.members(g.pairs)
+    gms, us = pot.handles(g.pairs), pot.handles(universe)
     zp = pot.point(p)
-    us = pot.members(universe)
+    pot.start()
+    gms, us = pot.members(g.pairs, gms), pot.members(universe, us)
     # fitzpatrick_sup minus coupling_pi, doubled: the coupling is P_q(q.x)
     # - P_q(p), and the difference is halved once (-inf without members)
     if gms:
@@ -326,14 +329,15 @@ def level_set_report(
         doubled = [_transform2(getitem, zp, gms, (zq, rq)) - (own - rq[zp]) for zq, rq, own in us]
     else:
         doubled = [-math.inf] * len(us)
-    gaps = [ExtReal(half_of(g2)) if gms else NEG_INF for g2 in doubled]
+    gaps = [ExtReal(pot.half(g2)) if gms else NEG_INF for g2 in doubled]
     below: List[int] = []
     equal: List[int] = []
     above: List[int] = []
-    # |gap| <= tol is decided on the doubled gap against 2 tol (_twice),
-    # which is exact on ints and Fractions and builds no Fraction; a float
-    # gap is compared as reported, since halving a float can round
-    tol2 = _twice(tol)
+    # |gap| <= tol is decided on the doubled gap against the table's bound
+    # of 2 tol, which is exact on ints and Fractions and builds no
+    # Fraction; a float gap is compared as reported, since halving a float
+    # can round
+    tol2 = pot.bound(tol)
     for i, (g2, gap) in enumerate(zip(doubled, gaps)):
         v, band = (gap.raw, tol) if isinstance(g2, float) else (g2, tol2)
         if abs(v) <= band:
@@ -420,14 +424,16 @@ def roundtrip_check(
     # fitzpatrick_sup at every entry, read from one potential table; an
     # entry's values are filled when it is reached
     pot = _Potentials()
-    gms = pot.members(g.pairs)
+    gms, qs = pot.handles(g.pairs), pot.handles(h.domain)
     zp = pot.point(p)
+    pot.start()
+    gms = pot.members(g.pairs, gms)
     side = [z for z, _, _ in gms] + [zp]
-    for (q, v), (zq, rq) in zip(h.entries, pot.handles(h.domain)):
+    for (q, v), (zq, rq) in zip(h.entries, qs):
         if gms:
             pot.fill((rq,), side)
             pot.fill_at([row for _, row, _ in gms], zq)
-            phi = ExtReal(half_of(_transform2(getitem, zp, gms, (zq, rq))))
+            phi = ExtReal(pot.half(_transform2(getitem, zp, gms, (zq, rq))))
         else:
             phi = NEG_INF
         if not agree((phi, v), tol):
@@ -511,7 +517,7 @@ def convexity_check_fitz(
             )
             vm = fitzpatrick_sup(g, p, mid)
             bound = (1 - lam) * va.value + lam * vb.value
-            if witness is None and not vm.value <= bound + tol:
+            if witness is None and not vm.value - bound <= tol:
                 witness = {
                     "pair_a": qa,
                     "pair_b": qb,

@@ -36,15 +36,18 @@ computed for it, and a sweep computes them where it reads them, so it
 evaluates no potential it does not read: the polar goes member by
 member and drops a universe pair at the first member it is not related
 to (see cat0.dual._Potentials). The members and the universe pairs
-alike are handles with their own potentials (_Potentials.members); a
-pair outside the graph may share a member's row. An OperatorGraph keeps
-its members' self-potentials for the single transform queries of
-cat0.fitzpatrick (see OperatorGraph).
+alike are handles with their own potentials (_Potentials.members),
+which each pair keeps after the first sweep that reads it, so a later
+sweep over the same pairs evaluates only the values its gaps read
+across pairs. Rows are keyed by the action, so a pair outside the graph
+may share a member's row, and on exact inputs a sweep runs on ints over
+one scale per call, every gap compared with one exact bound of -2 tol
+on it. An OperatorGraph keeps its members' self-potentials for the
+single transform queries of cat0.fitzpatrick (see OperatorGraph).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,6 +66,7 @@ from .dual import (
     _potential2,
     _potentials2,
     _reads,
+    _twice,
 )
 from .extreal import Scalar
 from .geometry import check_cn_inequality, half_of
@@ -193,36 +197,35 @@ def _gaps2(P, pairs: Iterable[Tuple[tuple, tuple]]) -> Iterator[Scalar]:
         yield own_a - P(da, zb) - P(db, za) + own_b
 
 
-def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
-    """<q1.xd - q2.xd, q2.x q1.x ->; nonnegative when related."""
+def _gap2(q1: PairedPoint, q2: PairedPoint) -> Scalar:
+    """Twice relatedness_gap(q1, q2), read through _potential2."""
     a = (q1.x, q1.xd, _potential2(q1.xd, q1.x))
     (gap2,) = _gaps2(_potential2, [(a, (q2.x, q2.xd, _potential2(q2.xd, q2.x)))])
-    return half_of(gap2)
+    return gap2
+
+
+def relatedness_gap(q1: PairedPoint, q2: PairedPoint) -> Scalar:
+    """<q1.xd - q2.xd, q2.x q1.x ->; nonnegative when related."""
+    return half_of(_gap2(q1, q2))
 
 
 def monotonically_related(
     q1: PairedPoint, q2: PairedPoint, tol: Optional[float] = None
 ) -> bool:
-    """Is the relatedness pairing >= -tol? Symmetric in its arguments."""
-    tol = q1.x.space.default_tol if tol is None else tol
-    return relatedness_gap(q1, q2) >= -tol
+    """Is the relatedness pairing >= -tol? Symmetric in its arguments.
 
-
-# The sweeps compare doubled gaps with -2 tol (_twice), so each verdict
-# is the one the halved gap would give, without building a Fraction per
-# comparison. A tol of None is the default_tol of the potential table's
-# space. They read the table's rows through getitem (see
-# cat0.dual._Potentials).
-
-
-def _twice(tol: float) -> Scalar:
-    """2 tol, exactly: 2 * tol, or the Fraction 2 tol where a finite float tol doubles to inf.
-
-    Compared with inf rather than passed to math.isinf, which cannot
-    take an int or Fraction beyond the float range.
+    Decided on the doubled gap against -2 tol (_twice), as the sweeps
+    decide, so no Fraction is built.
     """
-    tol2 = 2 * tol
-    return 2 * Fraction(tol) if abs(tol2) == math.inf and abs(tol) != math.inf else tol2
+    tol = q1.x.space.default_tol if tol is None else tol
+    return _gap2(q1, q2) >= -_twice(tol)
+
+
+# The sweeps compare doubled gaps with the table's bound, -2 tol on its
+# scale (_Potentials.bound), so each verdict is the one the halved gap
+# would give, without building a Fraction per comparison. A tol of None
+# is the default_tol of the potential table's space. They read the
+# table's rows through getitem (see cat0.dual._Potentials).
 
 
 def _monotone_report(
@@ -232,14 +235,14 @@ def _monotone_report(
 
     Pair by pair, so a failing pair leaves the later ones unevaluated.
     """
-    floor = -_twice(pot.tol(tol))
+    floor = -pot.bound(tol)
     for i in range(len(members)):
         gaps = _gaps2(getitem, pot.pairs(members[i], members[i + 1:]))
         for j, gap2 in enumerate(gaps, i + 1):
             if gap2 < floor:
                 return PropertyReport(
                     holds=False,
-                    witness={"pair_a": pairs[i], "pair_b": pairs[j], "gap": half_of(gap2)},
+                    witness={"pair_a": pairs[i], "pair_b": pairs[j], "gap": pot.half(gap2)},
                 )
     return PropertyReport(holds=True)
 
@@ -254,7 +257,7 @@ def _polar_indices(
     still in are filled at the next member, so each is evaluated
     against the members a test in member order reaches.
     """
-    floor = -_twice(pot.tol(tol))
+    floor = -pot.bound(tol)
     alive = list(range(len(us)))
     for b in members:
         hs = [us[i] for i in alive]
@@ -271,7 +274,9 @@ def is_monotone(
     """Pairwise relatedness of all graph pairs; witness on first failure."""
     pairs = g.pairs if isinstance(g, OperatorGraph) else tuple(g)
     pot = _Potentials()
-    return _monotone_report(pot, pairs, pot.members(pairs), tol)
+    hs = pot.handles(pairs)
+    pot.start()
+    return _monotone_report(pot, pairs, pot.members(pairs, hs), tol)
 
 
 def monotone_polar(
@@ -286,8 +291,9 @@ def monotone_polar(
     """
     members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
     pot = _Potentials()
-    ms = pot.members(members)
-    polar = _polar_indices(pot, ms, pot.members(universe), tol)
+    ms, us = pot.handles(members), pot.handles(universe)
+    pot.start()
+    polar = _polar_indices(pot, pot.members(members, ms), pot.members(universe, us), tol)
     return tuple(universe[i] for i in polar)
 
 
@@ -316,11 +322,13 @@ def is_maximal_relative(
     """
     _require_graph_in(universe, g, tol)
     pot = _Potentials()
-    gms = pot.members(g.pairs)
+    gms, us = pot.handles(g.pairs), pot.handles(universe)
+    pot.start()
+    gms = pot.members(g.pairs, gms)
     mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono
-    for i in _polar_indices(pot, gms, pot.members(universe), tol):
+    for i in _polar_indices(pot, gms, pot.members(universe, us), tol):
         if g._listed.find(universe[i], tol) is None:
             return PropertyReport(holds=False, witness={"extension": universe[i]})
     return PropertyReport(holds=True)
@@ -350,7 +358,12 @@ def f_property_check(
     # (x, y, lam) with the table numbers of x, y and their landing point
     segments = [(x, y, lam, pot.point(x), pot.point(y), pot.point(geodesic_point(x, y, lam)))
                 for x in dom for y in dom for lam in lambda_grid]
+    pot.start()
     read = [zp, *(z for segment in segments for z in segment[3:])]
+    # on a scale, along - chord = (b P(m) - (b - a) P(x) - a P(y)) / (2 b sv sz)
+    # at lam = a / b, an int over it compared with the bound of 2 tol b
+    fracs = {lam: Fraction(lam).as_integer_ratio() for lam in lambda_grid} if pot.scale else {}
+    bounds = {lam: pot.bound(tol, b) for lam, (_, b) in fracs.items()}
     lower_w: Optional[dict] = None
     upper_w: Optional[dict] = None
     for row in rows:
@@ -358,12 +371,22 @@ def f_property_check(
         pot.fill((row,), read)
         at_p = row[zp]
         for x, y, lam, zx, zy, zm in segments:
-            along = half_of(row[zm] - at_p)
-            chord = (1 - lam) * half_of(row[zx] - at_p) + lam * half_of(row[zy] - at_p)
-            if lower_w is None and along > chord + tol:
-                lower_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
-            if upper_w is None and along < chord - tol:
-                upper_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
+            if pot.scale:
+                a, b = fracs[lam]
+                diff = b * row[zm] - (b - a) * row[zx] - a * row[zy]
+                lower, upper = diff > bounds[lam], diff < -bounds[lam]
+            else:
+                along = half_of(row[zm] - at_p)
+                chord = (1 - lam) * half_of(row[zx] - at_p) + lam * half_of(row[zy] - at_p)
+                lower, upper = along - chord > tol, along - chord < -tol
+            if lower and lower_w is None or upper and upper_w is None:
+                along = pot.half(row[zm] - at_p)
+                chord = (1 - lam) * pot.half(row[zx] - at_p) + lam * pot.half(row[zy] - at_p)
+                w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
+                if lower and lower_w is None:
+                    lower_w = w
+                if upper and upper_w is None:
+                    upper_w = w
     return FPropertyReport(
         lower=PropertyReport(holds=lower_w is None, witness=lower_w),
         upper=PropertyReport(holds=upper_w is None, witness=upper_w),

@@ -80,7 +80,7 @@ def avg_lowerbound_check(
     side, row_duals = [z for z, _, _ in rows] + [zp], [row for _, row, _ in rows]
     # a universe pair's values are filled when it is reached, and its
     # own potential is kept in its row
-    for u, v in zip(pot.handles(universe), values):
+    for q, u, v in zip(universe, pot.handles(universe), values):
         zu, ru = u
         pot.fill((ru,), side)
         pot.fill_at(row_duals, zu)
@@ -88,7 +88,7 @@ def avg_lowerbound_check(
         conj = _conjugate(getitem, zp, rows, u)
         if conj.is_neg_inf:  # no finite row: h + h*_p would be +inf + (-inf)
             raise ImproperTableError("table is +inf on every universe pair")
-        (own,) = pot.owns([u])
+        ((_, _, own),) = pot.members([q], [u])
         if not scale(Fraction(1, 2), v + conj) >= half_of(own - ru[zp]) - tol:
             return False
     return True

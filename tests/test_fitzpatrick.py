@@ -25,6 +25,7 @@ from cat0 import (
     dual_vector,
     euclidean,
     ext,
+    f_property_check,
     fenchel_conjugate_p,
     fitzpatrick_forms_agree,
     fitzpatrick_inf,
@@ -404,6 +405,81 @@ def test_exact_queries_give_the_same_reprs_on_both_paths(kind, past_cap, data):
     assert scaled == [repr(v) for v in single_queries_per_call(OperatorGraph(p.space, pairs), p, q)]
     sup = max(_ref_pair(q.xd, BoundVector(p, y.x)) - _ref_pair(y.xd, BoundVector(q.x, y.x)) for y in pairs)
     assert all(r == repr(ExtReal(half_of(2 * sup))) for r in scaled)
+
+
+@st.composite
+def _exact_sweep_spec(draw, kind):
+    """Plain data of an exact sweep instance, with denominators up to 12: built twice by _build_sweep_instance.
+
+    A pool of points, duals of zero to two terms between them, a
+    universe of (point, dual) picks that may repeat a pair, a graph drawn
+    from it, a basepoint from the pool or off it, and a table value per
+    universe pair: its transform or a drawn Fraction.
+    """
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+    if kind == "euclidean":
+        coords = st.tuples(frac, frac)
+    else:
+        coords = st.tuples(st.integers(1, 3), st.integers(1, 12).flatmap(
+            lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))))
+    pool = draw(st.lists(coords, min_size=1, max_size=4))
+    ends = st.integers(0, len(pool) - 1)
+    duals = draw(st.lists(st.lists(st.tuples(frac, ends, ends), max_size=2), min_size=1, max_size=3))
+    universe = draw(st.lists(st.tuples(ends, st.integers(0, len(duals) - 1)), min_size=1, max_size=6))
+    graph = draw(st.lists(st.integers(0, len(universe) - 1), max_size=3))
+    p = draw(st.one_of(ends, coords))
+    values = draw(st.lists(st.one_of(st.none(), frac), min_size=len(universe), max_size=len(universe)))
+    return kind, pool, duals, universe, graph, p, values
+
+
+def _build_sweep_instance(spec):
+    """(graph, basepoint, universe, table) of a _exact_sweep_spec, as fresh objects."""
+    kind, pool, duals, universe, graph, p, values = spec
+    space = E2 if kind == "euclidean" else rtree()
+    pts = [make_point(space, c) for c in pool]
+    xds = [dual_vector((c, BoundVector(pts[i], pts[j])) for c, i, j in terms) for terms in duals]
+    U = tuple(PairedPoint(pts[i], xds[k]) for i, k in universe)
+    g = OperatorGraph(space, tuple(U[i] for i in graph))
+    p = pts[p] if isinstance(p, int) else make_point(space, p)
+    rows, seen = [], set()
+    for q, v in zip(U, values):
+        if q._key not in seen:
+            seen.add(q._key)
+            rows.append((q, fitzpatrick_sup(g, p, q) if v is None else ext(v)))
+    return g, p, U, FunctionTable(p, tuple(rows))
+
+
+def _sweep_reprs(g, p, U, h):
+    """The repr of every whole-set sweep's result on the instance (of the error where one raises)."""
+    def run(sweep, *args):
+        try:
+            return repr(sweep(*args))
+        except RepresentationPreconditionError as e:
+            return repr(e.report)
+
+    h._gamma_memo.clear()
+    return [run(is_monotone, g), run(monotone_polar, g.pairs, U), run(is_maximal_relative, g, U),
+            run(level_set_report, g, p, U), run(f_property_check, g, p), run(gamma_p_membership, h, p, U),
+            run(roundtrip_check, h, p, U)]
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree"])
+@given(data=st.data())
+def test_exact_sweeps_give_the_same_reprs_on_both_paths(kind, data):
+    # the sweeps on their table's integer scale, and with the cap at 0
+    # bits, where every exact sweep runs on the kernel's Fractions: the
+    # same results, on fresh pairs and on pairs that kept their own
+    # potentials from the other path
+    spec = data.draw(_exact_sweep_spec(kind))
+    scaled = _build_sweep_instance(spec)
+    want = _sweep_reprs(*scaled)
+    with mock.patch.object(cat0.dual, "_SCALE_BITS", 0):
+        assert _sweep_reprs(*_build_sweep_instance(spec)) == want
+        assert _sweep_reprs(*scaled) == want
+    plain = _build_sweep_instance(spec)
+    with mock.patch.object(cat0.dual, "_SCALE_BITS", 0):
+        _sweep_reprs(*plain)
+    assert _sweep_reprs(*plain) == want
 
 
 # a float point and the same point with exact coordinates, equal payloads

@@ -32,6 +32,7 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
+from cat0.dual import _potential2
 from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
@@ -240,9 +241,11 @@ def test_sweeps_off_a_product_universe_evaluate_only_what_they_read(monkeypatch,
     universe = _scattered_universe(space, random.Random(4), 40)
     graphs = [universe[:1], universe[7:8], greedy_monotone_subset(random.Random(2), universe, 2)]
     got = _sweep_counts(monkeypatch, universe, graphs, universe[5].x, (_polar, _maximal, _level))
-    # (monotone_polar, is_maximal_relative, level_set_report) per graph
-    last = (154, 154, 231) if space.kind == "rtree" else (144, 144, 231)
-    assert got == [(118, 118, 156), (118, 118, 156), last]
+    # (monotone_polar, is_maximal_relative, level_set_report) per graph.
+    # The pairs keep their own potentials: the first sweep evaluates the
+    # 40, and the later sweeps over the same universe read them
+    last = (114, 114, 191) if space.kind == "rtree" else (104, 104, 191)
+    assert got == [(118, 78, 116), (78, 78, 116), last]
 
 
 def _shared_universe(space, rng):
@@ -263,9 +266,32 @@ def test_sweeps_on_a_universe_that_shares_duals_and_points(monkeypatch, space):
     graphs = [universe[:1], universe[::4], greedy_monotone_subset(random.Random(3), universe, 3),
               universe[4:12]]
     got = _sweep_counts(monkeypatch, universe, graphs, universe[2].x, (_polar, _monotone, _maximal, _level))
-    # (monotone_polar, is_monotone, is_maximal_relative, level_set_report) per graph
-    second = (25, 7, 7, 30) if space.kind == "rtree" else (26, 7, 7, 30)
-    assert got == [(22, 1, 22, 22), second, (29, 6, 29, 29), (27, 9, 9, 29)]
+    # (monotone_polar, is_monotone, is_maximal_relative, level_set_report)
+    # per graph; after the first sweep every pair's own potential is kept
+    second = (5, 2, 2, 10) if space.kind == "rtree" else (6, 2, 2, 10)
+    assert got == [(22, 0, 2, 2), second, (9, 3, 9, 9), (7, 1, 1, 9)]
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2), rtree()])
+def test_a_second_sweep_reads_the_kept_own_potentials(monkeypatch, space):
+    # the first report evaluates every pair's own potential P_q(q.x) and
+    # keeps it on the pair; the second, over the same pairs, evaluates
+    # everything else again and none of the owns
+    universe = _shared_universe(space, random.Random(7))
+    g = OperatorGraph(space, greedy_monotone_subset(random.Random(8), universe, 3))
+    p = universe[3].x
+    assert all(q._own is None for q in universe)
+    potentials = count_potentials(monkeypatch)
+    first = level_set_report(g, p, universe)
+    n_first = potentials[0]
+    assert all(q._own is not None for q in universe)
+    potentials[0] = 0
+    second = level_set_report(g, p, universe)
+    # one own per (action, point) of a pair with a nonzero dual
+    owns = {(q.xd.key if q.xd.key is not None else q.xd, q.x) for q in universe if q.xd.terms}
+    assert potentials[0] == n_first - len(owns) > 0
+    assert repr(second) == repr(first)
+    assert [q._own for q in universe] == [_potential2(q.xd, q.x) for q in universe]
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):

@@ -24,6 +24,8 @@ from cat0 import (
     coupling_pi,
     dual_term,
     duals_match,
+    euclidean,
+    f_property_check,
     fenchel_young_check,
     fitzpatrick_forms_agree,
     fitzpatrick_inf,
@@ -296,3 +298,62 @@ def test_only_the_allowed_sites_write_a_tolerance():
 def test_the_guard_sees_a_stray_tolerance():
     tree = ast.parse("def f(tol=1e-9):\n    return 0.0000001\n")
     assert _tolerance_literals(tree) == [("f", 1), ("f", 2)]
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts compare the exact difference with tol: a Fraction plus a
+# float tol is a float, so an exact value equal to its bound could read as
+# past it. float(A_DOWN) < A_DOWN and float(A_UP) > A_UP.
+
+E1 = euclidean(1)
+A_DOWN, A_UP = Fraction(10000000001, 3), Fraction(10000000000, 3)
+
+
+def _e1(c):
+    return make_point(E1, (c,))
+
+
+UNIT = dual_term(1, _e1(0), _e1(1))
+
+
+@pytest.mark.parametrize("a", [A_DOWN, A_UP])
+def test_a_constant_table_is_convex_at_its_own_value(a):
+    # h = a at 0, 1/2 and 1 with the zero dual: the combination of the end
+    # entries at 1/2 lands on the middle one, whose value equals its bound
+    h = function_table(_e1(0), [(_e1(c), zero_dual(), a) for c in (0, Fraction(1, 2), 1)])
+    report = gamma_p_membership(h, h.p, h.domain, lambda_grid=(Fraction(1, 2),))
+    assert report.convexity_holds and report.convexity_witness is None
+
+
+@pytest.mark.parametrize("a", [A_DOWN, A_UP])
+def test_an_entry_at_its_coupling_is_a_fixed_point(a):
+    q = PairedPoint(_e1(a), UNIT)
+    assert coupling_pi(_e1(0), q) == a
+    h = function_table(_e1(0), [(q.x, q.xd, a)])
+    report = gamma_p_membership(h, h.p, h.domain)
+    assert (report.fixed_point_holds, report.worst_defect) == (True, 0.0)
+
+
+@pytest.mark.parametrize("n", [10 ** 10, 10 ** 10 + 1])
+def test_flat_coupling_properties_hold_where_along_equals_chord(n):
+    pairs = [PairedPoint(_e1(0), UNIT), PairedPoint(_e1(Fraction(2 * n, 3)), UNIT)]
+    report = f_property_check(pairs, _e1(0), lambda_grid=(Fraction(1, 2),))
+    assert report.lower.holds and report.upper.holds
+
+
+@pytest.mark.parametrize("a", [A_DOWN, A_UP])
+def test_a_transform_linear_along_a_segment_is_convex(a):
+    # the transform of {(1, 0)} at basepoint 0 is <q.xd, 0 1->, here a at
+    # both ends and at the midpoint
+    g = OperatorGraph(E1, (PairedPoint(_e1(1), zero_dual()),))
+    qa = PairedPoint(_e1(0), dual_term(a, _e1(0), _e1(1)))
+    rep = convexity_check_fitz(g, _e1(0), [(qa, qa)], (Fraction(1, 2),))
+    assert (rep.holds, rep.checked_pairs) == (True, 1)
+
+
+@pytest.mark.parametrize("a", [A_DOWN, A_UP])
+def test_fenchel_young_holds_with_equality(a):
+    # one entry: h(q1) + h*_p(swap q2) equals the right-hand side, a
+    q1, q2 = PairedPoint(_e1(a), zero_dual()), PairedPoint(_e1(0), UNIT)
+    h = function_table(_e1(0), [(q1.x, q1.xd, 7)])
+    assert fenchel_young_check(h, h.p, q1, q2)
