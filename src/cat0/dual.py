@@ -48,11 +48,11 @@ Each drops the constant 2F(origin) or 2F(root), so duals with one key
 have one potential. It is exact at exact points and computed in floats
 at points with a float coordinate.
 
-A single transform query and a whole-set sweep on exact inputs run on
-one integer scale per call (_scale): with sv the lcm of the
-denominators of the keys and sz that of the points' coordinates, 2F sv
-sz is an int for every dual at every point, since 2F is bilinear in the
-key and the point. Keys and points are read in one shape, as ints over
+A single transform query and a whole-set sweep on exact inputs (all
+but f_property_check) run on one integer scale per call (_scale): with
+sv the lcm of the denominators of the keys and sz that of the points'
+coordinates, 2F sv sz is an int for every dual at every point, since 2F
+is bilinear in the key and the point. Keys and points are read in one shape, as ints over
 each one's own denominator, in columns (_duals_ints, _points_ints); sv
 and sz are the lcms of their denominator columns. Called with the
 scale, the kernel gives these ints through one elementwise formula,
@@ -663,7 +663,10 @@ class _Potentials:
     (point number, row), a member handle also carries its own potential.
 
     A call numbers every pair and point it reads (handles(), point())
-    before it evaluates anything, then fixes the table's scale (start):
+    before it evaluates anything, then fixes the table's scale (start),
+    after which a new point or row fails an assertion: the scale and
+    the columns cover only what was numbered before. A call that never
+    starts (f_property_check) has no scale. start() gives:
 
     * where every row has a key and every point is exact, the scale
       (sv, sz) of cat0.dual._scale over the rows' _duals_ints and the
@@ -707,6 +710,7 @@ class _Potentials:
         self._exact = True  # every row keyed and every point exact, so far
         self.scale: Optional[Tuple[int, int]] = None
         self._read = None  # (key columns, point columns) on a scale past (1, 1)
+        self._started = False  # start() was called: nothing more is numbered
 
     def point(self, x: Point) -> int:
         key = x.payload
@@ -718,6 +722,7 @@ class _Potentials:
             _check_space(self._space, x.space)
             self._space = self._space or x.space
             if i is None:
+                assert not self._started, "a point numbered after start()"
                 i = self._point_ids[key] = len(self._points)
                 self._points.append(x)
                 self._types.append(tuple(map(type, x.payload)))
@@ -728,6 +733,7 @@ class _Potentials:
         key = xd.key
         row = self._rows.get(xd if key is None else key)
         if row is None:
+            assert not self._started, "a row made after start()"
             row = self._rows[xd if key is None else key] = _Row(xd)
             self._exact = self._exact and key is not None
         return row
@@ -742,6 +748,7 @@ class _Potentials:
         values: other exact values the call puts on the scale (see
         on_scale); a float among them leaves the table without one.
         """
+        self._started = True
         space = self._space
         if space is None or space.kind == HYPERBOLIC or not self._exact or not is_exact(values):
             return
@@ -769,13 +776,13 @@ class _Potentials:
         """The value that the doubled value v2 in a row stands for (_half on the table's scale)."""
         return _half(v2, self.scale)
 
-    def bound(self, tol: Optional[float], den: int = 1) -> Scalar:
-        """2 tol den on the table's scale, against which the call compares its doubled values.
+    def bound(self, tol: Optional[float]) -> Scalar:
+        """2 tol on the table's scale, against which the call compares its doubled values.
 
         A tol of None is the default_tol of the table's space (0.0 for a
         table without points, which compares nothing). On a scale the
-        int floor of 2 tol den sv sz, from Fraction(tol), so an int
-        compares with it as with the exact product; otherwise, and for a
+        int floor of 2 tol sv sz, from Fraction(tol), so an int compares
+        with it as with the exact product; otherwise, and for a
         non-finite tol, 2 tol (_twice).
         """
         if tol is None:
@@ -783,7 +790,7 @@ class _Potentials:
         if self.scale is None or isinstance(tol, float) and not math.isfinite(tol):
             return _twice(tol)
         sv, sz = self.scale
-        return math.floor(2 * sv * sz * den * Fraction(tol))
+        return math.floor(2 * sv * sz * Fraction(tol))
 
     def members(self, pairs: Sequence, handles: Sequence[Tuple[int, _Row]]) -> List[Tuple[int, _Row, Scalar]]:
         """Member handles (point number, row, own doubled potential P_u(u.x)) of the pairs, given their handles.

@@ -49,7 +49,6 @@ single transform queries of cat0.fitzpatrick (see OperatorGraph).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import getitem
@@ -358,12 +357,7 @@ def f_property_check(
     # (x, y, lam) with the table numbers of x, y and their landing point
     segments = [(x, y, lam, pot.point(x), pot.point(y), pot.point(geodesic_point(x, y, lam)))
                 for x in dom for y in dom for lam in lambda_grid]
-    pot.start()
     read = [zp, *(z for segment in segments for z in segment[3:])]
-    # on a scale, along - chord = (b P(m) - (b - a) P(x) - a P(y)) / (2 b sv sz)
-    # at lam = a / b, an int over it compared with the bound of 2 tol b
-    fracs = {lam: Fraction(lam).as_integer_ratio() for lam in lambda_grid} if pot.scale else {}
-    bounds = {lam: pot.bound(tol, b) for lam, (_, b) in fracs.items()}
     lower_w: Optional[dict] = None
     upper_w: Optional[dict] = None
     for row in rows:
@@ -371,22 +365,12 @@ def f_property_check(
         pot.fill((row,), read)
         at_p = row[zp]
         for x, y, lam, zx, zy, zm in segments:
-            if pot.scale:
-                a, b = fracs[lam]
-                diff = b * row[zm] - (b - a) * row[zx] - a * row[zy]
-                lower, upper = diff > bounds[lam], diff < -bounds[lam]
-            else:
-                along = half_of(row[zm] - at_p)
-                chord = (1 - lam) * half_of(row[zx] - at_p) + lam * half_of(row[zy] - at_p)
-                lower, upper = along - chord > tol, along - chord < -tol
-            if lower and lower_w is None or upper and upper_w is None:
-                along = pot.half(row[zm] - at_p)
-                chord = (1 - lam) * pot.half(row[zx] - at_p) + lam * pot.half(row[zy] - at_p)
-                w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
-                if lower and lower_w is None:
-                    lower_w = w
-                if upper and upper_w is None:
-                    upper_w = w
+            along = half_of(row[zm] - at_p)
+            chord = (1 - lam) * half_of(row[zx] - at_p) + lam * half_of(row[zy] - at_p)
+            if lower_w is None and along - chord > tol:
+                lower_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
+            if upper_w is None and along - chord < -tol:
+                upper_w = dict(xd=xd, x=x, y=y, lam=lam, along=along, chord=chord)
     return FPropertyReport(
         lower=PropertyReport(holds=lower_w is None, witness=lower_w),
         upper=PropertyReport(holds=upper_w is None, witness=upper_w),

@@ -815,6 +815,22 @@ def test_a_dual_keeps_its_hash_outside_its_fields(space, a, b):
     assert pot.row(xd) is pot.row(yd)
 
 
+def test_a_potential_table_numbers_nothing_after_it_starts():
+    # the scale and the columns cover only what was numbered before start
+    e2 = euclidean(2)
+    a, b, c = (make_point(e2, v) for v in [(0, 1), (Fraction(1, 2), 3), (5, 7)])
+    xd = dual_term(1, a, b)
+    pot = _Potentials()
+    za, row = pot.point(a), pot.row(xd)
+    pot.start()
+    assert pot.scale == (2, 1)  # the key (1/2, 2) over the point (0, 1)
+    assert pot.point(make_point(e2, (0, 1))) == za and pot.row(dual_term(1, a, b)) is row
+    with pytest.raises(AssertionError, match="after start"):
+        pot.point(c)
+    with pytest.raises(AssertionError, match="after start"):
+        pot.row(dual_term(1, a, c))
+
+
 def test_a_pickled_dual_hashes_again_on_load():
     # str hashes are salted per process, so a kept hash must not travel
     xd = dual_term(1, make_point(euclidean(2), (0, 1)), make_point(euclidean(2), (2, 3)))
