@@ -359,6 +359,9 @@ def _convexity_scan(
         _check_unit_interval(lam)
     exact = not h._listed._unkeyed and is_exact(lambda_grid)
     endpoints_pass = exact and tol >= 0
+    # the grid the scan walks, lam = 0 and 1 decided once per grid value
+    grid = [(k, lam) for k, lam in enumerate(lambda_grid)
+            if not (endpoints_pass and (lam == 0 or lam == 1))]
     listed_points = {q.x for q in h.domain}
     space = finite[0][0].x.space
     point_ids: Dict[Point, int] = {}
@@ -372,9 +375,7 @@ def _convexity_scan(
     for i, (q1, v1) in enumerate(finite):
         for j in range(i + 1, len(finite)):
             q2, v2 = finite[j]
-            for k, lam in enumerate(lambda_grid):
-                if endpoints_pass and (lam == 0 or lam == 1):
-                    continue
+            for k, lam in grid:
                 at = (zs[i], zs[j], k)
                 if at not in landing:
                     cx = geodesic_point(q1.x, q2.x, lam)

@@ -781,16 +781,18 @@ class _Potentials:
 
         A tol of None is the default_tol of the table's space (0.0 for a
         table without points, which compares nothing). On a scale the
-        int floor of 2 tol sv sz, from Fraction(tol), so an int compares
-        with it as with the exact product; otherwise, and for a
-        non-finite tol, 2 tol (_twice).
+        int floor of 2 tol sv sz, from tol's exact ratio n / d and
+        without building a Fraction, so an int compares with it as with
+        the exact product; otherwise, and for a non-finite tol, 2 tol
+        (_twice).
         """
         if tol is None:
             tol = self._space.default_tol if self._space is not None else 0.0
         if self.scale is None or isinstance(tol, float) and not math.isfinite(tol):
             return _twice(tol)
         sv, sz = self.scale
-        return math.floor(2 * sv * sz * Fraction(tol))
+        n, d = tol.as_integer_ratio()
+        return 2 * sv * sz * n // d
 
     def members(self, pairs: Sequence, handles: Sequence[Tuple[int, _Row]]) -> List[Tuple[int, _Row, Scalar]]:
         """Member handles (point number, row, own doubled potential P_u(u.x)) of the pairs, given their handles.

@@ -23,12 +23,12 @@ term endpoints, and its pairs' self-potentials P_y(y.x), which no form
 computes. The graph's pairs are member handles carrying them; the
 conjugate form reads each row's doubled coupling as P_y(y.x) - P_y(p),
 with P_y(p) from the column its term reads. On an empty graph all three
-give -inf. The sup-form term (_transform2) also serves level_set_report
-and roundtrip_check. Across the whole-set sweeps the same exemption
-holds for a pair's own potential P_q(q.x), which the PairedPoint keeps
-after the first sweep that reads it (cat0.dual._Potentials.members);
-every gap, cross potential, sup-form term and conjugate term is still
-evaluated by the call that reads it.
+give -inf. The sup-form term (_transform2) also serves roundtrip_check.
+Across the whole-set sweeps the same exemption holds for a pair's own
+potential P_q(q.x), which the PairedPoint keeps after the first sweep
+that reads it (cat0.dual._Potentials.members); every gap, cross
+potential, sup-form term and conjugate term is still evaluated by the
+call that reads it.
 
 On exact inputs a query runs on one integer scale (cat0.dual._scale):
 the OperatorGraph keeps its keys and points as int columns, D_V and
@@ -50,9 +50,15 @@ On a monotone graph the transform meets the coupling exactly on the
 graph's own pairs and its level sets against the coupling encode
 monotonicity and relative maximality; level_set_report partitions a
 candidate universe accordingly and evaluates the expected cross
-properties. s_map inverts the representation: it collects the pairs
-where a function table meets its coupling, and roundtrip_check verifies
-that transform-of-s_map reproduces tables passing the membership check.
+properties. The basepoint enters the quasilinearization as an affine
+shift, <x*, py-> = <x*, pp'-> + <x*, p'y->, so the transform and the
+coupling at q move by the same <q.xd, pp'-> and their difference,
+minus the least relatedness gap from q to a graph member, does not
+depend on p: the report reads its gaps and its polar from those
+relatedness gaps alone and evaluates nothing at p. s_map inverts the
+representation: it collects the pairs where a function table meets its
+coupling, and roundtrip_check verifies that transform-of-s_map
+reproduces tables passing the membership check.
 
 worked_examples re-runs the bundled reference configurations (an exact
 rational computation on the branch-glued tree, a float computation on
@@ -94,7 +100,6 @@ from .monotone import (
     PropertyReport,
     _gaps2,
     _monotone_report,
-    _polar_indices,
     _require_graph_in,
     f_property_check,
     relatedness_gap,
@@ -284,9 +289,13 @@ class SLevelReport:
     below/equal/above hold universe indices classified with the band
     |transform - coupling| <= tol, the tol that also decides relatedness
     and pair matching; gaps holds the signed differences
-    (transform minus coupling, -inf possible on an empty graph). checks
-    records the expected cross properties; entries are None when their
-    premise does not apply.
+    (transform minus coupling, -inf possible on an empty graph). A gap
+    is minus the least relatedness gap from its pair to a graph member,
+    so it does not depend on the basepoint. checks records the expected
+    cross properties; entries are None when their premise does not
+    apply. On exact inputs all five hold by that identity, since the
+    polar is read from the same gaps: they are kept as fields, not as
+    independent checks.
     """
 
     below: Tuple[int, ...]
@@ -311,22 +320,34 @@ def level_set_report(
     inside the equality band; a maximal-relative graph must exhaust the
     equality region and leave the strictly-below region empty; and
     equality region == graph with nothing below forces relative
-    maximality. tol defaults to the space's default_tol.
+    maximality.
+
+    The gaps do not depend on p: transform minus coupling at q is
+    -min over the members y of relatedness_gap(q, y), as the basepoint
+    shifts both by <q.xd, pp'->. So the report reads the doubled
+    relatedness gaps of every (universe pair, member) once, on one
+    potential table, and takes the polar as the pairs whose doubled gap
+    to the coupling is at most the table's bound of 2 tol, which is the
+    at-most band; it evaluates no potential at p. On exact inputs the
+    checks thus hold by the identity, not by a second computation.
+    p gives tol's default, the space's default_tol, and must lie in the
+    table's space.
     """
     tol = p.space.default_tol if tol is None else tol
     _require_graph_in(universe, g, tol)
 
     pot = _Potentials()
     gms, us = pot.handles(g.pairs), pot.handles(universe)
-    zp = pot.point(p)
+    _check_space(pot._space, p.space)
     pot.start()
     gms, us = pot.members(g.pairs, gms), pot.members(universe, us)
-    # fitzpatrick_sup minus coupling_pi, doubled: the coupling is P_q(q.x)
-    # - P_q(p), and the difference is halved once (-inf without members)
+    # fitzpatrick_sup minus coupling_pi, doubled, is minus the least
+    # doubled relatedness gap to a member (-inf without members), and is
+    # halved once; 0 - v, not -v, keeps a float 0.0 unsigned
     if gms:
-        pot.fill([row for _, row, _ in us], [z for z, _, _ in gms] + [zp])
+        pot.fill([row for _, row, _ in us], [z for z, _, _ in gms])
         pot.fill([row for _, row, _ in gms], [z for z, _, _ in us])
-        doubled = [_transform2(getitem, zp, gms, (zq, rq)) - (own - rq[zp]) for zq, rq, own in us]
+        doubled = [0 - min(_gaps2(getitem, zip(itertools.repeat(u), gms))) for u in us]
     else:
         doubled = [-math.inf] * len(us)
     gaps = [ExtReal(pot.half(g2)) if gms else NEG_INF for g2 in doubled]
@@ -348,7 +369,9 @@ def level_set_report(
             above.append(i)
 
     graph_idx = {i for i, q in enumerate(universe) if g._listed.find(q, tol) is not None}
-    polar_idx = set(_polar_indices(pot, gms, us, tol))
+    # the polar: related to every member, so the least doubled gap is at
+    # least -2 tol on the table's scale (the sweeps' test)
+    polar_idx = {i for i, g2 in enumerate(doubled) if g2 <= tol2}
 
     mono = _monotone_report(pot, g.pairs, gms, tol).holds
     # is_maximal_relative's test, on the sets already in hand

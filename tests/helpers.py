@@ -118,6 +118,24 @@ def single_queries_per_call(g: OperatorGraph, p: Point, q: PairedPoint) -> Tuple
     return sup, inf, _conjugate(P, p, rows, (q.x, q.xd))
 
 
+def basepoint_shift(q: PairedPoint, p: Point, p2: Point) -> Scalar:
+    """delta = <q.xd, p p2->, by which moving the basepoint from p to p2 lowers the p-forms at q.
+
+    The quasilinearization is additive, <q.xd, p y-> = <q.xd, p p2-> +
+    <q.xd, p2 y->, so pi_p2(q) = pi_p(q) - delta, and so do the three
+    transform forms at q and the p-conjugate at the swapped q, the last
+    of a table lowered by each pair's own delta (shifted_table).
+    """
+    return pair(q.xd, BoundVector(p, p2))
+
+
+def shifted_table(h: FunctionTable, p2: Point) -> FunctionTable:
+    """h - delta at the basepoint p2: each finite value lowered by basepoint_shift(q, h.p, p2)."""
+    return FunctionTable(p2, tuple(
+        (q, ExtReal(v.value - basepoint_shift(q, h.p, p2)) if v.is_finite else v) for q, v in h.entries
+    ))
+
+
 def hyperbolic_dists_sq_loop(xs: Sequence[tuple], y, each: bool = False) -> List[Scalar]:
     """acosh(-<x,y>)^2 of each hyperboloid payload x against y, or with each its partner in y, one at a time.
 

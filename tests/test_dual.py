@@ -831,6 +831,25 @@ def test_a_potential_table_numbers_nothing_after_it_starts():
         pot.row(dual_term(1, a, c))
 
 
+TOLS = st.one_of(
+    st.sampled_from([1e-9, 1e-7, 0.0, -0.0, -1e-9, -2.5, 5e-324, 1e300, 0, 3, Fraction(-7, 3)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10 ** 40, 10 ** 40),
+    st.fractions(),
+)
+
+
+@given(tol=TOLS, sv=st.integers(1, 10 ** 30), sz=st.integers(1, 10 ** 30))
+def test_a_scaled_bound_is_the_floor_of_the_exact_product(tol, sv, sz):
+    # the table's bound on a scale is read from tol's integer ratio; it
+    # must be the floor of 2 tol sv sz taken on the exact Fraction
+    pot = _Potentials()
+    pot.scale = (sv, sz)
+    bound = pot.bound(tol)
+    assert type(bound) is int
+    assert bound == math.floor(2 * sv * sz * Fraction(tol))
+
+
 def test_a_pickled_dual_hashes_again_on_load():
     # str hashes are salted per process, so a kept hash must not travel
     xd = dual_term(1, make_point(euclidean(2), (0, 1)), make_point(euclidean(2), (2, 3)))

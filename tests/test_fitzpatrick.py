@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -55,6 +56,7 @@ from cat0.spaces import _BLOCK, _SHORT, BoundVector
 from conftest import rtree_points, small_fractions
 from helpers import (
     ORIGIN2,
+    basepoint_shift,
     canonical_hilbert_of,
     count_calls,
     count_dist_sq,
@@ -62,6 +64,7 @@ from helpers import (
     greedy_monotone_subset,
     maximal_relative_graph,
     random_graph,
+    shifted_table,
     single_queries_per_call,
     small_universe,
     transform_table,
@@ -224,8 +227,11 @@ def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch
     ]
     assert {m for m, _ in expected} == {True, False}
     assert {r for _, r in expected} == {True, False}
+    # the polar as monotone_polar's own sweep finds it, member by member
+    polars = [{id(q) for q in monotone_polar(g, universe)} for g in graphs]
 
-    # one potential table, one polar sweep and one monotonicity sweep per report
+    # one potential table and one monotonicity sweep per report; the polar
+    # is read from the gaps, with no polar sweep
     names = ("_Potentials", "_polar_indices", "_monotone_report")
     calls = {}
     for name in names:
@@ -234,12 +240,15 @@ def test_level_report_verdicts_match_the_library_with_one_polar(rng, monkeypatch
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cat0.monotone, name, counted)
-        monkeypatch.setattr(cat0.fitzpatrick, name, counted)
-    for g, verdicts in zip(graphs, expected):
+        if hasattr(cat0.fitzpatrick, name):
+            monkeypatch.setattr(cat0.fitzpatrick, name, counted)
+    for g, verdicts, polar in zip(graphs, expected, polars):
         calls.update(dict.fromkeys(names, 0))
         report = level_set_report(g, ORIGIN2, universe)
         assert (report.monotone, report.maximal_relative) == verdicts
-        assert calls == dict.fromkeys(names, 1)
+        assert calls == {"_Potentials": 1, "_polar_indices": 0, "_monotone_report": 1}
+        # the at-most region is the polar
+        assert sorted(report.below + report.equal) == [i for i, q in enumerate(universe) if id(q) in polar]
 
 
 # the set-level sweeps read pairings from a potential table, the
@@ -784,6 +793,67 @@ def test_set_sweeps_equal_the_single_query_functions(kind, data):
     assert monotone_polar(g, universe, tol) == polar
     maximal = not unrelated and all(pair_in(u, pairs, tol) for u in polar)
     assert report.maximal_relative == is_maximal_relative(g, universe, tol).holds == maximal
+
+
+# moving the basepoint from p to p2 shifts every p-form at q by
+# delta = <q.xd, p p2-> (helpers.basepoint_shift), so the level-set gaps,
+# transform minus coupling, do not depend on it
+
+
+def _shift_instance(data, kind):
+    """(graph, p, p2, universe, its pairs with no two alike): p2 any point."""
+    g, p, universe = data.draw(_instance(kind))
+    distinct = []
+    for u in universe:
+        if not pair_in(u, distinct):
+            distinct.append(u)
+    return g, p, data.draw(POINTS[kind]), universe, distinct
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])
+@given(data=st.data())
+def test_level_report_does_not_depend_on_its_basepoint(kind, data):
+    g, p, p2, universe, _ = _shift_instance(data, kind)
+    at_p, at_p2 = level_set_report(g, p, universe), level_set_report(g, p2, universe)
+    if kind != "hyperbolic":
+        assert repr(at_p2) == repr(at_p)
+    assert all(_same(kind, a, b) for a, b in zip(at_p2.gaps, at_p.gaps))
+    assert dataclasses.replace(at_p2, gaps=()) == dataclasses.replace(at_p, gaps=())
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])
+@given(data=st.data())
+def test_forms_and_conjugates_shift_with_the_basepoint(kind, data):
+    g, p, p2, universe, distinct = _shift_instance(data, kind)
+    listed = distinct[: data.draw(st.integers(0, len(distinct)))]
+    h = FunctionTable(p, tuple((u, ExtReal(data.draw(COEFFS[kind]))) for u in listed))
+    h2 = shifted_table(h, p2)
+    same = functools.partial(_same, kind)
+    for q in universe:
+        delta = basepoint_shift(q, p, p2)
+        assert same(coupling_pi(p2, q), coupling_pi(p, q) - delta)
+        for form in (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
+            assert same(form(g, p2, q), form(g, p, q) - delta), form.__name__
+        # over pairs no two of which match within tol: a pair matched to
+        # another's entry reads that entry's value, shifted by its delta
+        assert same(fenchel_conjugate_p(h2, p2, distinct, q.xd, q.x),
+                    fenchel_conjugate_p(h, p, distinct, q.xd, q.x) - delta)
+    at_p, at_p2 = gamma_p_membership(h, p, distinct), gamma_p_membership(h2, p2, distinct)
+    assert at_p2.holds == at_p.holds
+    assert same(at_p2.worst_defect, at_p.worst_defect)
+    # s_map and the round trip read h - pi_p, which the shift leaves as it is
+    if kind != "hyperbolic":
+        assert s_map(h2, p2).pairs == s_map(h, p).pairs
+    ht = transform_table(g, p, distinct)
+    assert _roundtrip_holds(shifted_table(ht, p2), p2, distinct) == _roundtrip_holds(ht, p, distinct)
+
+
+def _roundtrip_holds(h, p, universe):
+    """roundtrip_check's verdict, or None where the table fails its precondition."""
+    try:
+        return roundtrip_check(h, p, universe).holds
+    except RepresentationPreconditionError:
+        return None
 
 
 def test_distinct_maximal_graphs_have_distinct_transforms(rng):

@@ -32,10 +32,15 @@ from cat0 import (
     sample_points,
     zero_dual,
 )
+import cat0.conjugate
+import cat0.dual
+import cat0.fitzpatrick
+import cat0.monotone
 from cat0.dual import _potential2
 from cat0.spaces import BoundVector
 from helpers import (
     ORIGIN2,
+    count_calls,
     count_dist_sq,
     count_potentials,
     greedy_monotone_subset,
@@ -243,9 +248,27 @@ def test_sweeps_off_a_product_universe_evaluate_only_what_they_read(monkeypatch,
     got = _sweep_counts(monkeypatch, universe, graphs, universe[5].x, (_polar, _maximal, _level))
     # (monotone_polar, is_maximal_relative, level_set_report) per graph.
     # The pairs keep their own potentials: the first sweep evaluates the
-    # 40, and the later sweeps over the same universe read them
-    last = (114, 114, 191) if space.kind == "rtree" else (104, 104, 191)
-    assert got == [(118, 78, 116), (78, 78, 116), last]
+    # 40, and the later sweeps over the same universe read them. The
+    # report reads no dual at p, since its gaps do not depend on p
+    last = (114, 114, 154) if space.kind == "rtree" else (104, 104, 154)
+    assert got == [(118, 78, 78), (78, 78, 78), last]
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2), rtree()])
+def test_level_report_evaluates_no_potential_at_its_basepoint(monkeypatch, space):
+    # the level-set gaps do not depend on p, so a basepoint that is no
+    # point of the universe is never read
+    universe = _scattered_universe(space, random.Random(4), 40)
+    used = {z for q in universe for _, bv in q.xd.terms for z in (q.x, bv.tail, bv.head)}
+    p = next(z for z in map(_grid_point(space), *zip(*_GRID)) if z not in used)
+    g = OperatorGraph(space, greedy_monotone_subset(random.Random(2), universe, 2))
+    at_p = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick, cat0.monotone),
+                       lambda xds, zs, *rest: sum(z == p for z in zs))
+    count_calls(monkeypatch, "_potential2", (cat0.dual, cat0.monotone, cat0.conjugate),
+                lambda xd, z: z == p, at_p)
+    report = level_set_report(g, p, universe)
+    assert at_p[0] == 0
+    assert report.monotone and len(report.gaps) == 40
 
 
 def _shared_universe(space, rng):
