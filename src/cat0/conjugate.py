@@ -51,7 +51,9 @@ from .extreal import ExtReal, NEG_INF, POS_INF, Scalar, ext, scale
 from .dual import (
     DualVector,
     _Potentials,
+    _Store,
     _combined_key,
+    _on_scale,
     _potential2,
     dual_add,
     dual_scale,
@@ -107,8 +109,9 @@ class PairedPoint:
     Two values derived from the pair alone are kept in its __dict__, not
     as fields: _key (below), and _own, its own doubled potential
     P_q(q.x) = 2F_{q.xd}(q.x) (see cat0.dual._potential2), None until
-    the first whole-set sweep that reads it (cat0.dual._Potentials
-    .members) and then read by every later one.
+    the first graph store or whole-set sweep that reads it (cat0.dual
+    ._Store, cat0.dual._Potentials.members) and then read by every later
+    one, and by relatedness_gap.
     """
 
     x: Point
@@ -418,16 +421,15 @@ def _fixed_point_defect(
     capped value is looked up once, matched within tol.
     """
     finite = [(u, v) for u, v in zip(pairs, _values(h, pairs, tol)) if v.is_finite]
-    pot = _Potentials()
-    us, qs = pot.handles([u for u, _ in finite]), pot.handles(h.domain)
+    pot = _Potentials(_Store(h.p.space, [u for u, _ in finite]))
+    qs = pot.handles(h.domain)
     zp = pot.point(p)
-    pot.start([v.value for _, v in h.entries if v.is_finite])
-    us = pot.members([u for u, _ in finite], us)
+    us = pot.start([v.value for _, v in h.entries if v.is_finite])
     pot.fill([row for _, row, _ in us], [zp])
     # (point, row, doubled value) where h - pi_p <= tol, decided on the
     # doubled difference against the table's bound of 2 tol
     bound = pot.bound(tol)
-    doubled = [pot.on_scale(2 * v.value) for _, v in finite]
+    doubled = [_on_scale(2 * v.value, pot.scale) for _, v in finite]
     capped = [(z, row, v2) for (z, row, own), v2 in zip(us, doubled) if v2 - (own - row[zp]) <= bound]
     pot.fill([row for _, row in qs], [z for z, _, _ in capped] + [zp])
     pot.fill([row for _, row, _ in capped], [z for z, _ in qs])

@@ -15,9 +15,13 @@ points, a sequence of duals at one point and each dual at its own point
 (a graph's self-potentials) are one function; _potential2 is its
 one-value path. A call reads its inputs once, in one shape on every
 space: (the duals' read, a list of batches of the points' reads), built
-by _reads. An OperatorGraph keeps its own pairs' read
-(OperatorGraph._frame), a single query reads its dual, q.x and p, and a
-call without read (a sweep, pair) reads the duals and points
+by _fold. A graph's pairs are numbered and read once, into its store
+(_Store, kept as OperatorGraph._store): its distinct points, its rows
+(one per exact action, one per pair otherwise), their reads and the
+pairs' own potentials. A single query reads the store and its own
+dual, q.x and p; a whole-set sweep's table starts from the store and
+numbers only the pairs and points it adds; a call without read (pair,
+a sweep's kernel calls off a scale) reads the duals and points
 themselves. The kernel checks no space, as its callers have, each
 through cat0.spaces._check_space. On the hyperboloid every squared
 distance comes from cat0.spaces._hyperbolic_dists_sq, which dist_sq
@@ -54,7 +58,10 @@ sv the lcm of the denominators of the keys and sz that of the points'
 coordinates, 2F sv sz is an int for every dual at every point, since 2F
 is bilinear in the key and the point. Keys and points are read in one shape, as ints over
 each one's own denominator, in columns (_duals_ints, _points_ints); sv
-and sz are the lcms of their denominator columns. Called with the
+and sz are the lcms of their denominator columns. One function, _fold,
+reads them and fixes the scale: a store's from (1, 1), and a call's
+from its store's (D_V, D_Z) and what the call adds, onto which it
+multiplies the store's own potentials. Called with the
 scale, the kernel gives these ints through one elementwise formula,
 _scaled2: the dot product of a key's ints and a point's ints times
 2 sv sz / (dv dz), a one-item read of a dual or a point standing for it
@@ -314,12 +321,14 @@ def _potential2(xd: DualVector, z: Point) -> Scalar:
     DualVector) handles, and otherwise getitem, P(d, z) = d[z], where a
     dual's handle holds its values by point: a row of a _Potentials
     table for a sweep, keyed by point number, a column that the kernel
-    fills in one call for a single transform query, by point position
-    (see cat0.fitzpatrick). A graph member's handle also carries its own
-    doubled potential P_y(y.x): kept by the OperatorGraph for a single
-    query (OperatorGraph._frame, from one elementwise kernel call), and
-    for a sweep kept by the pair itself after the first sweep that
-    reads it (_Potentials.members).
+    fills in one call for a single transform query, by the number of
+    its graph's store, then the query's points (see cat0.fitzpatrick).
+    Both number a graph's points as its store does. A member's handle
+    also carries its own doubled potential P_y(y.x): a graph's are held
+    by its store (_Store) for its single queries and sweeps alike, and a
+    pair keeps its own (_own) once a store or a sweep has read it
+    (_Potentials.members), which a later store, sweep and
+    relatedness_gap read.
     """
     space = xd.space
     if space is None:
@@ -340,7 +349,7 @@ def _potentials2(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional
     self-potentials) and one dual at one point. read is what the call
     reads of its inputs, in one shape on every space: (the duals' read,
     a list of batches of the points' reads, which concatenate to zs),
-    from _reads; with read None the kernel reads xds and zs themselves.
+    from _fold; with read None the kernel reads xds and zs themselves.
 
     * On a scale (sv, sz) (see _scale) read is given: the _duals_ints of
       xds and the _points_ints of each batch, whose columns concatenate
@@ -354,7 +363,8 @@ def _potentials2(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional
     cat0.spaces._check_space. _potential2 checks its own pair, a
     _Potentials table rejects a point from another space and every
     row's dual belongs to a pair at one of its points, a graph checked
-    its pairs when it was built, and a single query checks p and q.x.
+    its pairs when it was built (a store over a plain sequence checks
+    them), and a single query checks p and q.x.
     """
     if not zs or len(xds) == 1 and not xds[0].terms:  # the zero dual is 0 at every point
         return [0] * len(zs)
@@ -371,32 +381,140 @@ def _potentials2(xds: Sequence[DualVector], zs: Sequence[Point], scale: Optional
     return list(map(_value2, repeat(kind), xds, zs))
 
 
-def _reads(space: SpaceHandle, base: Optional[Tuple[int, int]], xds: Sequence[DualVector],
-           *batches: Sequence[Point]) -> tuple:
-    """(scale, read): the duals xds and each batch of points as _potentials2 reads them.
+def _fold(space: SpaceHandle, base: Optional[Tuple[int, int]], owns: Sequence[Scalar], xds: Sequence[DualVector],
+          *batches: Sequence[Point], values: Sequence[Scalar] = ()) -> tuple:
+    """(scale, read, owns) of a call that reads a store on the scale base and adds the duals xds, batches of points and exact values.
+
+    The one function that reads exact keys and points into int columns
+    and fixes a scale: a _Store folds its own rows and points into base
+    (1, 1), a single query its dual, q.x and p into its graph's store
+    (cat0.fitzpatrick), a _Potentials table the pairs and points it
+    numbers beyond its store and the values it puts on its scale.
 
     * On the hyperboloid: (None, (the _Ends of xds, [a spaces._Blocks
-      of each batch's payloads])), so a column of xds computes one
+      of each batch's payloads]), owns), so a column of xds computes one
       squared distance per distinct term endpoint, and a column of one
       dual at the batches reads their kept coordinate columns.
-    * Where every dual has a key and every point is exact: (the scale
-      (sv, sz) of _scale over base's denominators and the reads', and
-      (the _duals_ints of xds, [the _points_ints of each batch])), ints
-      over each key's and each point's own denominator, in columns.
-    * Otherwise, and past the scale's cap: (None, None).
-
-    An OperatorGraph's frame reads its pairs once, from base (1, 1)
-    (OperatorGraph._frame); a single query reads its dual with q.x and
-    p as two batches, from the graph's scale (cat0.fitzpatrick._Query).
+    * Where base is a scale, every dual has a key and every point and
+      value is exact: the scale (sv, sz) of _scale over base and the
+      denominators of the reads and the values (which join sz), (the
+      _duals_ints of xds, [the _points_ints of each batch]), and the
+      store's own potentials owns, ints on base, multiplied onto it;
+      but ((1, 1), None, owns) where base is (1, 1) and every
+      denominator is 1, as on integer grids, where the plain kernel
+      already gives the ints and no column is read.
+    * Otherwise, and past the scale's cap: (None, None, owns as the
+      values they stand for), Fractions where base is a scale.
     """
     if space.kind == HYPERBOLIC:
-        return None, (_Ends(xds), [_Blocks([z.payload for z in zs]) for zs in batches])
-    if None not in [xd.key for xd in xds] and is_exact(chain.from_iterable([z.payload for zs in batches for z in zs])):
+        return None, (_Ends(xds), [_Blocks([z.payload for z in zs]) for zs in batches]), owns
+    keys, payloads = [xd.key for xd in xds], [z.payload for zs in batches for z in zs]
+    if base is not None and None not in keys and is_exact(chain(values, *payloads)):
+        slopes = keys if space.kind == EUCLIDEAN else map(_slopes, filter(None, keys))
+        if base == (1, 1) and all(v.denominator == 1 for v in chain(values, *payloads, *slopes)):
+            return base, None, owns  # on integers the plain kernel gives the ints: no column is read
         duals, points = _duals_ints(space, xds), [_points_ints(space, zs) for zs in batches]
-        scale = _scale((base[0], *duals[0]), (base[1], *chain.from_iterable([read[0] for read in points])))
+        scale = _scale((base[0], *duals[0]),
+                       (base[1], *chain.from_iterable([read[0] for read in points]), *[v.denominator for v in values]))
         if scale is not None:
-            return scale, (duals, points)
-    return None, None
+            factor = scale[0] // base[0] * (scale[1] // base[1])
+            return scale, (duals, points), owns if factor == 1 else [factor * own for own in owns]
+    return None, None, owns if base is None else [Fraction(own, base[0] * base[1]) for own in owns]
+
+
+def _number(ids: Dict[tuple, int], points: List[Point], types: List[tuple], x: Point,
+            space: Optional[SpaceHandle]) -> int:
+    """x's number among points, numbered by payload in ids: a new point is appended, with its coordinate types.
+
+    The one numbering of points, for a _Store and a _Potentials table
+    alike. A point equal to a numbered one but holding coordinates of
+    other types (a float for an int) is numbered apart, as _Ends keeps
+    such payloads apart, so its values are computed in its own
+    arithmetic. The key stays the payload: only a hit whose payload is
+    not the numbered point's own object compares the coordinate types,
+    against those kept for its number. A point from another space than
+    space raises.
+    """
+    if x.space is not space:
+        _check_space(space, x.space)
+    key = x.payload
+    i = ids.get(key)
+    if i is not None and points[i].payload is not key and types[i] != tuple(map(type, key)):
+        key = (key, *map(type, key))  # an equal payload of other coordinate types
+        i = ids.get(key)
+    if i is None:
+        i = ids[key] = len(points)
+        points.append(x)
+        types.append(tuple(map(type, x.payload)))
+    return i
+
+
+def _picked(duals: tuple, points: tuple, ns: Sequence[int], zs: Sequence[int]) -> tuple:
+    """The kernel's read of the duals numbered ns and the points numbered zs, from the int columns of all of them."""
+    return [list(map(c.__getitem__, ns)) for c in duals], [[list(map(c.__getitem__, zs)) for c in points]]
+
+
+class _Store:
+    """A sequence of pairs numbered once, as every call that reads them starts from.
+
+    An OperatorGraph builds its store at the first call that reads it
+    and keeps it (OperatorGraph._store); a sweep over a plain sequence
+    builds one and drops it. The pairs are numbered as a _Potentials
+    table numbers what it reads, and the store keeps that numbering:
+
+    * pairs: the pairs, in order;
+    * points, ids and types: the pairs' distinct points, their numbers
+      by payload and their coordinate types (_number);
+    * rows, duals and keyless: the numbers of the pairs' exact actions,
+      keyed by DualVector.key as a table keys its rows, one dual per
+      row, and the rows of the duals without a key (the hyperboloid, a
+      float), one for each such pair: a table keys those by the dual
+      itself, so that equal ones share a row there, and a single query
+      evaluates them pair by pair, hashing no dual;
+    * zs and rs: each pair's point and row numbers;
+    * scale and read: from _fold over base (1, 1), (D_V, D_Z) and (the
+      rows' _duals_ints, [the points' _points_ints]); on integers (1, 1)
+      and no read; on the hyperboloid no scale and (the rows' _Ends,
+      [the points' _Blocks]); otherwise None and None;
+    * owns: each pair's own doubled potential P_y(y.x), on the scale.
+
+    An own potential is read from the pair's _own where the pair keeps
+    one (cat0.conjugate.PairedPoint), and the others are evaluated once
+    per distinct (row, point), in one elementwise kernel call, and kept
+    on their pairs, so a later store or sweep over them evaluates none.
+    The store is never changed after it is built: a call keeps its own
+    values (a single query's columns, a sweep's rows) and puts the owns
+    on its scale through _fold. Every pair must lie in space, which
+    defaults to the first pair's; a pair from another raises.
+    """
+
+    __slots__ = ("space", "pairs", "points", "ids", "types", "rows", "duals", "keyless", "zs", "rs", "scale", "read", "owns")
+
+    def __init__(self, space: Optional[SpaceHandle], pairs: Sequence):
+        self.space = space = pairs[0].x.space if space is None and pairs else space
+        self.pairs, self.ids, self.points, self.types, self.rows, self.duals = pairs, {}, [], [], {}, []
+        self.zs, self.rs = array('i', [_number(self.ids, self.points, self.types, q.x, space) for q in pairs]), array('i')
+        for q in pairs:
+            key = None if space.kind == HYPERBOLIC else q.xd.key  # no hyperboloid dual has one
+            self.rs.append(len(self.duals) if key is None else self.rows.setdefault(key, len(self.duals)))
+            if self.rs[-1] == len(self.duals):
+                self.duals.append(q.xd)
+        self.keyless = array('i', sorted(set(range(len(self.duals))) - set(self.rows.values())))
+        self.scale, self.read = ((1, 1), None) if space is None else _fold(space, (1, 1), (), self.duals, self.points)[:2]
+        # one evaluation per (row, point) that no pair keeps, kept on the pairs as a sweep keeps it
+        need = dict.fromkeys((r, z) for q, r, z in zip(pairs, self.rs, self.zs) if q._own is None)
+        if need:
+            ns, ps = zip(*need)
+            # on the hyperboloid each row once, in order: the rows' _Ends
+            read = (self.read[0], None) if self.read and not self.scale and ns == tuple(range(len(self.duals))) else None
+            need.update(zip(need, _potentials2([self.duals[r] for r in ns], [self.points[z] for z in ps], None, read)))
+        for q, r, z in zip(pairs, self.rs, self.zs):
+            if q._own is None:
+                object.__setattr__(q, "_own", need[r, z])
+        self.owns = [_on_scale(q._own, self.scale) for q in pairs]
+
+
+_NO_PAIRS = _Store(None, ())  # the store of a table that numbers all it reads itself
 
 
 class _Ends:
@@ -635,47 +753,56 @@ def _half(v2: Scalar, scale: Optional[Tuple[int, int]]) -> Scalar:
     return Fraction(v2, 2 * sv * sz)
 
 
+def _on_scale(v: Scalar, scale: Optional[Tuple[int, int]]) -> Scalar:
+    """The exact value v on the scale (sv, sz), v sv sz, an int; v itself without a scale."""
+    return v if scale is None else scale[0] * scale[1] // v.denominator * v.numerator
+
+
 class _Row(dict):
     """One dual's doubled potentials, keyed by point number: the values computed so far.
 
-    n: the row's position in its table's key columns, when the table
-    has a scale.
+    n: the row's position in its table's key columns (and its number).
     """
 
     __slots__ = ("dual", "n")
 
-    def __init__(self, dual: DualVector):
-        super().__init__()
-        self.dual = dual
+    def __init__(self, dual: DualVector, n: int):
+        self.dual, self.n = dual, n
 
 
 class _Potentials:
     """The doubled potentials 2F_d(z) of one call's duals at its points, as rows.
 
-    A whole-set computation builds one table per call. point() numbers
-    the call's points (by payload: a table holds one space) and row()
-    gives each dual one row, a dict keyed by point number: by the exact
-    key of its action (DualVector.key) where it has one, since duals
-    with one key have one potential, and by structural equality
-    otherwise (the hyperboloid, a float); once per pair, never per
-    pairing. Sweeps read a row through getitem, row[z], the reader the
-    single queries of cat0.fitzpatrick use on their columns; a handle is
-    (point number, row), a member handle also carries its own potential.
+    A whole-set computation builds one table per call, from a _Store:
+    the pairs of its graph (or of a plain sequence) numbered once; a
+    table without one numbers all it reads itself. The table starts
+    with the store's points and rows, their numbers kept (the store's
+    rows of duals without a key are keyed by the dual here, equal ones
+    sharing one row); point() numbers the call's other points (by
+    payload, _number: a table holds one space) and row() gives each
+    other dual one row, a dict keyed by point number: by the exact key
+    of its action (DualVector.key) where it has one, since duals with
+    one key have one potential, and by structural equality otherwise
+    (the hyperboloid, a float); once per pair, never per pairing.
+    Sweeps read a row through getitem, row[z], the reader the single
+    queries of cat0.fitzpatrick use on their columns; a handle is
+    (point number, row), a member handle also carries its own
+    potential.
 
-    A call numbers every pair and point it reads (handles(), point())
-    before it evaluates anything, then fixes the table's scale (start),
-    after which a new point or row fails an assertion: the scale and
-    the columns cover only what was numbered before. A call that never
-    starts (f_property_check) has no scale. start() gives:
+    A call numbers every other pair and point it reads (handles(),
+    point()) before it evaluates anything, then fixes the table's scale
+    (start), after which a new point or row fails an assertion: the
+    scale and the columns cover only what was numbered before. A call
+    that never starts (f_property_check) has no scale. start() folds the
+    numbered rows and points, and the call's other exact values (a fixed
+    point's table values), into the store's scale (_fold):
 
-    * where every row has a key and every point is exact, the scale
-      (sv, sz) of cat0.dual._scale over the rows' _duals_ints and the
-      points' _points_ints columns, the denominators of the call's
-      other exact values (a fixed point's table values) joining sz.
-      Every value in a row is then the int 2F sv sz, each kernel call
-      reads the table's columns, and the call divides once, when it
-      reports a value (half). Where sv sz is 1, as on integer grids,
-      the plain kernel already gives those ints, and no column is read;
+    * where the store and they are exact, the scale (sv, sz) of
+      cat0.dual._scale. Every value in a row is then the int 2F sv sz,
+      each kernel call reads the store's columns and theirs, and the
+      call divides once, when it reports a value (half). Where sv sz is
+      1, as on integer grids, the plain kernel already gives those ints,
+      and no column is read;
     * on the hyperboloid, with a float and past _SCALE_BITS: no scale,
       and the rows hold the kernel's floats or Fractions.
 
@@ -688,89 +815,72 @@ class _Potentials:
     fill_at() fills rows at one point with one call of several duals at
     it; each skips what a row already holds. A row holds exactly the
     values computed for it, so the call evaluates exactly the potentials
-    it reads. The own potentials P_q(q.x) of members are the exception
-    (members): a pair keeps its own after its first sweep, and later
-    sweeps read it. The first point numbered fixes the space: a point
-    from another space raises (cat0.spaces._check_space), as a pairing
-    across spaces would (a zero dual alone evaluates nothing, so this
-    check is not left to the kernel). A point equal to a numbered one
-    but holding coordinates of other types (a float for an int) is
-    numbered apart, as _Ends keeps such payloads apart, so its values
-    are computed in its own arithmetic. The key stays the payload: only
-    a hit whose payload is not the numbered point's own object compares
-    the coordinate types, against those kept for its number.
+    it reads. The own potentials P_q(q.x) are the exception: the store
+    holds its pairs' (start() puts them in their rows), and any other
+    pair keeps its own after its first sweep, which later sweeps read
+    (members). The store's space, or else the first point numbered,
+    fixes the table's: a point from another space raises
+    (cat0.spaces._check_space), as a pairing across spaces would (a
+    zero dual alone evaluates nothing, so this check is not left to the
+    kernel). Points are numbered as a store numbers them (_number).
     """
 
-    def __init__(self):
-        self._space: Optional[SpaceHandle] = None
-        self._point_ids: Dict[tuple, int] = {}  # by payload: the points share one space
-        self._points: List[Point] = []
-        self._types: List[tuple] = []  # the coordinate types of each point, by number
-        self._rows: Dict[object, _Row] = {}  # by key, or by the dual where it has none
-        self._exact = True  # every row keyed and every point exact, so far
+    def __init__(self, store: _Store = _NO_PAIRS):
+        self._store, self._space, self._point_ids, self._rows = store, store.space, dict(store.ids), dict(store.rows)
+        self._points, self._types = list(store.points), list(store.types)
+        self._by_n = list(map(_Row, store.duals, range(len(store.duals))))  # the rows, by number
+        for n in store.keyless:  # keyed by the dual, as row() keys it: equal duals share one row
+            self._by_n[n] = self._by_n[self._rows.setdefault(store.duals[n], n)]
         self.scale: Optional[Tuple[int, int]] = None
         self._read = None  # (key columns, point columns) on a scale past (1, 1)
         self._started = False  # start() was called: nothing more is numbered
 
     def point(self, x: Point) -> int:
-        key = x.payload
-        i = self._point_ids.get(key)
-        if i is not None and self._points[i].payload is not key and self._types[i] != tuple(map(type, key)):
-            key = (key, *map(type, key))  # an equal payload of other coordinate types
-            i = self._point_ids.get(key)
-        if i is None or x.space is not self._space:
-            _check_space(self._space, x.space)
-            self._space = self._space or x.space
-            if i is None:
-                assert not self._started, "a point numbered after start()"
-                i = self._point_ids[key] = len(self._points)
-                self._points.append(x)
-                self._types.append(tuple(map(type, x.payload)))
-                self._exact = self._exact and is_exact(x.payload)
+        self._space = self._space or x.space
+        n = len(self._points)
+        i = _number(self._point_ids, self._points, self._types, x, self._space)
+        assert i < n or not self._started, "a point numbered after start()"
         return i
 
     def row(self, xd: DualVector) -> _Row:
         key = xd.key
-        row = self._rows.get(xd if key is None else key)
-        if row is None:
+        n = self._rows.get(xd if key is None else key)
+        if n is None:
             assert not self._started, "a row made after start()"
-            row = self._rows[xd if key is None else key] = _Row(xd)
-            self._exact = self._exact and key is not None
-        return row
+            n = self._rows[xd if key is None else key] = len(self._by_n)
+            self._by_n.append(_Row(xd, n))
+        return self._by_n[n]
 
     def handles(self, pairs: Sequence) -> List[Tuple[int, _Row]]:
         """(point number, row) of each (point, dual) pair."""
         return [(self.point(q.x), self.row(q.xd)) for q in pairs]
 
-    def start(self, values: Sequence[Scalar] = ()) -> None:
-        """Fix the table's scale, once every pair and point the call reads is numbered.
+    def start(self, values: Sequence[Scalar] = ()) -> List[Tuple[int, _Row, Scalar]]:
+        """Fix the table's scale, once every pair and point the call reads is numbered; the store's member handles.
 
         values: other exact values the call puts on the scale (see
-        on_scale); a float among them leaves the table without one.
+        _on_scale); a float among them leaves the table without one.
+        Returns the member handles (point number, row, own doubled
+        potential) of the store's pairs, in order, each own potential
+        on the table's scale and in its row.
         """
         self._started = True
-        space = self._space
-        if space is None or space.kind == HYPERBOLIC or not self._exact or not is_exact(values):
-            return
-        rows = list(self._rows.values())
-        keys = [row.dual.key for row in rows]
-        slopes = keys if space.kind == EUCLIDEAN else map(_slopes, filter(None, keys))
-        if all(v.denominator == 1 for v in chain(values, *slopes, *[z.payload for z in self._points])):
-            self.scale = _scale((), ())  # (1, 1) under the cap: the plain kernel gives the ints
-            return
-        duals, points = _duals_ints(space, [row.dual for row in rows]), _points_ints(space, self._points)
-        self.scale = _scale(duals[0], chain(points[0], [v.denominator for v in values]))
-        if self.scale is not None:
-            for n, row in enumerate(rows):
-                row.n = n
-            self._read = duals, points
-
-    def on_scale(self, v: Scalar) -> Scalar:
-        """The exact value v on the table's scale, v sv sz, an int; v itself without a scale."""
-        if self.scale is None:
-            return v
-        sv, sz = self.scale
-        return sv * sz // v.denominator * v.numerator
+        store, space, rows, owns = self._store, self._space, self._by_n, self._store.owns
+        # a store without columns (on integers, or without pairs) is read with the call's own rows and points
+        n, m = (len(store.duals), len(store.points)) if store.read else (0, 0)
+        xds, zs = [row.dual for row in rows[n:]], self._points[m:]
+        if space is not None and space.kind != HYPERBOLIC:
+            self.scale, read, owns = _fold(space, store.scale, owns, xds, zs, values=values)
+            if read is not None:
+                duals, (points,) = read
+                if n:
+                    kept, (at,) = store.read
+                    duals, points = tuple(map(add, kept, duals)), tuple(map(add, at, points))
+                self._read = duals, points
+        handles = [(z, rows[r], own) for z, r, own in zip(store.zs, store.rs, owns)]
+        for z, row, own in handles:
+            row[z] = own
+        return handles
 
     def half(self, v2: Scalar) -> Scalar:
         """The value that the doubled value v2 in a row stands for (_half on the table's scale)."""
@@ -795,31 +905,28 @@ class _Potentials:
         return 2 * sv * sz * n // d
 
     def members(self, pairs: Sequence, handles: Sequence[Tuple[int, _Row]]) -> List[Tuple[int, _Row, Scalar]]:
-        """Member handles (point number, row, own doubled potential P_u(u.x)) of the pairs, given their handles.
+        """Member handles (point number, row, own doubled potential P_u(u.x)) of pairs outside the store, given their handles.
 
         A pair keeps its own potential after its first sweep (_own, see
         cat0.conjugate.PairedPoint), as the kernel gives it without a
         scale, and a later sweep reads it. A pair that lacks one takes
-        it from its row where the row holds it, and otherwise from one
-        kernel call per point over the rows that lack it, as a graph's
-        frame computes its own; the value goes into the row, on the
-        table's scale, only where the row lacks it, so no sweep
-        evaluates a potential the table held.
+        it from its row where the row holds it (a store pair's own among
+        them), and otherwise from one kernel call per point over the
+        rows that lack it (fill_at), so no sweep evaluates a potential
+        the table held.
         """
-        at: Dict[int, Dict[int, _Row]] = {}
+        at: Dict[int, List[_Row]] = {}
         for q, (z, row) in zip(pairs, handles):
             if z not in row:
                 if q._own is None:
-                    at.setdefault(z, {})[id(row)] = row
+                    at.setdefault(z, []).append(row)
                 else:
-                    row[z] = self.on_scale(q._own)
-        for z, need in at.items():
-            rows = [row for row in need.values() if z not in row]
-            for row, v in zip(rows, _potentials2([row.dual for row in rows], (self._points[z],))):
-                row[z] = self.on_scale(v)
+                    row[z] = _on_scale(q._own, self.scale)
+        for z, rows in at.items():
+            self.fill_at(rows, z)
         s = 1 if self.scale is None else self.scale[0] * self.scale[1]
         for q, (z, row) in zip(pairs, handles):
-            if q._own is None:  # the value its row's int stands for
+            if q._own is None:  # the value its row's int stands for, an int where it is one
                 object.__setattr__(q, "_own", row[z] if s == 1 else Fraction(row[z], s))
         return [(z, row, row[z]) for z, row in handles]
 
@@ -828,10 +935,8 @@ class _Potentials:
         points = [self._points[z] for z in zs]
         if self._read is None:
             return _potentials2([row.dual for row in rows], points)
-        duals, cols = self._read
-        ns = [row.n for row in rows]
-        read = ([list(map(c.__getitem__, ns)) for c in duals], [[list(map(c.__getitem__, zs)) for c in cols]])
-        return _potentials2([row.dual for row in rows], points, self.scale, read)
+        return _potentials2([row.dual for row in rows], points, self.scale,
+                            _picked(*self._read, [row.n for row in rows], zs))
 
     def fill(self, rows: Iterable[_Row], zs: Sequence[int]) -> None:
         """Fill each row at the points zs where it holds nothing, one kernel call a row."""

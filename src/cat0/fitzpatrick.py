@@ -13,34 +13,39 @@ The three forms agree term by term through the chain-split identity;
 each keeps its own expression in doubled potentials (see
 cat0.dual._potential2), so computing all of them is a cheap self-check
 and the agreement is part of the CLI output. A form fills the columns it
-reads with one call of the pairing kernel each: the query dual at a
-query-side point and the graph points, the graph's duals at q.x and, for
-the conjugate form, at p. No value is shared between forms or calls, so
-the check stays a real one: what the OperatorGraph keeps after its first
-query (OperatorGraph._frame) are its inputs as the kernel reads them,
-such as the coordinate columns of its hyperboloid points and distinct
-term endpoints, and its pairs' self-potentials P_y(y.x), which no form
-computes. The graph's pairs are member handles carrying them; the
-conjugate form reads each row's doubled coupling as P_y(y.x) - P_y(p),
-with P_y(p) from the column its term reads. On an empty graph all three
-give -inf. The sup-form term (_transform2) also serves roundtrip_check.
-Across the whole-set sweeps the same exemption holds for a pair's own
-potential P_q(q.x), which the PairedPoint keeps after the first sweep
-that reads it (cat0.dual._Potentials.members); every gap, cross
-potential, sup-form term and conjugate term is still evaluated by the
-call that reads it.
+reads with one call of the pairing kernel each: the query dual at the
+graph's distinct points and the query-side points, the graph's rows
+(one per exact action) at q.x and, for the conjugate form, at p. No value is
+shared between forms or calls, so the check stays a real one: what the
+OperatorGraph keeps after the first call that reads it is its store
+(OperatorGraph._store, cat0.dual._Store), its pairs numbered once and
+its inputs as the kernel reads them, such as the coordinate columns of
+its hyperboloid points and distinct term endpoints, and its pairs'
+self-potentials P_y(y.x), which no form computes. The graph's pairs are
+member handles carrying them; the conjugate form reads each row's
+doubled coupling as P_y(y.x) - P_y(p), with P_y(p) from the column its
+term reads. On an empty graph all three give -inf, once p and q are
+checked against the graph's space. The sup-form term (_transform2) also
+serves roundtrip_check. Across the whole-set sweeps, which start from
+the same store, the same exemption holds for a pair's own potential
+P_q(q.x), which the store holds for the graph's pairs and the
+PairedPoint keeps after the first store or sweep that reads it
+(cat0.dual._Potentials.members); every gap, cross potential, sup-form
+term and conjugate term is still evaluated by the call that reads it.
 
 On exact inputs a query runs on one integer scale (cat0.dual._scale):
-the OperatorGraph keeps its keys and points as int columns, D_V and
+the graph's store keeps its keys and points as int columns, D_V and
 D_Z, the lcms of their denominators, and its self-potentials as ints
 over D_V D_Z. A query reads q.xd's key and the points q.x and p in the
-same shape, once per form, lcm's their denominators with D_V and D_Z
-into its scale (sv, sz), and scales the kept self-potentials to it.
+same shape, once per form, and cat0.dual._fold lcm's their
+denominators with D_V and D_Z into its scale (sv, sz) and multiplies
+the kept self-potentials onto it.
 The kernel fills the columns with ints on that scale through one
 formula (cat0.dual._scaled2), the three term expressions run on them
 unchanged, and each form divides once at the end, reporting
 Fraction(best2, 2 sv sz): the value and type that half_of(best2) gives
-on Fractions. On the hyperboloid, with a float, or past the kernel's
+on Fractions. On integers, where the scale is (1, 1), the plain kernel
+gives those ints and no column is read. On the hyperboloid, with a float, or past the kernel's
 cap on the scale's bits, a query runs on floats or on Fractions
 reduced at every step, as any pairing does. level_set_report and
 roundtrip_check run on one scale per call likewise, through their
@@ -72,6 +77,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import getitem
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,9 +92,9 @@ from .conjugate import (
 )
 from .dual import (
     _Potentials,
+    _fold,
     _half,
     _potentials2,
-    _reads,
     dual_add,
     dual_scale,
     dual_term,
@@ -100,7 +106,7 @@ from .monotone import (
     PropertyReport,
     _gaps2,
     _monotone_report,
-    _require_graph_in,
+    _swept,
     f_property_check,
     relatedness_gap,
 )
@@ -164,99 +170,89 @@ def _transform2(P, zp, ys: Iterable[tuple], q: tuple) -> Scalar:
 # one call each, through the reader getitem: P(d, z) = d[z]. A dual's
 # handle holds its potentials at the points it is read at, and a point's
 # handle is its position there. The query dual's handle is its column:
-# its potential at one query-side point (position 0), then at each graph
-# point (position i + 1 for pair i). A member's handle holds its entries
-# of the graph duals' columns at the query-side points (_Query.members).
-# On exact inputs the columns hold ints on the query's scale (sv, sz),
-# and each form halves through _Query.half, which divides by 2 sv sz.
+# its potential at each point of the graph's store, by point number,
+# then at the query-side points (_Query.column). A member's handle holds
+# its row's entries of the graph duals' columns at the query-side points
+# (_Query.members). A query-side point's handle is its position from the
+# end, in the column and in each member's entries alike. On exact
+# inputs the columns hold ints on the query's scale (sv, sz), and each
+# form halves through _Query.half, which divides by 2 sv sz.
 
 
 class _Query:
-    """One query's scale, its graph's frame and self-potentials on it, and its halving.
+    """One query on its graph's store: its scale, read and the store's own potentials on it, and its halving.
 
     p and q.x are checked against the graph's space here (q.xd lies in
     q.x's), so the kernel calls of the query check nothing again: the
     graph's pairs were checked when it was built. The kernel reads the
-    graph's points and duals as its frame keeps them (read, see
-    OperatorGraph._frame), and q.xd with q.x and p as this query reads
-    them, once per form and in the same shape (mine, from
-    cat0.dual._reads, q.x and p a batch each): on a scale their
-    denominators, with the graph's D_V and D_Z, give the scale, and the
-    kernel calls read them as they are, the dual at the graph's points
-    and the query's own, the graph's duals at each of q.x and p. They
-    are kept nowhere else. Where the graph's frame has no read (a graph
-    with a float, or past the scale's cap), or the query has none on
-    the graph's scale, the kernel reads the pairs themselves. Every
-    space check here and at the graph is cat0.spaces._check_space.
+    graph's points and rows as its store keeps them (OperatorGraph
+    ._store), and q.xd with q.x and p as this query reads them, once per
+    form (mine, from cat0.dual._fold, q.x and p a batch each, which also
+    gives the scale and puts the store's own potentials on it). They
+    are kept nowhere else. Where the query has no read (a graph or a
+    query with a float, past the scale's cap, or on integers, where the
+    scale is (1, 1)), the kernel reads the pairs themselves.
     """
 
-    __slots__ = ("g", "q", "scale", "owns", "read", "mine")
+    __slots__ = ("store", "q", "scale", "mine", "owns", "half")
 
     def __init__(self, g: OperatorGraph, p: Point, q: PairedPoint):
         for z in (p, q.x):
             _check_space(g.space, z.space)
-        base, owns, _, _, read = g._frame
-        scale, mine = _reads(g.space, base, (q.xd,), (q.x,), (p,)) if read is not None else (None, None)
-        if base is not None:
-            if scale is None:  # the graph's ints, as the Fractions they stand for
-                owns = [Fraction(own, base[0] * base[1]) for own in owns]
-                read = mine = None
-            elif scale != base:  # the graph's self-potentials, on the query's scale
-                factor = scale[0] // base[0] * (scale[1] // base[1])
-                owns = [factor * own for own in owns]
-        self.g, self.q, self.scale, self.owns, self.read, self.mine = g, q, scale, owns, read, mine
-
-    def half(self, v2: Scalar) -> Scalar:
-        """The value that v2 on the query's scale stands for (cat0.dual._half)."""
-        return _half(v2, self.scale)
+        self.store, self.q = g._store, q
+        self.scale, self.mine, self.owns = _fold(g.space, self.store.read and self.store.scale, self.store.owns, (q.xd,), (q.x,), (p,))
+        self.half = partial(_half, scale=self.scale)  # the value that v2 on the query's scale stands for
 
     def _at(self, a: Point) -> object:
         """The read of the query-side point a, q.x or p: its one-item batch."""
         return self.mine[1][0 if a is self.q.x else 1]
 
-    def column(self, z: Point, *after: Point) -> List[Scalar]:
-        """P_q at z, then at each graph point, then at the points after.
+    def column(self, *at: Point) -> List[Scalar]:
+        """P_q at each point of the store, by number, then at the points at.
 
         One kernel call over the points in that order, their reads the
-        graph's batch, as its frame keeps it, between the query's own.
+        store's batch, then the query's own.
         """
-        read = self.read and (self.mine[0], [self._at(z), *self.read[1], *map(self._at, after)])
-        return _potentials2((self.q.xd,), [z, *self.g._frame.xs, *after], self.scale, read)
+        read = self.mine and (self.mine[0], [*self.store.read[1], *map(self._at, at)])
+        return _potentials2((self.q.xd,), [*self.store.points, *at], self.scale, read)
 
     def members(self, *at: Point) -> Iterator[tuple]:
-        """Member handles (i + 1, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y.
+        """Member handles (point number, (P_y(a) for a in at), P_y(y.x)) of the graph's pairs y.
 
-        One kernel call per point a, the graph's duals read as the
-        frame keeps them and a as its one-item batch.
+        One kernel call per point a over the store's rows, read as the
+        store keeps them and a as its one-item batch; a pair reads its
+        row's values.
         """
-        duals, read = self.g._frame.xds, self.read
-        columns = zip(*(_potentials2(duals, (a,), self.scale, read and (read[0], [self._at(a)])) for a in at))
-        return zip(itertools.count(1), columns, self.owns)
+        store = self.store
+        rows = zip(*(_potentials2(store.duals, (a,), self.scale, self.mine and (store.read[0], [self._at(a)])) for a in at))
+        if len(store.duals) < len(store.rs):  # pairs that share a row
+            rows = map(list(rows).__getitem__, store.rs)
+        return zip(store.zs, rows, self.owns)
 
 
 def fitzpatrick_sup(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Supremum form of the transform at the query pair."""
+    run = _Query(g, p, q)
     if not g.pairs:
         return NEG_INF
-    run = _Query(g, p, q)
-    return ExtReal(run.half(_transform2(getitem, 0, run.members(q.x), (0, run.column(p)))))
+    return ExtReal(run.half(_transform2(getitem, -1, run.members(q.x), (-1, run.column(p)))))
 
 
 def fitzpatrick_inf(g: OperatorGraph, p: Point, q: PairedPoint) -> ExtReal:
     """Coupling-minus-infimum form: pi_p(q) - inf of relatedness gaps.
 
-    The query's column holds P_q(q.x) first and P_q(p) last, so the
-    coupling pi_p(q) = (P_q(q.x) - P_q(p)) / 2 reads the values the gaps
-    read (0 where coupling_pi gives 0: a zero vector or a zero dual).
+    The query's column ends with P_q(p) and P_q(q.x), so the coupling
+    pi_p(q) = (P_q(q.x) - P_q(p)) / 2 reads the values the gaps read (0
+    where coupling_pi gives 0: a zero vector or a zero dual).
     """
+    run = _Query(g, p, q)
     if not g.pairs:
         return NEG_INF
-    run = _Query(g, p, q)
-    column = run.column(q.x, p)
-    a = (0, column, column[0])
+    column = run.column(p, q.x)
+    a = (-1, column, column[-1])
     worst = min(_gaps2(getitem, zip(itertools.repeat(a), run.members(q.x))))
     zero = p == q.x or not q.xd.terms
-    coupling = 0 if zero else run.half(column[0] - column[-1])
+    coupling = 0 if zero else run.half(column[-1] - column[-2])
     return ExtReal(coupling - run.half(worst))
 
 
@@ -269,8 +265,8 @@ def fitzpatrick_via_conjugate(g: OperatorGraph, p: Point, q: PairedPoint) -> Ext
     alike give equal terms, so none is merged first.
     """
     run = _Query(g, p, q)
-    rows = ((zy, dy, own - dy[0]) for zy, dy, own in run.members(p, q.x))
-    return _conjugate(getitem, 0, rows, (1, run.column(p)), run.half)
+    rows = ((zy, dy, own - dy[-1]) for zy, dy, own in run.members(q.x, p))
+    return _conjugate(getitem, -1, rows, (-2, run.column(p)), run.half)
 
 
 def fitzpatrick_forms_agree(
@@ -333,14 +329,10 @@ def level_set_report(
     p gives tol's default, the space's default_tol, and must lie in the
     table's space.
     """
+    _check_space(g.space, p.space)
     tol = p.space.default_tol if tol is None else tol
-    _require_graph_in(universe, g, tol)
-
-    pot = _Potentials()
-    gms, us = pot.handles(g.pairs), pot.handles(universe)
-    _check_space(pot._space, p.space)
-    pot.start()
-    gms, us = pot.members(g.pairs, gms), pot.members(universe, us)
+    pot, gms, us = _swept(g, universe, tol)
+    us = pot.members(universe, us)
     # fitzpatrick_sup minus coupling_pi, doubled, is minus the least
     # doubled relatedness gap to a member (-inf without members), and is
     # halved once; 0 - v, not -v, keeps a float 0.0 unsigned
@@ -446,11 +438,10 @@ def roundtrip_check(
     g = s_map(h, p, tol)
     # fitzpatrick_sup at every entry, read from one potential table; an
     # entry's values are filled when it is reached
-    pot = _Potentials()
-    gms, qs = pot.handles(g.pairs), pot.handles(h.domain)
+    pot = _Potentials(g._store)
+    qs = pot.handles(h.domain)
     zp = pot.point(p)
-    pot.start()
-    gms = pot.members(g.pairs, gms)
+    gms = pot.start()
     side = [z for z, _, _ in gms] + [zp]
     for (q, v), (zq, rq) in zip(h.entries, qs):
         if gms:

@@ -28,22 +28,26 @@ triples.
 The relatedness gap is written once, in doubled potentials (_gaps2,
 see cat0.dual._potential2), between handles that carry their own
 doubled potential P_a(a.x): relatedness_gap reads it on its two pairs
-through _potential2, the whole-set sweeps (is_monotone, monotone_polar,
+through _potential2 (or from the pair, which keeps it once a store or a
+sweep has read it), the whole-set sweeps (is_monotone, monotone_polar,
 is_maximal_relative and the level-set report) from the rows of one
 potential table per call through getitem, as the single queries of
 cat0.fitzpatrick read their columns. A row holds only the values
 computed for it, and a sweep computes them where it reads them, so it
 evaluates no potential it does not read: the polar goes member by
 member and drops a universe pair at the first member it is not related
-to (see cat0.dual._Potentials). The members and the universe pairs
-alike are handles with their own potentials (_Potentials.members),
-which each pair keeps after the first sweep that reads it, so a later
-sweep over the same pairs evaluates only the values its gaps read
-across pairs. Rows are keyed by the action, so a pair outside the graph
-may share a member's row, and on exact inputs a sweep runs on ints over
-one scale per call, every gap compared with one exact bound of -2 tol
-on it. An OperatorGraph keeps its members' self-potentials for the
-single transform queries of cat0.fitzpatrick (see OperatorGraph).
+to (see cat0.dual._Potentials). Every sweep's table starts from the
+store of its members (cat0.dual._Store): an OperatorGraph's, numbered
+once and kept for its single queries and sweeps alike, or one built for
+a plain sequence of pairs. The members' handles carry the store's own
+potentials, and the universe pairs' theirs (_Potentials.members), which
+each pair keeps after the first sweep that reads it, so a later sweep
+over the same pairs evaluates only the values its gaps read across
+pairs. Rows are keyed by the action, so a pair outside the graph may
+share a member's row, and on exact inputs a sweep runs on ints over one
+scale per call, every gap compared with one exact bound of -2 tol on
+it. A sweep over an OperatorGraph takes its space: a universe pair from
+another space raises, with members or without.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import getitem
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .conjugate import (
     DEFAULT_LAMBDA_GRID,
@@ -62,9 +66,8 @@ from .conjugate import (
 from .dual import (
     DualVector,
     _Potentials,
+    _Store,
     _potential2,
-    _potentials2,
-    _reads,
     _twice,
 )
 from .extreal import Scalar
@@ -91,32 +94,17 @@ __all__ = [
 ]
 
 
-class _Frame(NamedTuple):
-    """What the single queries of cat0.fitzpatrick read of an OperatorGraph (see OperatorGraph._frame).
-
-    scale: (D_V, D_Z) or None; owns: P_y(y.x) of each pair, aligned
-    with the pairs; xs, xds: the pairs' points and duals; read: the
-    duals and the points as the pairing kernel reads them, in its one
-    read shape (the duals' read, [the points' read]), or None where it
-    reads xds and xs themselves (cat0.dual._reads).
-    """
-
-    scale: Optional[Tuple[int, int]]
-    owns: Tuple[Scalar, ...]
-    xs: Tuple[Point, ...]
-    xds: Tuple[DualVector, ...]
-    read: object
-
-
 @dataclass(frozen=True)
 class OperatorGraph:
     """A finite operator graph over one space.
 
-    Frozen: its frame (_Frame), what every single query
-    (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate) reads
-    of it, is computed at the first such query, never when the graph is
-    built, and then kept. So is the index of its pairs, _listed, built
-    at the first membership test; each test reads it with its own tol.
+    Frozen: its store (cat0.dual._Store), the numbering of its pairs,
+    their reads and their own potentials, which every single query
+    (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate) and
+    every whole-set sweep over it starts from, is built at the first
+    such call, never when the graph is built, and then kept. So is the
+    index of its pairs, _listed, built at the first membership test;
+    each test reads it with its own tol.
     """
 
     space: SpaceHandle
@@ -127,39 +115,15 @@ class OperatorGraph:
             _check_space(self.space, q.x.space)
 
     @cached_property
-    def _frame(self) -> "_Frame":
-        """What every single query reads of the graph: computed at the first query, then kept.
+    def _store(self) -> _Store:
+        """The graph's pairs numbered once, in its space: built at the first call that reads them, then kept.
 
-        The graph's inputs as the pairing kernel reads them, not values
-        of a query, so no value is shared between forms or calls. One
-        cat0.dual._reads call reads the pairs once:
-
-        * scale: (D_V, D_Z), the lcms of the denominator columns of the
-          int reads below (cat0.dual._scale); None on the hyperboloid,
-          where a dual has no key or a point holds a float, and past
-          the scale's cap;
-        * xs, xds: the pairs' points and duals, which every query
-          passes to the kernel;
-        * read: on the hyperboloid the duals' distinct term endpoints
-          kept with their coordinate columns, each term's tail and head
-          positions among them, the coefficients in term order and each
-          dual's term count (cat0.dual._Ends), so a column of the
-          graph's duals computes one squared distance per distinct
-          endpoint, and the points' payloads kept so too
-          (cat0.spaces._Blocks), for the query dual's column; on a
-          scale the keys as ints over each key's own denominator
-          (cat0.dual._duals_ints) and the points' coordinates as ints
-          over each point's own (cat0.dual._points_ints), both in
-          columns, so a query reads no coordinate's numerator and
-          denominator again; otherwise None;
-        * owns: P_y(y.x) of each pair y, aligned with pairs, from one
-          elementwise kernel call on that read (an int over D_V D_Z on
-          a scale).
+        Its inputs as the pairing kernel reads them, and its pairs' own
+        potentials P_y(y.x), which no query or sweep computes again;
+        never a value of a query or a sweep, so no value is shared
+        between forms or calls.
         """
-        xds = tuple(q.xd for q in self.pairs)
-        xs = tuple(q.x for q in self.pairs)
-        scale, read = _reads(self.space, (1, 1), xds, xs)
-        return _Frame(scale, tuple(_potentials2(xds, xs, scale, read)), xs, xds, read)
+        return _Store(self.space, self.pairs)
 
     @cached_property
     def _listed(self) -> _PairSet:
@@ -197,9 +161,9 @@ def _gaps2(P, pairs: Iterable[Tuple[tuple, tuple]]) -> Iterator[Scalar]:
 
 
 def _gap2(q1: PairedPoint, q2: PairedPoint) -> Scalar:
-    """Twice relatedness_gap(q1, q2), read through _potential2."""
-    a = (q1.x, q1.xd, _potential2(q1.xd, q1.x))
-    (gap2,) = _gaps2(_potential2, [(a, (q2.x, q2.xd, _potential2(q2.xd, q2.x)))])
+    """Twice relatedness_gap(q1, q2), read through _potential2; an own potential a pair keeps (_own) is read."""
+    a, b = ((q.x, q.xd, _potential2(q.xd, q.x) if q._own is None else q._own) for q in (q1, q2))
+    (gap2,) = _gaps2(_potential2, [(a, b)])
     return gap2
 
 
@@ -270,12 +234,12 @@ def _polar_indices(
 def is_monotone(
     g: Union[OperatorGraph, Sequence[PairedPoint]], tol: Optional[float] = None
 ) -> PropertyReport:
-    """Pairwise relatedness of all graph pairs; witness on first failure."""
-    pairs = g.pairs if isinstance(g, OperatorGraph) else tuple(g)
-    pot = _Potentials()
-    hs = pot.handles(pairs)
-    pot.start()
-    return _monotone_report(pot, pairs, pot.members(pairs, hs), tol)
+    """Pairwise relatedness of all graph pairs; witness on first failure.
+
+    A plain sequence of pairs is numbered into a store of its own.
+    """
+    pot = _Potentials(g._store if isinstance(g, OperatorGraph) else _Store(None, tuple(g)))
+    return _monotone_report(pot, pot._store.pairs, pot.start(), tol)
 
 
 def monotone_polar(
@@ -286,23 +250,28 @@ def monotone_polar(
     """Members of the universe related to every member of m.
 
     The polar of the empty set is the whole universe. Antitone in m:
-    growing m can only shrink the polar.
+    growing m can only shrink the polar. The universe must lie in the
+    space of m, where m is an OperatorGraph.
     """
-    members = m.pairs if isinstance(m, OperatorGraph) else tuple(m)
-    pot = _Potentials()
-    ms, us = pot.handles(members), pot.handles(universe)
-    pot.start()
-    polar = _polar_indices(pot, pot.members(members, ms), pot.members(universe, us), tol)
+    pot = _Potentials(m._store if isinstance(m, OperatorGraph) else _Store(None, tuple(m)))
+    us = pot.handles(universe)
+    polar = _polar_indices(pot, pot.start(), pot.members(universe, us), tol)
     return tuple(universe[i] for i in polar)
 
 
-def _require_graph_in(
-    universe: Sequence[PairedPoint], g: OperatorGraph, tol: Optional[float]
-) -> None:
-    """Raise GeometryError unless every pair of g matches a universe pair within tol."""
+def _swept(g: OperatorGraph, universe: Sequence[PairedPoint], tol: Optional[float]) -> tuple:
+    """(table, member handles, the universe pairs' handles) of a sweep of g over the universe, the table started.
+
+    The table starts from g's store and numbers the universe, whose
+    pairs must lie in g's space; then GeometryError is raised unless
+    every pair of g matches a universe pair within tol.
+    """
+    pot = _Potentials(g._store)
+    us = pot.handles(universe)
     in_universe = _PairSet(universe)
     if any(in_universe.find(q, tol) is None for q in g.pairs):
         raise GeometryError("universe does not contain the graph")
+    return pot, pot.start(), us
 
 
 def is_maximal_relative(
@@ -312,18 +281,14 @@ def is_maximal_relative(
 ) -> PropertyReport:
     """Monotone, and no universe pair outside g is related to all of g.
 
-    Requires the universe to contain the graph (membership by action:
-    exact on exact inputs, otherwise points and dual actions within
-    tol, see duals_match); a strictly monotone extension point in the
-    universe is returned as the witness. tol bounds relatedness and
-    matching alike. Maximality here is always relative to the given
-    finite universe.
+    Requires the universe to lie in g's space and to contain the graph
+    (membership by action: exact on exact inputs, otherwise points and
+    dual actions within tol, see duals_match); a strictly monotone
+    extension point in the universe is returned as the witness. tol
+    bounds relatedness and matching alike. Maximality here is always
+    relative to the given finite universe.
     """
-    _require_graph_in(universe, g, tol)
-    pot = _Potentials()
-    gms, us = pot.handles(g.pairs), pot.handles(universe)
-    pot.start()
-    gms = pot.members(g.pairs, gms)
+    pot, gms, us = _swept(g, universe, tol)
     mono = _monotone_report(pot, g.pairs, gms, tol)
     if not mono.holds:
         return mono

@@ -321,8 +321,8 @@ class _Blocks:
 
     _hyperbolic_dists_sq takes it in place of the payloads and reads the
     kept columns instead of forming them per call: an OperatorGraph's
-    frame keeps its points and its distinct term endpoints so (see
-    cat0.dual._Ends). Fewer than _SHORT payloads keep no columns, as the
+    store keeps its points and its distinct term endpoints so (see
+    cat0.dual._Store and _Ends). Fewer than _SHORT payloads keep no columns, as the
     loop reads the payloads.
     """
 

@@ -97,8 +97,8 @@ def avg_lowerbound_check(
 def single_queries_per_call(g: OperatorGraph, p: Point, q: PairedPoint) -> Tuple[ExtReal, ExtReal, ExtReal]:
     """fitzpatrick_sup, fitzpatrick_inf and fitzpatrick_via_conjugate of g at (p, q), every potential apart.
 
-    The reference for the forms that read the graph's kept frame
-    (OperatorGraph._frame): the same term expressions (_transform2,
+    The reference for the forms that read the graph's kept store
+    (OperatorGraph._store): the same term expressions (_transform2,
     _gaps2, _conjugate) read each potential from its own _potential2
     call on (point, dual) handles, so nothing is kept, batched, gathered
     or put on an integer scale. Each potential is still one sum() over
@@ -365,7 +365,7 @@ def count_potentials(monkeypatch) -> List[int]:
     point or each at its own point n. Its one-value path, _potential2,
     yields one. Neither calls the other, so each value is counted once.
     The single queries call the kernel with the reads of the graph's
-    frame and their own (cat0.dual._reads, OperatorGraph._frame),
+    store and their own (cat0.dual._fold, OperatorGraph._store),
     which changes what it reads, not what it is asked for. A zero dual's
     potential is 0 without any work, so it is not counted: one value
     stands where a one-term dual's potential costs two squared
@@ -378,7 +378,7 @@ def count_potentials(monkeypatch) -> List[int]:
     import cat0.fitzpatrick
     import cat0.monotone
 
-    calls = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick, cat0.monotone),
+    calls = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick),
                         lambda xds, zs, *rest: sum(1 for xd in xds if xd.terms) * (len(zs) if len(xds) == 1 else 1))
     return count_calls(monkeypatch, "_potential2", (cat0.dual, cat0.monotone, cat0.conjugate),
                        lambda xd, z: 1 if xd.terms else 0, calls)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import os
 import pickle
 import random
 import re
@@ -43,12 +45,12 @@ from cat0 import (
 )
 from cat0.dual import (
     _duals_ints,
+    _fold,
     _points_ints,
     _Potentials,
     _combined_key,
     _potential2,
     _potentials2,
-    _reads,
     _scale,
 )
 from cat0.spaces import ACOSH_SLACK, _BLOCK, BoundVector, dist_sq
@@ -610,7 +612,8 @@ def test_every_call_shape_gives_the_one_point_potential(kind, data):
     # point and one dual at one point, with exact, float and zero duals
     # at exact and float points; the kernel reads them itself, or their
     # reads with the points in two batches: each value is _potential2's,
-    # type included, or on a scale its value times sv sz as an int
+    # type included (also on integers, where no column is read), or on a
+    # scale its value times sv sz as an int
     exact = KERNEL_POINTS[kind]
     points = st.one_of(exact, exact.map(_floated))
     n = data.draw(st.integers(2, 4))
@@ -621,9 +624,9 @@ def test_every_call_shape_gives_the_one_point_potential(kind, data):
     for ds, ps in (((xds[0],), zs), (xds, (zs[0],)), (xds, zs), ((xds[0],), (zs[0],))):
         want = [_potential2(ds[j % len(ds)], ps[j % len(ps)]) for j in range(max(len(ds), len(ps)))]
         assert list(map(repr, _potentials2(ds, ps))) == list(map(repr, want))
-        scale, read = _reads(zs[0].space, (1, 1), ds, ps[:cut], ps[cut:])
-        got = _potentials2(ds, ps, scale, read)
-        if scale is None:
+        scale, read, _ = _fold(zs[0].space, (1, 1), (), ds, ps[:cut], ps[cut:])
+        got = _potentials2(ds, ps, read and scale, read)
+        if scale is None or read is None:
             assert list(map(repr, got)) == list(map(repr, want))
         else:
             assert got == [v * scale[0] * scale[1] for v in want] and all(type(v) is int for v in got)
@@ -859,3 +862,45 @@ def test_a_pickled_dual_hashes_again_on_load():
     assert "_hash" not in back.__dict__
     assert back == xd and hash(back) == hash(xd)
     assert back.__dict__["_hash"] == hash(xd)
+
+
+# ---------------------------------------------------------------------------
+# one function reads exact keys and points into int columns and fixes a scale
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "cat0")
+NUMBERING = ("_duals_ints", "_points_ints", "_scale")
+
+
+def _numbering_calls(tree):
+    """(enclosing function, called name, line) of every call of _duals_ints, _points_ints or _scale."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in NUMBERING:
+                found.append((where, called, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_fold_reads_keys_and_points_into_columns():
+    # a graph's store, a single query and a potential table read their
+    # inputs and fix their scale through cat0.dual._fold alone
+    found = set()
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            found |= {(name, where, called) for where, called, _ in _numbering_calls(tree)}
+    assert found == {("dual.py", "_fold", called) for called in NUMBERING}
+
+
+def test_the_guard_sees_a_stray_numbering():
+    tree = ast.parse("def f(s, xs):\n    return dual._scale(_duals_ints(s, xs)[0], ())\n_points_ints(s, ())\n")
+    assert _numbering_calls(tree) == [("f", "_scale", 2), ("f", "_duals_ints", 2), (None, "_points_ints", 3)]

@@ -534,7 +534,7 @@ def _kept_path_case(seed, n, pool_size):
 def test_kept_hyperbolic_frames_give_the_bits_of_the_per_call_reference(seed, n, pool_size):
     # graph sizes below _SHORT and across _BLOCK, and distinct endpoints
     # from a handful to more than a block: two queries on one graph, the
-    # second on its kept frame
+    # second on its kept store
     g, p, q = _kept_path_case(seed, n, pool_size)
     forms = (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate)
     want = list(map(repr, single_queries_per_call(g, p, q)))
@@ -635,27 +635,32 @@ def test_single_queries_count_their_squared_distances(monkeypatch):
     for g, p, q, per_read, per_column in _single_query_instances():
         h = FunctionTable(p, tuple((y, ExtReal(coupling_pi(p, y))) for y in g.pairs))
         n = len(g.pairs)
+        # the graph's store numbers its m distinct points and its k rows
+        # (distinct actions; every H^2 pair here has a dual of its own,
+        # and a row) once, and every form reads them by number
+        m, k = len({y.x for y in g.pairs}), len({y.xd.key if y.xd.key is not None else y.xd for y in g.pairs})
         # the query's potential at p is read once per call. The graph's
-        # self-potentials P_y(y.x) are read by its first query (n of them)
-        # and then kept. Per graph pair y: sup reads P_q(y), P_y(q); inf
-        # the same two, plus P_q(q) and P_q(p) once, from which it also
-        # takes the query's coupling; the conjugate form P_q(y), P_y(q) and P_y(p), which serves both y's
-        # coupling (P_y(y.x) is kept) and the conjugate term;
-        # fenchel_conjugate_p three. The graph duals' values at one point
-        # (one member column: n of the reads above) cost per_column
-        # squared distances together; fenchel_conjugate_p reads each pair
-        # apart, per_read squared distances a potential.
+        # self-potentials P_y(y.x) are read by its first query (n of them,
+        # one a pair) and then kept. sup reads P_q at each graph point and
+        # each row's P_y(q); inf the same, plus P_q(q) and P_q(p) once,
+        # from which it also takes the query's coupling; the conjugate
+        # form P_q at each graph point and each row's P_y(q) and P_y(p),
+        # which serves both y's coupling (P_y(y.x) is kept) and the
+        # conjugate term; fenchel_conjugate_p three a pair. The rows'
+        # values at one point (one member column: k of the reads above)
+        # cost per_column squared distances together; fenchel_conjugate_p
+        # reads each pair apart, per_read squared distances a potential.
         for query, reads, columns in (
-            (lambda: fitzpatrick_sup(g, p, q), n + 1 + 2 * n, 1),
-            (lambda: fitzpatrick_sup(g, p, q), 1 + 2 * n, 1),
-            (lambda: fitzpatrick_inf(g, p, q), 2 + 2 * n, 1),
-            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + 3 * n, 2),
+            (lambda: fitzpatrick_sup(g, p, q), n + 1 + m + k, 1),
+            (lambda: fitzpatrick_sup(g, p, q), 1 + m + k, 1),
+            (lambda: fitzpatrick_inf(g, p, q), 2 + m + k, 1),
+            (lambda: fitzpatrick_via_conjugate(g, p, q), 1 + m + 2 * k, 2),
             (lambda: fenchel_conjugate_p(h, p, g.pairs, q.xd, q.x), 1 + 3 * n, 0),
         ):
             potentials[0] = squares[0] = 0
             query()
             assert potentials[0] == reads
-            assert squares[0] == per_read * (reads - columns * n) + per_column * columns
+            assert squares[0] == per_read * (reads - columns * k) + per_column * columns
 
 
 def test_a_member_column_costs_one_squared_distance_per_distinct_endpoint(monkeypatch):
@@ -665,7 +670,7 @@ def test_a_member_column_costs_one_squared_distance_per_distinct_endpoint(monkey
     # endpoint's squared distance once, not two per dual
     squares = count_dist_sq(monkeypatch)
     g, p, q = _pinned_curve_queries()[1]
-    fitzpatrick_sup(g, p, q)  # builds the frame
+    fitzpatrick_sup(g, p, q)  # builds the store
     ends = {pt.payload for y in g.pairs for _, bv in y.xd.terms for pt in (bv.tail, bv.head)}
     assert len(g.pairs) < len(ends) < 2 * len(g.pairs)
     squares[0] = 0
@@ -686,7 +691,8 @@ def test_a_query_past_the_scale_cap_counts_as_on_integers(monkeypatch):
     assert _scale_of(g.space, duals, points + [far]) is None
     n = len(g.pairs)
     for basepoint in (p, far):
-        fresh = OperatorGraph(g.space, g.pairs)
+        # pairs that keep no own potential yet, as g's did
+        fresh = OperatorGraph(g.space, _single_query_instances()[1][0].pairs)
         counts = []
         for form in (fitzpatrick_sup, fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
             potentials[0] = 0
@@ -731,7 +737,8 @@ def test_building_a_graph_evaluates_no_potential(monkeypatch):
         g = OperatorGraph(g.space, g.pairs)
         assert potentials[0] == 0
         first = fitzpatrick_sup(g, p, q)
-        assert potentials[0] == len(g.pairs) + 1 + 2 * len(g.pairs)
+        m, k = len({y.x for y in g.pairs}), len({y.xd.key if y.xd.key is not None else y.xd for y in g.pairs})
+        assert potentials[0] == len(g.pairs) + 1 + m + k
         assert fitzpatrick_sup(g, p, q) == first
 
 
@@ -739,23 +746,24 @@ def test_a_hyperbolic_graph_batches_its_self_potentials(monkeypatch):
     # the first query on an n-pair H^2 graph takes its n self-potentials
     # P_y(y.x) from one elementwise kernel call, 2n squared distances
     # (every dual starts at its own point, so half of them are 0); later
-    # queries read them kept
+    # queries read them kept, and so does a new graph over the same pairs,
+    # which keep them (PairedPoint._own)
     import cat0.spaces
 
     calls = count_calls(monkeypatch, "_hyperbolic_dists_sq", (cat0.spaces, cat0.dual))
     squares = count_dist_sq(monkeypatch)
-    g, p, q = _pinned_curve_queries()[1]
-    n = len(g.pairs)
     for form in (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
-        fresh = OperatorGraph(g.space, g.pairs)
+        g, p, q = _pinned_curve_queries()[1]  # pairs that keep no own potential yet
+        n = len(g.pairs)
         counts = []
-        for _ in range(2):
+        for graph in (g, g, OperatorGraph(g.space, g.pairs)):
             calls[0] = squares[0] = 0
-            form(fresh, p, q)
+            form(graph, p, q)
             counts.append((calls[0], squares[0]))
-        (first, first_squares), (again, again_squares) = counts
+        (first, first_squares), (again, again_squares), kept = counts
         assert first == again + 1
         assert first_squares == again_squares + 2 * n
+        assert kept == (again, again_squares)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "rtree", "hyperbolic"])

@@ -16,6 +16,9 @@ from cat0 import (
     dual_term,
     euclidean,
     f_property_check,
+    fitzpatrick_inf,
+    fitzpatrick_sup,
+    fitzpatrick_via_conjugate,
     flatness_check,
     geodesic_point,
     hyperbolic,
@@ -262,7 +265,7 @@ def test_level_report_evaluates_no_potential_at_its_basepoint(monkeypatch, space
     used = {z for q in universe for _, bv in q.xd.terms for z in (q.x, bv.tail, bv.head)}
     p = next(z for z in map(_grid_point(space), *zip(*_GRID)) if z not in used)
     g = OperatorGraph(space, greedy_monotone_subset(random.Random(2), universe, 2))
-    at_p = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick, cat0.monotone),
+    at_p = count_calls(monkeypatch, "_potentials2", (cat0.dual, cat0.fitzpatrick),
                        lambda xds, zs, *rest: sum(z == p for z in zs))
     count_calls(monkeypatch, "_potential2", (cat0.dual, cat0.monotone, cat0.conjugate),
                 lambda xd, z: z == p, at_p)
@@ -315,6 +318,54 @@ def test_a_second_sweep_reads_the_kept_own_potentials(monkeypatch, space):
     assert potentials[0] == n_first - len(owns) > 0
     assert repr(second) == repr(first)
     assert [q._own for q in universe] == [_potential2(q.xd, q.x) for q in universe]
+
+
+@pytest.mark.parametrize("space", [E2, hyperbolic(2), rtree()])
+def test_relatedness_reads_the_kept_own_potentials(monkeypatch, space):
+    # two pairs with nonzero duals: a gap reads both own potentials and
+    # two cross potentials; after a sweep over the pairs as a universe,
+    # which keeps their own potentials, only the two cross ones, with the
+    # same bits
+    q1, q2 = _scattered_universe(space, random.Random(6), 2)
+    potentials = count_potentials(monkeypatch)
+    gap, related = relatedness_gap(q1, q2), monotonically_related(q1, q2)
+    assert potentials[0] == 8
+    monotone_polar([q1], [q1, q2])
+    potentials[0] = 0
+    assert repr(relatedness_gap(q1, q2)) == repr(gap)
+    assert potentials[0] == 2
+    assert monotonically_related(q1, q2) == related
+    assert potentials[0] == 4
+
+
+@pytest.mark.parametrize("space", [E2, rtree()])
+def test_a_graph_is_numbered_once(monkeypatch, space):
+    # the three forms, then is_maximal_relative and level_set_report on
+    # one graph: its store reads its pairs into int columns once, and
+    # every call reads only its own extras (q.xd, q.x and p, or the
+    # universe pairs outside the graph); a new graph over the same pairs,
+    # which keep their own potentials, evaluates none
+    universe = _scattered_universe(space, random.Random(4), 12)
+    if space.kind == "euclidean":  # halved: on integers no column is read at all
+        def half(z):
+            return make_point(space, tuple(Fraction(c, 2) for c in z.payload))
+        universe = tuple(PairedPoint(half(q.x), dual_term(q.xd.terms[0][0], half(q.xd.terms[0][1].tail),
+                                                          half(q.xd.terms[0][1].head))) for q in universe)
+    g = OperatorGraph(space, greedy_monotone_subset(random.Random(2), universe, 3))
+    keys, payloads = {y.xd.key for y in g.pairs}, {y.x.payload for y in g.pairs}
+    q = next(u for u in universe if u.xd.key not in keys and u.x.payload not in payloads)
+    p = next(u.x for u in universe if u.x.payload not in payloads and u is not q)
+    duals = count_calls(monkeypatch, "_duals_ints", (cat0.dual,), lambda space, xds: any(xd.key in keys for xd in xds))
+    points = count_calls(monkeypatch, "_points_ints", (cat0.dual,),
+                         lambda space, zs: any(z.payload in payloads for z in zs))
+    for form in (fitzpatrick_sup, fitzpatrick_inf, fitzpatrick_via_conjugate):
+        form(g, p, q)
+    is_maximal_relative(g, universe)
+    level_set_report(g, p, universe)
+    assert duals[0] == points[0] == 1
+    potentials = count_potentials(monkeypatch)
+    fitzpatrick_sup(OperatorGraph(space, g.pairs), p, q)
+    assert potentials[0] == 1 + 2 * len(g.pairs)  # P_q at p and the graph points, P_y at q.x
 
 
 def test_level_report_computes_each_potential_once(monkeypatch):

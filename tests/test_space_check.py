@@ -34,6 +34,7 @@ from cat0 import (
     function_table,
     gamma_p_membership,
     geodesic_point,
+    is_maximal_relative,
     level_set_report,
     make_point,
     monotone_polar,
@@ -84,6 +85,28 @@ MIXED = {
 def test_objects_of_two_spaces_raise_space_mismatch(name):
     with pytest.raises(SpaceMismatchError):
         MIXED[name]()
+
+
+EMPTY_GRAPH = OperatorGraph(E2, ())
+
+# a graph's calls with a basepoint, a query pair or a universe from the tree
+ON_A_GRAPH = {
+    "fitzpatrick_sup": lambda g: fitzpatrick_sup(g, T, T_PAIR),
+    "fitzpatrick_inf": lambda g: fitzpatrick_inf(g, T, T_PAIR),
+    "fitzpatrick_via_conjugate": lambda g: fitzpatrick_via_conjugate(g, T, T_PAIR),
+    "level_set_report": lambda g: level_set_report(g, T, [T_PAIR]),
+    "level_set_report universe": lambda g: level_set_report(g, P, [T_PAIR]),
+    "is_maximal_relative": lambda g: is_maximal_relative(g, [T_PAIR]),
+    "monotone_polar": lambda g: monotone_polar(g, [T_PAIR]),
+}
+
+
+@pytest.mark.parametrize("name", list(ON_A_GRAPH))
+@pytest.mark.parametrize("graph", [EMPTY_GRAPH, E_GRAPH], ids=["empty", "one-pair"])
+def test_a_graph_takes_no_point_or_pair_of_another_space(graph, name):
+    # the graph's space decides, with pairs or without
+    with pytest.raises(SpaceMismatchError):
+        ON_A_GRAPH[name](graph)
 
 
 def test_duals_of_two_spaces_do_not_match():

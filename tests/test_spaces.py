@@ -166,7 +166,7 @@ def test_hyperbolic_kernel_keeps_the_bits_of_the_loop(dim, size, seed, each):
     y = [rng.choice(pool) for _ in range(size)] if each else rng.choice(pool)
     want = list(map(_bits, hyperbolic_dists_sq_loop(xs, y, each)))
     assert list(map(_bits, _hyperbolic_dists_sq(xs, y, each=each))) == want
-    if not each:  # the same payloads with their columns kept, as a graph's frame keeps them
+    if not each:  # the same payloads with their columns kept, as a graph's store keeps them
         assert list(map(_bits, _hyperbolic_dists_sq(_Blocks(xs), y))) == want
 
 
